@@ -28,6 +28,18 @@ ParityVector = tuple[int, ...]    # one bit per generator, b-alias order
 SignString = tuple[int, ...]      # k-1 entries from {+1, -1}
 
 
+def _normalize_index(counts: list[int], k: int) -> IndexString:
+    """Index string from the raw parities of ``b1 .. bk``.
+
+    Opposite strings name the same free-product generator, so all bits are
+    flipped when the bit of ``bk`` is 1; that bit is then redundant and
+    dropped, leaving k-1 bits.
+    """
+    if counts[k - 1]:
+        return tuple(1 - c for c in counts[: k - 1])
+    return tuple(counts[: k - 1])
+
+
 def occurrence_index(word: Word, pos: int) -> IndexString:
     """Index string of the ``b(k+1)`` occurrence at position ``pos``.
 
@@ -36,6 +48,11 @@ def occurrence_index(word: Word, pos: int) -> IndexString:
     count).  Opposite strings name the same free-product generator, so the
     string is normalized by flipping all bits when the last bit is 1, after
     which the last bit is redundant and dropped: k-1 bits remain.
+
+    The parity vector is invariant under the relations, so the index does
+    not change when the prefix before ``pos`` is replaced by any word equal
+    to it in the group.  This call rescans the prefix;
+    ``last_alias_occurrences`` gives every index of a word in one pass.
     """
     params = word.params
     params.require_square()
@@ -49,9 +66,29 @@ def occurrence_index(word: Word, pos: int) -> IndexString:
         j = letter.b_index(params)
         if j <= k:
             counts[j - 1] ^= 1
-    if counts[k - 1] == 1:
-        counts = [1 - c for c in counts]
-    return tuple(counts[: k - 1])
+    return _normalize_index(counts, k)
+
+
+def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:
+    """Positions and index strings of every ``b(k+1)`` occurrence, in one pass.
+
+    The i-th index string equals ``occurrence_index(word, positions[i])``;
+    read in order, the strings are the unreduced image in the free product.
+    """
+    params = word.params
+    params.require_square()
+    k = params.k
+    last = params.b_letter(k + 1)
+    counts = [0] * k
+    positions: list[int] = []
+    indices: list[IndexString] = []
+    for pos, letter in enumerate(word.letters):
+        if letter == last:
+            positions.append(pos)
+            indices.append(_normalize_index(counts, k))
+        else:
+            counts[letter.b_index(params) - 1] ^= 1
+    return positions, indices
 
 
 def free_product_reduce(obstruction: ObstructionWord) -> ObstructionWord:
@@ -68,24 +105,13 @@ def free_product_reduce(obstruction: ObstructionWord) -> ObstructionWord:
 def f_image(word: Word) -> ObstructionWord:
     """Image of the word in the free product, reduced.
 
-    Applying any defining relation to the word leaves this value unchanged,
-    and it is empty on every word of the subgroup avoiding ``b(k+1)``.
+    Each ``b(k+1)`` occurrence contributes the generator named by its index
+    string (see ``last_alias_occurrences``).  Applying any defining relation
+    to the word leaves this value unchanged, and it is empty on every word
+    of the subgroup avoiding ``b(k+1)``.
     """
-    params = word.params
-    params.require_square()
-    k = params.k
-    last = params.b_letter(k + 1)
-    counts = [0] * k
-    raw: list[IndexString] = []
-    for letter in word.letters:
-        if letter == last:
-            bits = list(counts)
-            if bits[k - 1] == 1:
-                bits = [1 - c for c in bits]
-            raw.append(tuple(bits[: k - 1]))
-        else:
-            counts[letter.b_index(params) - 1] ^= 1
-    return free_product_reduce(tuple(raw))
+    _, indices = last_alias_occurrences(word)
+    return free_product_reduce(tuple(indices))
 
 
 def parity_vector(word: Word) -> ParityVector:

@@ -25,7 +25,8 @@ from .invariants import (
     ParityVector,
     f_image,
     format_obstruction,
-    occurrence_index,
+    free_product_reduce,
+    last_alias_occurrences,
     parity_vector,
 )
 from .words import (
@@ -218,7 +219,8 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
         first = first + len(q_letters) + 1 + r
         second = second + 2 * len(q_letters)
 
-        assert second - first == distance_before - 2, "window surgery must shorten the gap by 2"
+        if second - first != distance_before - 2:
+            raise AssertionError("window surgery must shorten the gap by 2")
 
     return word, EliminationTrace(tuple(moves))
 
@@ -228,38 +230,42 @@ def eliminate_last(word: Word, rng: random.Random | None = None) -> tuple[Word, 
 
     Repeatedly picks a pair of consecutive ``b(k+1)`` occurrences with equal
     index strings (one exists whenever the unreduced obstruction word reduces
-    to the identity) and removes it with ``inner_eliminate``.  When ``rng``
-    is given, the pair is chosen at random among the candidates; the result
-    is equal in the group either way.
+    to the identity) and removes it with ``inner_eliminate``.  Without
+    ``rng`` the leftmost such pair is taken; with it, the pair is chosen at
+    random among the candidates.  The result is equal in the group either
+    way, and the trace replays under ``check_trace``.
+
+    The index strings come from one prefix-parity pass, which also yields
+    the obstruction.  They are never recomputed: the parity vector is
+    invariant under the relations and the replacement V equals
+    b(k+1) . block . b(k+1), so removing a matched pair leaves the index of
+    every other occurrence unchanged.  Each round drops the two matched
+    entries and shifts the later positions by the change in length.  The
+    candidate lists, and so the choices and the trace, are the ones that
+    recomputing every index in every round would give.
     """
     params = word.params
-    params.require_square()
-    obstruction = f_image(word)
+    positions, indices = last_alias_occurrences(word)
+    obstruction = free_product_reduce(tuple(indices))
     if obstruction:
         raise NotInSubgroupError(obstruction)
-    k = params.k
-    last = params.b_letter(k + 1)
     moves: list[Move] = []
-    current = word
+    letters = list(word.letters)
 
-    while True:
-        positions = [i for i, letter in enumerate(current.letters) if letter == last]
-        if not positions:
-            break
-        indices = [occurrence_index(current, i) for i in positions]
+    while positions:
         candidates = [j for j in range(len(positions) - 1) if indices[j] == indices[j + 1]]
-        assert candidates, "an adjacent equal-index pair must exist when the image is empty"
+        if not candidates:
+            raise AssertionError("an adjacent equal-index pair must exist when the image is empty")
         choice = candidates[0] if rng is None else rng.choice(candidates)
         left, right = positions[choice], positions[choice + 1]
-        block = Word(params, current.letters[left + 1 : right])
-        replacement, trace = inner_eliminate(block)
+        replacement, trace = inner_eliminate(Word(params, tuple(letters[left + 1 : right])))
         for move in trace:
             moves.append(_shift_move(move, left))
-        current = Word(
-            params,
-            current.letters[:left] + replacement.letters + current.letters[right + 1 :],
-        )
-    return current, EliminationTrace(tuple(moves))
+        letters[left : right + 1] = replacement.letters
+        shift = len(replacement) - (right - left + 1)
+        del indices[choice : choice + 2]
+        positions[choice:] = [pos + shift for pos in positions[choice + 2 :]]
+    return Word(params, tuple(letters)), EliminationTrace(tuple(moves))
 
 
 def _shift_move(move: Move, offset: int) -> Move:

@@ -86,10 +86,16 @@ class Letter:
             raise ValueError(f"indices are 1-based: {self.subset}")
 
     def omitted_index(self, params: GroupParams) -> int:
-        """The unique element of {1, ..., n} missing from the subset (n = k+1 only)."""
+        """The unique element of {1, ..., n} missing from the subset (n = k+1 only).
+
+        The subset is sorted, so the first i with ``subset[i-1] != i`` is the
+        gap; with no such i the subset is 1..k and n is missing.
+        """
         params.require_square()
-        (c,) = set(range(1, params.n + 1)) - set(self.subset)
-        return c
+        for i, element in enumerate(self.subset, 1):
+            if element != i:
+                return i
+        return params.n
 
     def b_index(self, params: GroupParams) -> int:
         """Position of this letter in the b-alias order (n = k + 1 only)."""

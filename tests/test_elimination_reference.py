@@ -1,0 +1,152 @@
+"""``eliminate_last`` against the elimination it replaced.
+
+The replaced algorithm recomputed the index string of every ``b(k+1)``
+occurrence from the current word in every round; ``eliminate_last`` now
+computes them once and relies on their invariance.  ``reference_eliminate``
+below keeps the old per-round recomputation, with an index scan written
+here rather than taken from the package, and both must agree on the
+residue and on the trace, move for move.
+"""
+
+import dataclasses
+import itertools
+import random
+
+import pytest
+
+from projbraid.invariants import occurrence_index
+from projbraid.solver import EliminationTrace, check_trace, eliminate_last, inner_eliminate
+from projbraid.words import GroupParams, Word
+
+P43 = GroupParams(4, 3)
+P54 = GroupParams(5, 4)
+
+
+def scan_indices(word: Word) -> list[tuple[int, ...]]:
+    """Index strings of all last-alias occurrences, recomputed from scratch:
+    parities of b1..bk before each one, flipped when the bk bit is 1, bk dropped."""
+    params = word.params
+    k = params.k
+    last = params.b_letter(k + 1)
+    counts = [0] * k
+    out = []
+    for letter in word.letters:
+        if letter == last:
+            flip = counts[k - 1]
+            out.append(tuple(c ^ flip for c in counts[: k - 1]))
+        else:
+            counts[letter.b_index(params) - 1] ^= 1
+    return out
+
+
+def reduces_to_identity(indices: list[tuple[int, ...]]) -> bool:
+    stack: list[tuple[int, ...]] = []
+    for gen in indices:
+        if stack and stack[-1] == gen:
+            stack.pop()
+        else:
+            stack.append(gen)
+    return not stack
+
+
+def reference_eliminate(word: Word, rng: random.Random | None = None) -> tuple[Word, EliminationTrace]:
+    """The replaced ``eliminate_last``: every round rescans the current word."""
+    params = word.params
+    last = params.b_letter(params.k + 1)
+    moves = []
+    current = word
+    while True:
+        positions = [i for i, letter in enumerate(current.letters) if letter == last]
+        if not positions:
+            break
+        indices = scan_indices(current)
+        candidates = [j for j in range(len(positions) - 1) if indices[j] == indices[j + 1]]
+        choice = candidates[0] if rng is None else rng.choice(candidates)
+        left, right = positions[choice], positions[choice + 1]
+        replacement, trace = inner_eliminate(Word(params, current.letters[left + 1 : right]))
+        moves.extend(dataclasses.replace(move, pos=move.pos + left) for move in trace)
+        current = Word(params, current.letters[:left] + replacement.letters + current.letters[right + 1 :])
+    return current, EliminationTrace(tuple(moves))
+
+
+def empty_image_words(params: GroupParams, max_len: int) -> list[Word]:
+    """Every word of length <= max_len with empty image; at max_len only the
+    freely reduced ones, which keeps the k = 3 sweep to about a second."""
+    alphabet = [params.b_letter(j) for j in range(1, params.k + 2)]
+    words = []
+    for length in range(max_len + 1):
+        for letters in itertools.product(alphabet, repeat=length):
+            if length == max_len and any(a == b for a, b in zip(letters, letters[1:])):
+                continue
+            word = Word(params, letters)
+            if reduces_to_identity(scan_indices(word)):
+                words.append(word)
+    return words
+
+
+def scrambled(params: GroupParams, seed_word: list[int], length: int, rng: random.Random) -> Word:
+    """Grow ``seed_word`` to ``length`` letters by pair insertions and window
+    reversals; both keep the image, so an empty-image seed stays empty."""
+    k = params.k
+    ids = list(seed_word)
+    while len(ids) < length:
+        pos = rng.randint(0, max(len(ids) - k - 1, 0))
+        window = ids[pos : pos + k + 1]
+        if rng.random() < 0.4 and len(set(window)) == k + 1:
+            ids[pos : pos + k + 1] = window[::-1]
+        else:
+            x = rng.randint(1, k + 1)
+            ids[pos:pos] = [x, x]
+    return Word(params, tuple(params.b_letter(j) for j in ids))
+
+
+def wwinv(length: int, seed: int) -> Word:
+    rng = random.Random(seed)
+    half = [P43.b_letter(rng.randint(1, 4)) for _ in range(length // 2)]
+    return Word(P43, tuple(half + half[::-1]))
+
+
+def long_words() -> list[Word]:
+    rng = random.Random(2024)
+    words = []
+    for length in (64, 128, 256, 512):
+        for seed_word in ([], [1, 2, 1, 2], [4, 1, 1, 4]):
+            words.append(scrambled(P43, seed_word, length, rng))
+    words += [scrambled(P54, [], length, rng) for length in (64, 128)]
+    return words + [wwinv(400, 1), wwinv(800, 2)]
+
+
+def assert_matches_reference(word: Word, seed: int | None = None) -> None:
+    expected = reference_eliminate(word, None if seed is None else random.Random(seed))
+    got = eliminate_last(word, None if seed is None else random.Random(seed))
+    assert got[0].letters == expected[0].letters, str(word)
+    assert got[1].steps == expected[1].steps, str(word)
+    assert check_trace(word, got[1], got[0]), str(word)
+
+
+@pytest.mark.parametrize("params, max_len", [(P43, 8), (P54, 6)], ids=["k3-len8", "k4-len6"])
+def test_all_short_words_match_reference(params, max_len):
+    words = empty_image_words(params, max_len)
+    assert len(words) > 1000
+    for word in words:
+        assert_matches_reference(word)
+
+
+@pytest.mark.parametrize("word", long_words(), ids=lambda w: f"k{w.params.k}-len{len(w)}")
+def test_long_words_match_reference(word):
+    assert_matches_reference(word)
+
+
+def test_random_pair_choice_matches_reference_for_each_seed():
+    rng = random.Random(7)
+    words = [scrambled(P43, [], length, rng) for length in (16, 64, 128)]
+    words.append(scrambled(P54, [1, 2, 1, 2], 64, rng))
+    for word in words:
+        for seed in range(4):
+            assert_matches_reference(word, seed)
+
+
+def test_scan_agrees_with_occurrence_index():
+    for word in empty_image_words(P43, 6)[::7] + long_words()[:4]:
+        positions = [i for i, letter in enumerate(word.letters) if letter == P43.b_letter(4)]
+        assert scan_indices(word) == [occurrence_index(word, p) for p in positions]

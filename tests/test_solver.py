@@ -1,6 +1,10 @@
 """Last-letter elimination, trace checking, and the decision procedures."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,23 @@ class TestEliminateLast:
             assert all(l.b_index(P43) != 4 for l in out.letters)
             assert check_trace(w, trace, out)
             assert bfs_equal_oracle(w, out, max_len=14, max_states=100_000).equal
+
+    def test_pair_guard_survives_optimized_mode(self):
+        # with the obstruction check bypassed, no equal-index pair exists;
+        # the guard must still fire when python -O strips assert statements
+        code = (
+            "import projbraid.solver as s\n"
+            "from projbraid.words import GroupParams, parse_word\n"
+            "s.free_product_reduce = lambda obstruction: ()\n"
+            "try:\n"
+            "    s.eliminate_last(parse_word('b4 b1 b4', GroupParams(4, 3)))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env)
+        assert "adjacent equal-index pair must exist" in out.stdout, out.stderr
 
     def test_longer_word_with_index_flip(self):
         # third and fourth occurrences only match after the global bit flip

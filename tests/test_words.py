@@ -71,6 +71,18 @@ class TestParams:
         assert b(1).omitted_index(P43) == 4
         assert b(4).b_index(P43) == 4
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_omitted_index_is_the_set_difference(self, k):
+        params = GroupParams(k + 1, k)
+        for letter in params.all_letters():
+            (missing,) = set(range(1, k + 2)) - set(letter.subset)
+            assert letter.omitted_index(params) == missing
+            assert params.b_letter(letter.b_index(params)) == letter
+
+    def test_omitted_index_needs_square_params(self):
+        with pytest.raises(ValueError):
+            Letter((1, 2)).omitted_index(P52)
+
 
 class TestParsing:
     def test_b_tokens(self):
