@@ -92,6 +92,8 @@ class Letter:
         gap; with no such i the subset is 1..k and n is missing.
         """
         params.require_square()
+        if len(self.subset) != params.k or self.subset[-1] > params.n:
+            raise ValueError(f"letter {self} is not a k-subset of 1..n for k={params.k}")
         for i, element in enumerate(self.subset, 1):
             if element != i:
                 return i

@@ -79,6 +79,11 @@ class TestParams:
             assert letter.omitted_index(params) == missing
             assert params.b_letter(letter.b_index(params)) == letter
 
+    @pytest.mark.parametrize("subset", [(1, 2), (1, 2, 3, 4), (1, 2, 5)])
+    def test_omitted_index_rejects_letters_of_other_groups(self, subset):
+        with pytest.raises(ValueError):
+            Letter(subset).omitted_index(P43)
+
     def test_omitted_index_needs_square_params(self):
         with pytest.raises(ValueError):
             Letter((1, 2)).omitted_index(P52)
