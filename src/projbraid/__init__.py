@@ -33,7 +33,6 @@ from .projective import (
     shear_family,
     sign_string_of,
     singular_subsets,
-    standardize_frame,
 )
 from .realization import (
     AlgebraicTime,

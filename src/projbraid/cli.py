@@ -30,14 +30,13 @@ from .invariants import (
 from .realization import (
     AlgebraicTime,
     PathError,
-    certify_roundtrip,
     detect_events,
     load_path_file,
     path_from_word,
     save_path_file,
     word_from_path,
 )
-from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, equal_k3, is_in_H, solve_k3, solve_semi
+from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, is_in_H, solve_k3, solve_semi
 from .words import (
     CancelPair,
     GroupParams,
@@ -47,7 +46,10 @@ from .words import (
     Word,
     WordSyntaxError,
     bfs_equal_oracle,
+    concat,
     format_word,
+    free_reduce,
+    inverse,
     parse_word,
 )
 
@@ -90,26 +92,26 @@ def _word_text(word: Word) -> str:
     return format_word(word, "subset")
 
 
-def _move_text(move) -> str:
-    if isinstance(move, InsertPair):
-        return f"insert {move.letter}{move.letter} at {move.pos}"
-    if isinstance(move, CancelPair):
-        return f"cancel {move.letter}{move.letter} at {move.pos}"
-    if isinstance(move, ReverseWindow):
-        return f"reverse window at {move.pos}"
-    if isinstance(move, SwapAdjacent):
-        return f"swap at {move.pos}"
-    return str(move)
+# move type -> (structured kind, text template over the move's fields)
+_MOVE_FORMS = {
+    InsertPair: ("insert", "insert {letter}{letter} at {pos}"),
+    CancelPair: ("cancel", "cancel {letter}{letter} at {pos}"),
+    ReverseWindow: ("reverse", "reverse window at {pos}"),
+    SwapAdjacent: ("swap", "swap at {pos}"),
+}
 
 
-def _move_doc(move) -> dict:
-    if isinstance(move, InsertPair):
-        return {"kind": "insert", "pos": move.pos, "letter": str(move.letter)}
-    if isinstance(move, CancelPair):
-        return {"kind": "cancel", "pos": move.pos, "letter": str(move.letter)}
-    if isinstance(move, ReverseWindow):
-        return {"kind": "reverse", "pos": move.pos}
-    return {"kind": "swap", "pos": move.pos}
+def _report_trace(out: _Output, moves) -> None:
+    """One indented text line per move, and the ``trace`` field."""
+    docs = []
+    for move in moves:
+        kind, template = _MOVE_FORMS[type(move)]
+        fields = {"pos": move.pos}
+        if hasattr(move, "letter"):
+            fields["letter"] = str(move.letter)
+        out.text("  " + template.format(**fields))
+        docs.append({"kind": kind, **fields})
+    out.field("trace", docs)
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -177,31 +179,26 @@ def _report_verdict(out: _Output, verdict, show_trace: bool) -> int:
         out.text(f"trace: {len(verdict.trace)} moves")
         out.field("trace_moves", len(verdict.trace))
         if show_trace:
-            for move in verdict.trace.steps:
-                out.text(f"  {_move_text(move)}")
-            out.field("trace", [_move_doc(m) for m in verdict.trace.steps])
+            _report_trace(out, verdict.trace.steps)
     out.flush()
     return _status_exit(verdict.status)
 
 
 def _cmd_solve(parser: _Parser, args, out: _Output) -> int:
     params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
-    verdict = solve_k3(word) if params.k == 3 else solve_semi(word)
-    return _report_verdict(out, verdict, args.trace)
+    return _decide(out, _parse(parser, args.word, params), args.trace)
 
 
 def _cmd_equal(parser: _Parser, args, out: _Output) -> int:
     params = _square_params(parser, args)
     w1 = _parse(parser, args.word1, params)
     w2 = _parse(parser, args.word2, params)
-    if params.k == 3:
-        verdict = equal_k3(w1, w2)
-    else:
-        from .words import concat, free_reduce, inverse
+    return _decide(out, free_reduce(concat(w1, inverse(w2))), args.trace)
 
-        verdict = solve_semi(free_reduce(concat(w1, inverse(w2))))
-    return _report_verdict(out, verdict, args.trace)
+
+def _decide(out: _Output, word: Word, show_trace: bool) -> int:
+    verdict = solve_k3(word) if word.params.k == 3 else solve_semi(word)
+    return _report_verdict(out, verdict, show_trace)
 
 
 def _cmd_f_image(parser: _Parser, args, out: _Output) -> int:
@@ -264,9 +261,7 @@ def _cmd_eliminate(parser: _Parser, args, out: _Output) -> int:
     out.field("trace_ok", ok)
     out.field("trace_moves", len(trace))
     if args.trace:
-        for move in trace.steps:
-            out.text(f"  {_move_text(move)}")
-        out.field("trace", [_move_doc(m) for m in trace.steps])
+        _report_trace(out, trace.steps)
     out.flush()
     return 0 if ok else 1
 
@@ -368,9 +363,7 @@ def _cmd_oracle(parser: _Parser, args, out: _Output) -> int:
         out.field("equal", True)
         out.field("moves", len(result.trace))
         if args.trace:
-            for move in result.trace:
-                out.text(f"  {_move_text(move)}")
-            out.field("trace", [_move_doc(m) for m in result.trace])
+            _report_trace(out, result.trace)
     else:
         out.text(f"Unknown ({result.states} states)")
         out.field("equal", None)

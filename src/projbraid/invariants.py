@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GroupParams, Letter, Word
+from .words import GroupParams, Word, free_cancel
 
 IndexString = tuple[int, ...]     # k-1 bits naming a free-product generator
 ObstructionWord = tuple[IndexString, ...]
@@ -93,13 +93,7 @@ def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:
 
 def free_product_reduce(obstruction: ObstructionWord) -> ObstructionWord:
     """Reduce in the free product: adjacent equal generators cancel."""
-    stack: list[IndexString] = []
-    for gen in obstruction:
-        if stack and stack[-1] == gen:
-            stack.pop()
-        else:
-            stack.append(gen)
-    return tuple(stack)
+    return free_cancel(obstruction)[0]
 
 
 def f_image(word: Word) -> ObstructionWord:
@@ -134,9 +128,8 @@ def sign_action(word: Word, signs: SignString) -> SignString:
     """
     params = word.params
     params.require_square()
+    check_sign_string(signs, params)
     k = params.k
-    if len(signs) != k - 1 or any(s not in (-1, 1) for s in signs):
-        raise ValueError(f"sign string must have k-1 = {k - 1} entries from +-1")
     current = list(signs)
     for letter in word.letters:
         c = letter.omitted_index(params)
@@ -145,6 +138,12 @@ def sign_action(word: Word, signs: SignString) -> SignString:
         else:
             current = [-s for s in current]
     return tuple(current)
+
+
+def check_sign_string(signs: SignString, params: GroupParams) -> None:
+    """Raise ValueError unless ``signs`` has k-1 entries, each +1 or -1."""
+    if len(signs) != params.k - 1 or any(s not in (-1, 1) for s in signs):
+        raise ValueError(f"sign string must have k-1 = {params.k - 1} entries from +-1")
 
 
 def reference_signs(params: GroupParams) -> SignString:

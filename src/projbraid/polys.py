@@ -117,7 +117,8 @@ def squarefree_part(f: Poly) -> Poly:
         return monic(f) if f else ZERO
     g = gcd(f, derivative(f))
     q, r = divmod_exact(f, g)
-    assert not r
+    if r:
+        raise AssertionError("gcd(f, f') must divide f")
     return monic(q)
 
 
@@ -196,7 +197,8 @@ def rational_roots_in_unit_interval(f: Poly) -> tuple[list[Fraction], Poly] | No
     ordered = sorted(roots)
     for r in ordered:
         quot, rem = divmod_exact(remaining, (-r, Fraction(1)))
-        assert not rem
+        if rem:
+            raise AssertionError(f"t - {r} must divide the polynomial it is a root of")
         remaining = quot
     return ordered, remaining
 
@@ -232,7 +234,8 @@ def isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, F
         if count == 0:
             return
         if count == 1:
-            assert evaluate(f, a) * evaluate(f, b) < 0
+            if evaluate(f, a) * evaluate(f, b) >= 0:
+                raise AssertionError(f"a simple root in ({a}, {b}) must change the sign of f")
             out.append((a, b))
             return
         mid = _split_point(f, a, b)
@@ -246,22 +249,19 @@ def isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, F
 def refine_to_exclude(f: Poly, lo: Fraction, hi: Fraction, point: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree f until ``point`` lies outside.
 
-    Preserves the sign-change certificate; requires f(point) != 0.
+    Preserves the sign-change certificate; requires f(point) != 0.  Returns
+    a collapsed interval (r, r) when a halving lands on the root r.
     """
     while lo < point < hi:
-        mid = (lo + hi) / 2
-        if evaluate(f, mid) == 0:
-            # the root is rational after all; collapse to it
-            return mid, mid
-        if evaluate(f, lo) * evaluate(f, mid) < 0:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = refine_once(f, lo, hi)
     return lo, hi
 
 
 def refine_once(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an isolating interval of squarefree f (sign change preserved)."""
+    """Halve an isolating interval of squarefree f (sign change preserved).
+
+    Returns (mid, mid) when the midpoint is the root: it is rational after all.
+    """
     mid = (lo + hi) / 2
     if evaluate(f, mid) == 0:
         return mid, mid

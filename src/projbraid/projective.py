@@ -7,6 +7,11 @@ arcs through projective space.  The canonical representative (last nonzero
 coordinate scaled to +1) is used for equality tests and for reading off
 sign strings, never silently.
 
+A marked configuration has its first points at the coordinate points
+e_1, e_2, ...; one helper checks that, and the base configurations, the
+sign string read off a configuration, the unit-determinant shear that
+straightens point k and the sign snap all rest on it.
+
 All predicates are exact; no floating point enters any comparison.
 """
 
@@ -16,7 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .invariants import SignString
+from . import polys
+from .invariants import SignString, check_sign_string
 from .words import GroupParams
 
 Vector = tuple[Fraction, ...]
@@ -35,10 +41,6 @@ class ProjectivePoint:
     def __post_init__(self) -> None:
         if not self.coords or all(c == 0 for c in self.coords):
             raise ValueError("representative must be a nonzero vector")
-
-    @staticmethod
-    def of(*coords) -> "ProjectivePoint":
-        return ProjectivePoint(tuple(Fraction(c) for c in coords))
 
     def canonical(self) -> "ProjectivePoint":
         """The representative whose last nonzero coordinate is +1."""
@@ -102,12 +104,6 @@ class ProjectiveTransform:
         if det(self.matrix) == 0:
             raise ValueError("matrix must be invertible")
 
-    @staticmethod
-    def identity(k: int) -> "ProjectiveTransform":
-        return ProjectiveTransform(
-            tuple(tuple(Fraction(1 if i == j else 0) for j in range(k)) for i in range(k))
-        )
-
     def determinant(self) -> Fraction:
         return det(self.matrix)
 
@@ -119,42 +115,44 @@ class ProjectiveTransform:
     def apply_to_configuration(self, config: Configuration) -> Configuration:
         return Configuration(config.params, tuple(self.apply(p) for p in config.points))
 
-    def inverse(self) -> "ProjectiveTransform":
-        k = len(self.matrix)
-        aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(k)]
-               for i, row in enumerate(self.matrix)]
-        for col in range(k):
-            pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            scale = aug[col][col]
-            aug[col] = [v / scale for v in aug[col]]
-            for r in range(k):
-                if r != col and aug[r][col] != 0:
-                    factor = aug[r][col]
-                    aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-        return ProjectiveTransform(tuple(tuple(row[k:]) for row in aug))
+
+def _forward_eliminate(rows) -> tuple[list[Fraction], int]:
+    """Gaussian elimination over Q: the pivots found, and the number of row swaps.
+
+    Columns are scanned left to right; a column without a nonzero entry
+    below the pivots found so far is skipped, so the pivot count is the rank.
+    """
+    m = [list(row) for row in rows]
+    pivots: list[Fraction] = []
+    swaps = 0
+    for col in range(len(m[0]) if m else 0):
+        top = len(pivots)
+        if top == len(m):
+            break
+        pivot = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != top:
+            m[top], m[pivot] = m[pivot], m[top]
+            swaps += 1
+        inv = m[top][col]
+        for r in range(top + 1, len(m)):
+            if m[r][col] != 0:
+                factor = m[r][col] / inv
+                m[r] = [v - factor * w for v, w in zip(m[r], m[top])]
+        pivots.append(inv)
+    return pivots, swaps
 
 
 def det(rows) -> Fraction:
-    """Determinant by fraction-free-ish Gaussian elimination over Q."""
-    m = [list(row) for row in rows]
-    size = len(m)
-    sign = 1
-    result = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            sign = -sign
-        result *= m[col][col]
-        inv = m[col][col]
-        for r in range(col + 1, size):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return sign * result
+    """Determinant of a square matrix, as the signed product of its pivots."""
+    pivots, swaps = _forward_eliminate(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    result = Fraction(-1 if swaps % 2 else 1)
+    for pivot in pivots:
+        result *= pivot
+    return result
 
 
 def det_subset(config: Configuration, subset: tuple[int, ...]) -> Fraction:
@@ -178,34 +176,14 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     """First (k-1)-subset of points failing to span a (k-1)-dim subspace."""
     k = config.params.k
     for subset in combinations(range(1, config.params.n + 1), k - 1):
-        rows = [config.points[i - 1].coords for i in subset]
-        if _rank(rows) < k - 1:
+        pivots, _ = _forward_eliminate([config.points[i - 1].coords for i in subset])
+        if len(pivots) < k - 1:
             return subset
     return None
 
 
 def is_general_position(config: Configuration) -> bool:
     return general_position_violation(config) is None
-
-
-def _rank(rows) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [v - factor * w for v, w in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
@@ -217,54 +195,24 @@ def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     ]
 
 
-def standardize_frame(points: tuple[ProjectivePoint, ...]) -> ProjectiveTransform:
-    """The transform sending k+1 frame points to e_1, ..., e_k, (1, ..., 1).
-
-    Requires every k-subset of the frame to be nondegenerate; the transform
-    is unique up to a global scalar and is returned with exact entries.
-    """
-    k = len(points) - 1
-    if k < 2 or any(len(p.coords) != k for p in points):
-        raise ValueError("need k+1 points with k coordinates each")
-    base = [p.coords for p in points[:k]]
-    if det(base) == 0:
-        raise DegenerateFrameError("the first k frame points are degenerate")
-    target = points[k].coords
-    coefficients = _solve(base, target)
-    if any(c == 0 for c in coefficients):
-        raise DegenerateFrameError("the last frame point lies on a face of the simplex")
-    columns = [[coefficients[j] * base[j][i] for j in range(k)] for i in range(k)]
-    return ProjectiveTransform(tuple(tuple(row) for row in columns)).inverse()
+def _unit_points(k: int) -> tuple[ProjectivePoint, ...]:
+    """The coordinate points e_1, ..., e_k."""
+    return tuple(ProjectivePoint(tuple(Fraction(int(i == j)) for j in range(k))) for i in range(k))
 
 
-def _solve(rows, rhs) -> list[Fraction]:
-    """Solve x * rows = rhs for the coefficient vector x (rows as a basis)."""
-    k = len(rows)
-    aug = [[rows[j][i] for j in range(k)] + [rhs[i]] for i in range(k)]
-    for col in range(k):
-        pivot = next(r for r in range(col, k) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [v / inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return [aug[i][k] for i in range(k)]
+def _require_unit_points(config: Configuration, count: int) -> None:
+    """Raise unless points 1..count are, projectively, e_1, ..., e_count."""
+    for i, unit in enumerate(_unit_points(config.params.k)[:count]):
+        if not config.points[i].same_point(unit):
+            raise ValueError(f"point {i + 1} must be the {i + 1}-th coordinate point")
 
 
 def base_configuration(params: GroupParams, signs: SignString) -> Configuration:
     """The marked configuration e_1, ..., e_k, (s_1, ..., s_{k-1}, 1)."""
     params.require_square()
-    k = params.k
-    if len(signs) != k - 1 or any(s not in (-1, 1) for s in signs):
-        raise ValueError(f"sign string must have k-1 = {k - 1} entries from +-1")
-    points = [
-        ProjectivePoint(tuple(Fraction(1 if j == i else 0) for j in range(k)))
-        for i in range(k)
-    ]
-    points.append(ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(1),)))
-    return Configuration(params, tuple(points))
+    check_sign_string(signs, params)
+    last = ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(1),))
+    return Configuration(params, _unit_points(params.k) + (last,))
 
 
 def sign_string_of(config: Configuration) -> SignString:
@@ -277,10 +225,7 @@ def sign_string_of(config: Configuration) -> SignString:
     params = config.params
     params.require_square()
     k = params.k
-    for i in range(k):
-        unit = ProjectivePoint(tuple(Fraction(1 if j == i else 0) for j in range(k)))
-        if not config.points[i].same_point(unit):
-            raise ValueError(f"point {i + 1} is not the {i + 1}-th coordinate point")
+    _require_unit_points(config, k)
     coords = config.points[k].coords
     if coords[k - 1] == 0:
         raise DegenerateFrameError("last point lies on the hyperplane x_k = 0")
@@ -290,57 +235,51 @@ def sign_string_of(config: Configuration) -> SignString:
     return tuple(1 if c > 0 else -1 for c in normalized[: k - 1])
 
 
-def shear_family(config: Configuration) -> tuple[list[ProjectiveTransform], Configuration]:
+def sign_snap(config: Configuration) -> Configuration:
+    """Move the last point straight to its sign vector, keeping its k-th coordinate.
+
+    Points 1..k must be the coordinate points.  Along the segment from z to
+    z_k * (s_1, ..., s_{k-1}, 1) no coordinate changes sign, so no subset
+    determinant vanishes: the snap creates no event.
+    """
+    k = config.params.k
+    signs = sign_string_of(config)
+    z_k = config.points[k].coords[k - 1]
+    target = ProjectivePoint(tuple(z_k * s for s in signs) + (z_k,))
+    return Configuration(config.params, config.points[:k] + (target,))
+
+
+def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configuration]:
     """The unit-determinant shear moving point k into e_k, fixing e_1..e_{k-1}.
 
     Requires points 1..k-1 to be the coordinate points and point k to lie off
     the hyperplane x_k = 0.  The family A(t) = I + t(A1 - I) differs from the
     identity only in the last column, whose k-th entry stays 1, so
     det A(t) = 1 identically; every subset determinant is constant along the
-    orbit of the configuration.  Returns the endpoints [A(0), A(1)] and the
+    orbit of the configuration.  Returns the end transform A1 and the
     transformed configuration.
     """
     params = config.params
     params.require_square()
     k = params.k
-    for i in range(k - 1):
-        unit = ProjectivePoint(tuple(Fraction(1 if j == i else 0) for j in range(k)))
-        if not config.points[i].same_point(unit):
-            raise ValueError(f"point {i + 1} must be the {i + 1}-th coordinate point")
+    _require_unit_points(config, k - 1)
     xk = config.points[k - 1].coords
     if xk[k - 1] == 0:
         raise DegenerateFrameError("point k lies on the hyperplane x_k = 0")
     shear_column = [-xk[j] / xk[k - 1] for j in range(k - 1)] + [Fraction(1)]
-    rows = []
-    for i in range(k):
-        row = [Fraction(1 if i == j else 0) for j in range(k - 1)]
-        row.append(shear_column[i])
-        rows.append(tuple(row))
-    end = ProjectiveTransform(tuple(rows))
-    _assert_unit_determinant_family(end)
-    return [ProjectiveTransform.identity(k), end], end.apply_to_configuration(config)
+    rows = tuple(
+        tuple(Fraction(int(i == j)) for j in range(k - 1)) + (shear_column[i],) for i in range(k)
+    )
+    # A1 equal to I outside its last column, with a last entry of 1, makes
+    # every A(t) unitriangular: that is the proof of det A(t) = 1
+    if any(rows[i][j] != int(i == j) for i in range(k) for j in range(k) if j < k - 1 or i == k - 1):
+        raise AssertionError("shear family must have unit determinant")
+    end = ProjectiveTransform(rows)
+    return end, end.apply_to_configuration(config)
 
 
-def _assert_unit_determinant_family(end: ProjectiveTransform) -> None:
-    """Symbolic check that det(I + t(A1 - I)) is the constant polynomial 1."""
-    from . import polys
-
-    k = len(end.matrix)
-    identity = ProjectiveTransform.identity(k).matrix
-    entries = [
-        [
-            polys.poly(identity[i][j], end.matrix[i][j] - identity[i][j])
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-    assert poly_det(entries) == polys.ONE, "shear family must have unit determinant"
-
-
-def poly_det(entries) -> "tuple":
+def poly_det(entries) -> polys.Poly:
     """Determinant of a matrix of polynomials, by cofactor expansion."""
-    from . import polys
-
     size = len(entries)
     if size == 1:
         return entries[0][0]
@@ -350,36 +289,3 @@ def poly_det(entries) -> "tuple":
         term = polys.mul(entries[0][j], poly_det(minor))
         result = polys.add(result, term) if j % 2 == 0 else polys.sub(result, term)
     return result
-
-
-def sign_snap_geodesic(config: Configuration) -> tuple[Configuration, Configuration]:
-    """Keyframe pair moving the last point straight to its sign vector.
-
-    Points 1..k must be the coordinate points (projectively) and the last
-    point's k-th coordinate must be positive for the stored representative;
-    the segment from z to (sign(z_1), ..., sign(z_{k-1}), 1) changes no
-    coordinate's sign, so no subset determinant can vanish along it.
-    """
-    z = config.points[config.params.k].coords
-    if z[config.params.k - 1] <= 0:
-        raise ValueError("last point's representative must have positive k-th coordinate")
-    return _snap_keyframes(config)
-
-
-def _snap_keyframes(config: Configuration) -> tuple[Configuration, Configuration]:
-    """Snap with any nonzero k-th coordinate; target keeps the scale of z."""
-    params = config.params
-    k = params.k
-    for i in range(k):
-        unit = ProjectivePoint(tuple(Fraction(1 if j == i else 0) for j in range(k)))
-        if not config.points[i].same_point(unit):
-            raise ValueError(f"point {i + 1} must be the {i + 1}-th coordinate point")
-    z = config.points[k].coords
-    zk = z[k - 1]
-    if zk == 0:
-        raise DegenerateFrameError("last point lies on the hyperplane x_k = 0")
-    if any(c == 0 for c in z[: k - 1]):
-        raise DegenerateFrameError("last point lies on a coordinate hyperplane")
-    target = tuple(zk if c / zk > 0 else -zk for c in z[: k - 1]) + (zk,)
-    end = Configuration(params, config.points[:k] + (ProjectivePoint(target),))
-    return config, end

@@ -25,7 +25,7 @@ from itertools import combinations
 from pathlib import Path as FilePath
 
 from . import polys
-from .invariants import SignString, reference_signs, sign_action
+from .invariants import SignString, parse_sign_string, reference_signs, sign_action
 from .projective import (
     Configuration,
     ProjectivePoint,
@@ -34,9 +34,9 @@ from .projective import (
     general_position_violation,
     poly_det,
     shear_family,
+    sign_snap,
     sign_string_of,
     singular_subsets,
-    _snap_keyframes,
 )
 from .words import GroupParams, Letter, Word
 
@@ -132,11 +132,7 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
     if isinstance(a, Fraction):
         return -time_cmp(b, a)
     if isinstance(b, Fraction):
-        lo, hi = a.lo, a.hi
-        while lo < b < hi:
-            lo, hi = polys.refine_to_exclude(a.poly, lo, hi, b)
-            if lo == hi:
-                return -1 if lo < b else 1
+        lo, _ = polys.refine_to_exclude(a.poly, a.lo, a.hi, b)
         return 1 if b <= lo else -1
     ia, ib = (a.lo, a.hi), (b.lo, b.hi)
     while not (ia[1] <= ib[0] or ib[1] <= ia[0]):
@@ -151,10 +147,6 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
     return -1 if ia[1] <= ib[0] else 1
 
 
-def time_as_fraction(t: EventTime) -> Fraction | None:
-    return t if isinstance(t, Fraction) else None
-
-
 # --- event detection --------------------------------------------------------
 
 def _segment_polynomial(start: Configuration, end: Configuration, subset: tuple[int, ...]) -> polys.Poly:
@@ -167,14 +159,15 @@ def _segment_polynomial(start: Configuration, end: Configuration, subset: tuple[
     return poly_det(rows)
 
 
-def _check_keyframes(path: PLPath) -> None:
-    for idx, config in enumerate(path.keyframes):
-        violation = general_position_violation(config)
-        if violation is not None:
-            raise DegenerateKeyframe(f"keyframe {idx}: points {violation} are not in general position")
-        singular = singular_subsets(config)
-        if singular:
-            raise DegenerateKeyframe(f"keyframe {idx}: singular subset {singular[0]}")
+def _check_keyframe(config: Configuration, where: str = "") -> None:
+    """Raise DegenerateKeyframe unless the configuration is in general position
+    and nonsingular; ``where`` prefixes the message."""
+    violation = general_position_violation(config)
+    if violation is not None:
+        raise DegenerateKeyframe(f"{where}points {violation} are not in general position")
+    singular = singular_subsets(config)
+    if singular:
+        raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")
 
 
 def _check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
@@ -196,7 +189,8 @@ def _segment_events(segment: int, start: Configuration, end: Configuration, para
             continue
         multiple = polys.gcd(d, polys.derivative(d))
         squarefree, rem = polys.divmod_exact(d, multiple)
-        assert not rem
+        if rem:
+            raise AssertionError("gcd(d, d') must divide d")
         squarefree = polys.monic(squarefree)
 
         remaining = squarefree
@@ -238,7 +232,8 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     origin, identically singular segments, multiple roots, or two events
     sharing a parameter.  Re-running on equal input yields equal output.
     """
-    _check_keyframes(path)
+    for idx, config in enumerate(path.keyframes):
+        _check_keyframe(config, f"keyframe {idx}: ")
     events: list[SingularEvent] = []
     for segment in range(len(path.keyframes) - 1):
         start, end = path.keyframes[segment], path.keyframes[segment + 1]
@@ -253,10 +248,6 @@ def word_from_path(path: PLPath) -> Word:
 
 
 # --- letter paths and roundtrips --------------------------------------------
-
-def _unit_point(k: int, i: int) -> ProjectivePoint:
-    return ProjectivePoint(tuple(Fraction(1 if j == i else 0) for j in range(k)))
-
 
 @lru_cache(maxsize=None)
 def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
@@ -328,7 +319,8 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
         junction = keyframes[-1]
         for have, want in zip(junction.points, piece.keyframes[0].points):
             ratio = have.ratio_to(want)
-            assert ratio is not None and ratio != 0, "joint configurations must match projectively"
+            if ratio is None or ratio == 0:
+                raise AssertionError("joint configurations must match projectively")
             scales.append(ratio)
         for config in piece.keyframes[1:]:
             keyframes.append(
@@ -378,20 +370,13 @@ def void_path_to_base(config: Configuration) -> tuple[PLPath, SignString]:
     """
     params = config.params
     params.require_square()
-    violation = general_position_violation(config)
-    if violation is not None:
-        raise DegenerateKeyframe(f"points {violation} are not in general position")
-    singular = singular_subsets(config)
-    if singular:
-        raise DegenerateKeyframe(f"singular subset {singular[0]}")
+    _check_keyframe(config)
 
     keyframes = [config]
     _, sheared = shear_family(config)
-    if sheared.points != config.points:
-        keyframes.append(sheared)
-    _, snapped = _snap_keyframes(sheared)
-    if snapped.points != sheared.points:
-        keyframes.append(snapped)
+    for frame in (sheared, sign_snap(sheared)):
+        if frame.points != keyframes[-1].points:
+            keyframes.append(frame)
     if len(keyframes) == 1:
         keyframes.append(keyframes[0])
     path = PLPath(params, tuple(keyframes))
@@ -452,9 +437,9 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
         keyframes.append(Configuration(params, points))
     base_sign: SignString | None = None
     if "base_sign" in doc:
-        base_sign = tuple(1 if ch == "+" else -1 for ch in doc["base_sign"])
-        if len(base_sign) != params.k - 1:
-            raise ValueError("base_sign length must be k - 1")
+        if not isinstance(doc["base_sign"], str):
+            raise ValueError(f"base_sign must be a string, got {doc['base_sign']!r}")
+        base_sign = parse_sign_string(doc["base_sign"], params)
     return PLPath(params, tuple(keyframes)), base_sign
 
 

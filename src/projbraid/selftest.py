@@ -282,9 +282,7 @@ def suite_letter_paths(scale: str = "full", seed: int = 0) -> SuiteResult:
 def _random_marked_configuration(params: GroupParams, rng: random.Random) -> Configuration:
     """Rejection-sample a nonsingular configuration with pinned frame points."""
     k = params.k
-    units = tuple(
-        ProjectivePoint(tuple(Fraction(int(i == j)) for j in range(k))) for i in range(k)
-    )
+    units = base_configuration(params, reference_signs(params)).points[: k - 1]
     while True:
         coords = [
             [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(k)]
@@ -293,7 +291,7 @@ def _random_marked_configuration(params: GroupParams, rng: random.Random) -> Con
         if any(not any(row) for row in coords):
             continue
         tail = tuple(ProjectivePoint(tuple(row)) for row in coords)
-        config = Configuration(params, units[: k - 1] + tail)
+        config = Configuration(params, units + tail)
         if general_position_violation(config) is None and not singular_subsets(config):
             return config
 

@@ -310,16 +310,7 @@ def solve_k3(word: Word) -> Verdict:
     obstruction = f_image(word)
     if obstruction:
         return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
-    eliminated, trace = eliminate_last(word)
-    residue, cancels = free_reduce_with_trace(eliminated)
-    full_trace = EliminationTrace(trace.steps + tuple(cancels))
-    if not residue.letters:
-        return Verdict(Status.TRIVIAL, trace=full_trace)
-    return Verdict(
-        Status.NONTRIVIAL,
-        residue=residue,
-        assumption_flags=frozenset({H3_FLAG}),
-    )
+    return _eliminate_and_reduce(word, Status.NONTRIVIAL, frozenset({H3_FLAG}))
 
 
 def equal_k3(w1: Word, w2: Word) -> Verdict:
@@ -342,8 +333,17 @@ def solve_semi(word: Word) -> Verdict:
     parity = parity_vector(word)
     if any(parity):
         return Verdict(Status.NONTRIVIAL, parity=parity)
+    return _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
+
+
+def _eliminate_and_reduce(word: Word, residue_status: Status, flags: frozenset[str]) -> Verdict:
+    """Eliminate ``b(k+1)`` and reduce freely.
+
+    TRIVIAL with the full trace when nothing is left; otherwise
+    ``residue_status`` with the residue and the assumption ``flags``.
+    """
     eliminated, trace = eliminate_last(word)
     residue, cancels = free_reduce_with_trace(eliminated)
     if not residue.letters:
         return Verdict(Status.TRIVIAL, trace=EliminationTrace(trace.steps + tuple(cancels)))
-    return Verdict(Status.UNKNOWN, residue=residue)
+    return Verdict(residue_status, residue=residue, assumption_flags=flags)

@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import re
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
+from typing import TypeVar
+
+T = TypeVar("T")
 
 
 class WordSyntaxError(ValueError):
@@ -173,19 +177,28 @@ def format_word(word: Word, style: str = "subset") -> str:
     raise ValueError(f"unknown style: {style!r}")
 
 
-def free_reduce(word: Word) -> Word:
-    """Cancel adjacent equal letters until none remain.
+def free_cancel(items: Iterable[T]) -> tuple[tuple[T, ...], list[tuple[int, T]]]:
+    """Cancel adjacent equal items until none remain.
 
     The result is independent of cancellation order, so a single left-to-right
-    stack pass suffices.
+    stack pass suffices.  Returns the reduced sequence and the cancellations in
+    the order made, each as ``(position, item)``: the pair occupied
+    ``position`` and ``position + 1`` of the sequence at that moment.
     """
-    stack: list[Letter] = []
-    for letter in word.letters:
-        if stack and stack[-1] == letter:
+    stack: list[T] = []
+    cancels: list[tuple[int, T]] = []
+    for item in items:
+        if stack and stack[-1] == item:
             stack.pop()
+            cancels.append((len(stack), item))
         else:
-            stack.append(letter)
-    return Word(word.params, tuple(stack))
+            stack.append(item)
+    return tuple(stack), cancels
+
+
+def free_reduce(word: Word) -> Word:
+    """Cancel adjacent equal letters until none remain."""
+    return Word(word.params, free_cancel(word.letters)[0])
 
 
 def inverse(word: Word) -> Word:
@@ -326,15 +339,8 @@ def invert_move(move: Move) -> Move:
 
 def free_reduce_with_trace(word: Word) -> tuple[Word, list[Move]]:
     """Left-to-right reduction, recording each cancellation as a move."""
-    stack: list[Letter] = []
-    moves: list[Move] = []
-    for letter in word.letters:
-        if stack and stack[-1] == letter:
-            moves.append(CancelPair(len(stack) - 1, letter))
-            stack.pop()
-        else:
-            stack.append(letter)
-    return Word(word.params, tuple(stack)), moves
+    reduced, cancels = free_cancel(word.letters)
+    return Word(word.params, reduced), [CancelPair(pos, letter) for pos, letter in cancels]
 
 
 # --- bounded equality oracle ------------------------------------------------
@@ -350,16 +356,6 @@ class OracleResult:
     equal: bool
     trace: tuple[Move, ...] | None
     states: int
-
-
-def _reduce_ids(ids: tuple[int, ...]) -> tuple[int, ...]:
-    stack: list[int] = []
-    for x in ids:
-        if stack and stack[-1] == x:
-            stack.pop()
-        else:
-            stack.append(x)
-    return tuple(stack)
 
 
 class _Searcher:
@@ -412,7 +408,7 @@ class _Searcher:
         for pos in range(length - k):
             window = state[pos : pos + k + 1]
             if self._window_ok(window):
-                nxt = _reduce_ids(state[:pos] + tuple(reversed(window)) + state[pos + k + 1 :])
+                nxt, _ = free_cancel(state[:pos] + tuple(reversed(window)) + state[pos + k + 1 :])
                 yield nxt, (-1, -1, pos)
         # one pair insertion feeding a window that uses exactly one inserted copy
         if length + 2 <= self.max_len and length >= k:
@@ -428,7 +424,7 @@ class _Searcher:
                         grown = state[:ins] + (ins_id, ins_id) + state[ins:]
                         window = grown[wpos : wpos + k + 1]
                         if len(window) == k + 1 and self._window_ok(window):
-                            nxt = _reduce_ids(
+                            nxt, _ = free_cancel(
                                 grown[:wpos] + tuple(reversed(window)) + grown[wpos + k + 1 :]
                             )
                             yield nxt, (ins, ins_id, wpos)
@@ -454,14 +450,9 @@ class _Searcher:
         moves.append(ReverseWindow(wpos))
         window = current[wpos : wpos + self.k + 1]
         current = current[:wpos] + tuple(reversed(window)) + current[wpos + self.k + 1 :]
-        stack: list[int] = []
-        for x in current:
-            if stack and stack[-1] == x:
-                moves.append(CancelPair(len(stack) - 1, self.table[x]))
-                stack.pop()
-            else:
-                stack.append(x)
-        return moves, tuple(stack)
+        reduced, cancels = free_cancel(current)
+        moves.extend(CancelPair(pos, self.table[x]) for pos, x in cancels)
+        return moves, reduced
 
 
 def _rebuild_moves(searcher: _Searcher, parents, state) -> list[Move]:

@@ -152,6 +152,14 @@ class TestRealizeCertify:
         assert code == 3
         assert "no such file" in err
 
+    def test_certify_rejects_bad_base_sign(self, tmp_path, capsys):
+        file = tmp_path / "signs.json"
+        frame = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        file.write_text(json.dumps({"k": 3, "n": 4, "keyframes": [frame, frame], "base_sign": "xy"}))
+        code, out, err = run(capsys, "certify", str(file))
+        assert (code, out) == (3, "")
+        assert "bad path file: unexpected character 'x'" in err
+
     def test_certify_malformed_json(self, tmp_path, capsys):
         file = tmp_path / "junk.json"
         file.write_text("{not json")

@@ -1,6 +1,8 @@
 """Exact projective geometry: points, determinants, frames, shears, snaps."""
 
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -15,11 +17,11 @@ from projbraid.projective import (
     general_position_violation,
     is_general_position,
     shear_family,
-    sign_snap_geodesic,
+    sign_snap,
     sign_string_of,
     singular_subsets,
-    standardize_frame,
 )
+from projbraid.realization import PLPath, detect_events
 from projbraid.words import GroupParams
 
 F = Fraction
@@ -83,6 +85,27 @@ class TestDeterminants:
         for subset in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
             assert det_subset(moved, subset) == scale * det_subset(config, subset)
 
+    def test_det_and_rank_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(7)
+        for _ in range(300):
+            size = rng.randint(1, 5)
+            rows = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(size)] for _ in range(size)]
+            assert det(rows) == sympy.Matrix(rows).det()
+            if size >= 2 and all(any(row) for row in rows):
+                config = Configuration(
+                    GroupParams(size + 1, size), tuple(pt(*row) for row in rows) + (pt(*[1] * size),)
+                )
+                expected = next(
+                    (
+                        subset
+                        for subset in combinations(range(1, size + 2), size - 1)
+                        if sympy.Matrix([config.points[i - 1].coords for i in subset]).rank() < size - 1
+                    ),
+                    None,
+                )
+                assert general_position_violation(config) == expected
+
     def test_subset_validation(self):
         base = base_configuration(P43, (1, 1))
         with pytest.raises(ValueError):
@@ -116,38 +139,9 @@ class TestTransforms:
         with pytest.raises(ValueError):
             ProjectiveTransform(((F(1), F(2)), (F(2), F(4))))
 
-    def test_inverse_roundtrip(self):
-        t = ProjectiveTransform(((F(2), F(1), F(0)), (F(0), F(1), F(0)), (F(1), F(0), F(1))))
-        p = pt(3, -1, 2)
-        assert t.inverse().apply(t.apply(p)).coords == p.coords
-
     def test_apply_is_linear_on_representatives(self):
         t = ProjectiveTransform(((F(0), F(1), F(0)), (F(1), F(0), F(0)), (F(0), F(0), F(1))))
         assert t.apply(pt(1, 2, 3)).coords == (F(2), F(1), F(3))
-
-
-class TestStandardizeFrame:
-    def test_maps_frame_to_reference(self):
-        frame = (pt(*E1), pt(*E2), pt(*E3), pt(2, 1, 1))
-        t = standardize_frame(frame)
-        assert t.apply(frame[3]).coords == (F(1), F(1), F(1))
-        for i, p in enumerate(frame[:3]):
-            image = t.apply(p).canonical().coords
-            assert image == tuple(F(int(j == i)) for j in range(3))
-
-    def test_general_frame(self):
-        frame = (pt(1, 1, 0), pt(0, 1, 1), pt(1, 0, 1), pt(1, 1, 1))
-        t = standardize_frame(frame)
-        assert t.apply(frame[3]).coords == (F(1), F(1), F(1))
-        assert t.apply(frame[0]).same_point(pt(*E1))
-
-    def test_degenerate_last_point(self):
-        with pytest.raises(DegenerateFrameError):
-            standardize_frame((pt(*E1), pt(*E2), pt(*E3), pt(1, 1, 0)))
-
-    def test_degenerate_base(self):
-        with pytest.raises(DegenerateFrameError):
-            standardize_frame((pt(*E1), pt(*E1), pt(*E3), pt(1, 1, 1)))
 
 
 class TestBaseAndSigns:
@@ -180,12 +174,12 @@ class TestBaseAndSigns:
 class TestShear:
     def test_frozen_example(self):
         config = config43(E1, E2, (-2, -2, -1), (1, 1, 1))
-        transforms, sheared = shear_family(config)
-        assert transforms[0].matrix == ProjectiveTransform.identity(3).matrix
+        end, sheared = shear_family(config)
+        assert end.matrix == ((1, 0, -2), (0, 1, -2), (0, 0, 1))
         assert sheared.points[2].coords == (F(0), F(0), F(-1))
         assert sheared.points[3].coords == (F(-1), F(-1), F(1))
         assert sheared.points[0].coords == (F(1), F(0), F(0))
-        assert transforms[-1].determinant() == 1
+        assert end.determinant() == 1
 
     def test_fixes_hyperplane_points(self):
         config = config43(E1, E2, (1, 2, 3), (0, 1, 2))
@@ -202,23 +196,46 @@ class TestShear:
         with pytest.raises(ValueError):
             shear_family(config43(E1, (1, 1, 0), E3, (1, 1, 1)))
 
+    def test_family_has_unit_determinant(self):
+        # the symbolic counterpart of the structural check in shear_family
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(11)
+        for k in range(3, 7):
+            params = GroupParams(k + 1, k)
+            units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
+            for _ in range(5):
+                last_coordinate = rng.choice([-3, -2, -1, 1, 2, 3])
+                head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
+                point_k = pt(*head, last_coordinate)
+                point_n = pt(*[rng.randint(1, 5) for _ in range(k)])
+                end, _ = shear_family(Configuration(params, units + (point_k, point_n)))
+                a = sympy.Matrix(end.matrix)
+                identity = sympy.eye(k)
+                assert sympy.expand((identity + t * (a - identity)).det()) == 1
+
 
 class TestSignSnap:
     def test_frozen_example(self):
         config = config43(E1, E2, E3, (3, -2, 1))
-        start, end = sign_snap_geodesic(config)
-        assert start.points == config.points
+        end = sign_snap(config)
+        assert end.points[:3] == config.points[:3]
         assert end.points[3].coords == (F(1), F(-1), F(1))
 
     def test_scaled_representative(self):
         config = config43(E1, E2, E3, (6, -4, 2))
-        _, end = sign_snap_geodesic(config)
+        end = sign_snap(config)
         assert end.points[3].same_point(pt(1, -1, 1))
 
-    def test_requires_positive_last_coordinate(self):
-        with pytest.raises(ValueError):
-            sign_snap_geodesic(config43(E1, E2, E3, (3, -2, -1)))
+    def test_negative_last_coordinate_keeps_scale(self):
+        end = sign_snap(config43(E1, E2, E3, (3, -2, -1)))
+        assert end.points[3].coords == (F(1), F(-1), F(-1))
 
     def test_rejects_coordinate_zero(self):
         with pytest.raises(DegenerateFrameError):
-            sign_snap_geodesic(config43(E1, E2, E3, (0, 2, 1)))
+            sign_snap(config43(E1, E2, E3, (0, 2, 1)))
+
+    def test_creates_no_event(self):
+        for last in ((3, -2, 1), (-5, 1, 2), (1, 7, -3), (F(1, 2), F(-1, 3), -1)):
+            config = config43(E1, E2, E3, last)
+            assert detect_events(PLPath(P43, (config, sign_snap(config)))) == []

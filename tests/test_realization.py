@@ -172,6 +172,13 @@ class TestTimeComparison:
         assert time_cmp(F(7, 10), self.ROOT_HALF) == -1
         assert time_cmp(F(3, 4), self.ROOT_HALF) == 1
         assert time_cmp(self.ROOT_HALF, F(7, 10)) == 1
+        # a rational at an endpoint of the isolating interval
+        assert time_cmp(self.ROOT_HALF, F(0)) == 1
+        assert time_cmp(self.ROOT_HALF, F(1)) == -1
+        # the first halving lands on the root, which is rational after all
+        half = AlgebraicTime(polys.poly(F(-1, 4), 0, 1), F(0), F(1))
+        assert time_cmp(half, F(3, 4)) == -1
+        assert time_cmp(half, F(1, 4)) == 1
 
     def test_same_root_in_different_intervals(self):
         other = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(1, 2), F(9, 10))
@@ -314,3 +321,16 @@ class TestPathFiles:
         doc["base_sign"] = "+++"
         with pytest.raises(ValueError):
             path_from_document(doc)
+
+    @pytest.mark.parametrize("base_sign", ["xy", "+x", "", ["+", "+"], 11])
+    def test_base_sign_must_be_a_sign_string(self, base_sign):
+        doc = path_to_document(path(BASE, BASE), base_sign=(1, 1))
+        doc["base_sign"] = base_sign
+        with pytest.raises(ValueError):
+            path_from_document(doc)
+
+    def test_base_sign_forms_accepted(self):
+        doc = path_to_document(path(BASE, BASE), base_sign=(1, -1))
+        assert path_from_document(doc)[1] == (1, -1)
+        doc["base_sign"] = "(-,+)"
+        assert path_from_document(doc)[1] == (-1, 1)
