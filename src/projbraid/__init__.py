@@ -36,6 +36,7 @@ from .projective import (
 )
 from .realization import (
     AlgebraicTime,
+    BaseSignMismatch,
     CertificationError,
     DegenerateKeyframe,
     IdenticallySingularSegment,

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from . import selftest as selftest_mod
 from .invariants import (
@@ -30,6 +31,7 @@ from .invariants import (
 from .realization import (
     AlgebraicTime,
     PathError,
+    check_base_sign,
     detect_events,
     load_path_file,
     path_from_word,
@@ -310,12 +312,14 @@ def _cmd_realize(parser: _Parser, args, out: _Output) -> int:
 
 def _cmd_certify(parser: _Parser, args, out: _Output) -> int:
     try:
-        path, _base = load_path_file(args.file)
+        path, base_sign = load_path_file(args.file)
     except FileNotFoundError:
         parser.error(f"no such file: {args.file}")
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
         parser.error(f"bad path file: {exc}")
     try:
+        if base_sign is not None:
+            check_base_sign(path, base_sign)
         events = detect_events(path)
     except PathError as exc:
         out.text(f"certification failed: {type(exc).__name__}: {exc}")
@@ -389,7 +393,9 @@ def _cmd_selftest(parser: _Parser, args, out: _Output) -> int:
     return 0 if all_passed else 1
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="projbraid", description=__doc__)
     parser.add_argument("--k", type=int, default=3, help="subset size (default 3)")
     parser.add_argument("--n", type=int, default=None, help="number of indices (default k + 1)")

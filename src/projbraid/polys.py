@@ -111,15 +111,19 @@ def gcd(f: Poly, g: Poly) -> Poly:
     return monic(a)
 
 
-def squarefree_part(f: Poly) -> Poly:
-    """f divided by gcd(f, f'); shares exactly the distinct roots of f."""
-    if degree(f) < 1:
-        return monic(f) if f else ZERO
-    g = gcd(f, derivative(f))
-    q, r = divmod_exact(f, g)
+def squarefree_split(f: Poly) -> tuple[Poly, Poly]:
+    """The monic squarefree part f / gcd(f, f'), and gcd(f, f').
+
+    The first shares exactly the distinct roots of f; the second vanishes
+    exactly at its multiple roots.  Both are zero for the zero polynomial.
+    """
+    multiple = gcd(f, derivative(f))
+    if not multiple:
+        return ZERO, ZERO
+    q, r = divmod_exact(f, multiple)
     if r:
         raise AssertionError("gcd(f, f') must divide f")
-    return monic(q)
+    return monic(q), multiple
 
 
 def sturm_chain(f: Poly) -> list[Poly]:

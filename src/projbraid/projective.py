@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
+from math import factorial, lcm
 
 from . import polys
 from .invariants import SignString, check_sign_string
@@ -116,43 +117,58 @@ class ProjectiveTransform:
         return Configuration(config.params, tuple(self.apply(p) for p in config.points))
 
 
-def _forward_eliminate(rows) -> tuple[list[Fraction], int]:
-    """Gaussian elimination over Q: the pivots found, and the number of row swaps.
+def _integer_rows(rows) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its own denominators, and the product of those factors.
 
-    Columns are scanned left to right; a column without a nonzero entry
-    below the pivots found so far is skipped, so the pivot count is the rank.
+    The determinant of the integer rows is the determinant of ``rows`` times
+    the returned scale; the rank is the same.
     """
-    m = [list(row) for row in rows]
-    pivots: list[Fraction] = []
-    swaps = 0
+    out = []
+    scale = 1
+    for row in rows:
+        factor = lcm(*(c.denominator for c in row))
+        out.append([c.numerator * (factor // c.denominator) for c in row])
+        scale *= factor
+    return out, scale
+
+
+def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+    """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
+
+    Returns the rank and the last pivot, negated once per row swap.  Columns
+    are scanned left to right and a column without a nonzero entry below the
+    pivots found so far is skipped, so the rank holds for rectangular
+    matrices too.  After each step every entry below the pivot rows is a
+    minor of the input, so the division by the previous pivot is exact; for
+    a square matrix of full rank the signed last pivot is the determinant.
+    """
+    rows = len(m)
+    rank, prev, sign = 0, 1, 1
     for col in range(len(m[0]) if m else 0):
-        top = len(pivots)
-        if top == len(m):
+        if rank == rows:
             break
-        pivot = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
         if pivot is None:
             continue
-        if pivot != top:
-            m[top], m[pivot] = m[pivot], m[top]
-            swaps += 1
-        inv = m[top][col]
-        for r in range(top + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / inv
-                m[r] = [v - factor * w for v, w in zip(m[r], m[top])]
-        pivots.append(inv)
-    return pivots, swaps
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, rows):
+            row = m[r]
+            a = row[col]
+            row[col:] = [0] + [(p * v - a * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])]
+        prev = p
+        rank += 1
+    return rank, sign * prev
 
 
 def det(rows) -> Fraction:
-    """Determinant of a square matrix, as the signed product of its pivots."""
-    pivots, swaps = _forward_eliminate(rows)
-    if len(pivots) < len(rows):
-        return Fraction(0)
-    result = Fraction(-1 if swaps % 2 else 1)
-    for pivot in pivots:
-        result *= pivot
-    return result
+    """Determinant of a square rational matrix, by integer Bareiss elimination."""
+    m, scale = _integer_rows(rows)
+    rank, pivot = _bareiss(m)
+    return Fraction(pivot, scale) if rank == len(m) else Fraction(0)
 
 
 def det_subset(config: Configuration, subset: tuple[int, ...]) -> Fraction:
@@ -172,14 +188,21 @@ def det_subset(config: Configuration, subset: tuple[int, ...]) -> Fraction:
     return det([config.points[i - 1].coords for i in subset])
 
 
+def _subset_ranks(config: Configuration, size: int):
+    """Each ascending ``size``-subset of points (1-based) with the rank of its representatives.
+
+    The representatives are cleared of denominators once; scaling a row
+    changes no rank.
+    """
+    rows, _ = _integer_rows([p.coords for p in config.points])
+    for subset in combinations(range(1, config.params.n + 1), size):
+        yield subset, _bareiss([rows[i - 1][:] for i in subset])[0]
+
+
 def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     """First (k-1)-subset of points failing to span a (k-1)-dim subspace."""
     k = config.params.k
-    for subset in combinations(range(1, config.params.n + 1), k - 1):
-        pivots, _ = _forward_eliminate([config.points[i - 1].coords for i in subset])
-        if len(pivots) < k - 1:
-            return subset
-    return None
+    return next((subset for subset, rank in _subset_ranks(config, k - 1) if rank < k - 1), None)
 
 
 def is_general_position(config: Configuration) -> bool:
@@ -188,11 +211,8 @@ def is_general_position(config: Configuration) -> bool:
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     """All k-subsets of points with vanishing determinant, ascending order."""
-    return [
-        subset
-        for subset in combinations(range(1, config.params.n + 1), config.params.k)
-        if det_subset(config, subset) == 0
-    ]
+    k = config.params.k
+    return [subset for subset, rank in _subset_ranks(config, k) if rank < k]
 
 
 def _unit_points(k: int) -> tuple[ProjectivePoint, ...]:
@@ -279,13 +299,50 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
 
 
 def poly_det(entries) -> polys.Poly:
-    """Determinant of a matrix of polynomials, by cofactor expansion."""
+    """Determinant of a square matrix of polynomials, by evaluation and interpolation.
+
+    Each row is cleared of its denominators once.  The integer pencil is
+    evaluated at t = 0..D, where D, the sum of the row degrees, bounds the
+    degree of the determinant, and each value is taken by ``_bareiss``.
+    Newton forward differences turn the D + 1 values into the coefficients
+    times D!, which are integers; dividing by D! and the row scale gives the
+    exact rational coefficients.
+    """
     size = len(entries)
-    if size == 1:
-        return entries[0][0]
-    result = polys.ZERO
-    for j in range(size):
-        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
-        term = polys.mul(entries[0][j], poly_det(minor))
-        result = polys.add(result, term) if j % 2 == 0 else polys.sub(result, term)
-    return result
+    flat, scale = _integer_rows([[c for entry in row for c in entry] for row in entries])
+    pencil = []
+    for row, ints in zip(entries, flat):
+        cuts = list(accumulate((len(entry) for entry in row), initial=0))
+        pencil.append([ints[a:b] for a, b in zip(cuts, cuts[1:])])
+    if any(not any(row) for row in pencil):
+        return polys.ZERO
+    top = sum(max(len(entry) for entry in row) - 1 for row in pencil)
+
+    values = []
+    for t in range(top + 1):
+        rank, pivot = _bareiss([[_horner(entry, t) for entry in row] for row in pencil])
+        values.append(pivot if rank == size else 0)
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+
+    # D! p(t) = sum_j differences[j] (D!/j!) t(t-1)...(t-j+1), in nested form
+    coeffs: list[int] = []
+    for j in range(top, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += differences[j] * (factorial(top) // factorial(j))
+        coeffs = shifted
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    denominator = factorial(top) * scale
+    return tuple(Fraction(c, denominator) for c in coeffs)
+
+
+def _horner(coeffs: list[int], t: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc

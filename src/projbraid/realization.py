@@ -25,7 +25,7 @@ from itertools import combinations
 from pathlib import Path as FilePath
 
 from . import polys
-from .invariants import SignString, parse_sign_string, reference_signs, sign_action
+from .invariants import SignString, format_sign_string, parse_sign_string, reference_signs, sign_action
 from .projective import (
     Configuration,
     ProjectivePoint,
@@ -67,6 +67,10 @@ class ZeroVectorOnSegment(PathError):
 
 class CertificationError(PathError):
     """A constructed path failed its own event certification."""
+
+
+class BaseSignMismatch(PathError):
+    """A path file's first keyframe is not the base configuration of its base_sign."""
 
 
 @dataclass(frozen=True)
@@ -149,14 +153,15 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
 
 # --- event detection --------------------------------------------------------
 
-def _segment_polynomial(start: Configuration, end: Configuration, subset: tuple[int, ...]) -> polys.Poly:
-    """Determinant polynomial of the interpolated representatives of a subset."""
+def _segment_rows(start: Configuration, end: Configuration) -> list[list[polys.Poly]]:
+    """Per point, the linear polynomials of its interpolated representative.
+
+    The determinant polynomial of a subset is ``poly_det`` of its points' rows.
+    """
     rows = []
-    for i in subset:
-        p = start.points[i - 1].coords
-        q = end.points[i - 1].coords
-        rows.append([polys.poly(p[j], q[j] - p[j]) for j in range(len(p))])
-    return poly_det(rows)
+    for p, q in zip(start.points, end.points):
+        rows.append([polys.poly(a, b - a) for a, b in zip(p.coords, q.coords)])
+    return rows
 
 
 def _check_keyframe(config: Configuration, where: str = "") -> None:
@@ -181,17 +186,14 @@ def _check_representatives(segment: int, start: Configuration, end: Configuratio
 
 def _segment_events(segment: int, start: Configuration, end: Configuration, params: GroupParams):
     found: list[tuple[EventTime, tuple[int, ...]]] = []
+    rows = _segment_rows(start, end)
     for subset in combinations(range(1, params.n + 1), params.k):
-        d = _segment_polynomial(start, end, subset)
+        d = poly_det([rows[i - 1] for i in subset])
         if not d:
             raise IdenticallySingularSegment(f"segment {segment}: subset {subset} is singular throughout")
         if polys.degree(d) < 1:
             continue
-        multiple = polys.gcd(d, polys.derivative(d))
-        squarefree, rem = polys.divmod_exact(d, multiple)
-        if rem:
-            raise AssertionError("gcd(d, d') must divide d")
-        squarefree = polys.monic(squarefree)
+        squarefree, multiple = polys.squarefree_split(d)
 
         remaining = squarefree
         extracted = polys.rational_roots_in_unit_interval(squarefree)
@@ -441,6 +443,14 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
             raise ValueError(f"base_sign must be a string, got {doc['base_sign']!r}")
         base_sign = parse_sign_string(doc["base_sign"], params)
     return PLPath(params, tuple(keyframes)), base_sign
+
+
+def check_base_sign(path: PLPath, base_sign: SignString) -> None:
+    """Raise BaseSignMismatch unless the path starts at ``base_configuration(base_sign)``."""
+    if not path.keyframes[0].same_configuration(base_configuration(path.params, base_sign)):
+        raise BaseSignMismatch(
+            f"keyframe 0 is not the base configuration of base_sign {format_sign_string(base_sign)}"
+        )
 
 
 def save_path_file(path: PLPath, file_path: str | FilePath, base_sign: SignString | None = None) -> None:

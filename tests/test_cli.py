@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from projbraid.cli import main
+from projbraid.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -207,6 +207,41 @@ class TestSelftest:
         code, _, err = run(capsys, "selftest", "quick", "--suite", "nope")
         assert code == 3
         assert "unknown suites" in err
+
+
+class TestRepeatedCalls:
+    # main parses with one parser per process; no call may see another's arguments
+    SEQUENCE = [
+        ("--k", "4", "--format", "structured", "solve", "b1 b2 b1 b2"),
+        ("solve", "b4 b4"),
+        ("--format", "structured", "selftest", "quick", "--suite", "sign-orbit"),
+        ("--format", "structured", "selftest", "quick", "--suite", "sign-orbit"),
+        ("--seed", "5", "selftest", "quick", "--suite", "sign-orbit", "--suite", "sign-orbit"),
+        ("selftest", "quick", "--suite", "nope"),
+        ("sign-action", "--signs", "(-,+)", "b3"),
+        ("sign-action", "b3"),
+        ("oracle", "--trace", "b4 b4", ""),
+        ("oracle", "b4 b4", ""),
+        ("--k", "1", "solve", "b1"),
+        ("parity", "b4 b1 b4"),
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_leaks_between_calls(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        shared = [run(capsys, *argv) for argv in self.SEQUENCE]
+        shared_reversed = [run(capsys, *argv) for argv in reversed(self.SEQUENCE)]
+        assert shared == fresh
+        assert shared_reversed[::-1] == fresh
+        assert [suite["name"] for suite in json.loads(fresh[3][1])["suites"]] == ["sign-orbit"]
+        assert fresh[1][1].startswith("Trivial")
+        assert fresh[7][1] == "(+,+) -> (+,-)\n"
+        assert "insert" not in fresh[9][1] and "cancel" not in fresh[9][1]
 
 
 class TestUsageErrors:

@@ -67,6 +67,7 @@ RUNS = {
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
     "certify-fails": ["certify", "singular.json"],
+    "certify-base-sign-mismatch": ["certify", "mismatch.json"],
     # input errors exit 3 with nothing on stdout
     "solve-bad-token": ["solve", "b9"],
 }
@@ -76,6 +77,7 @@ INPUTS = {
     "readme-certify": "readme-realize.path.json",
     "certify-algebraic": "inputs/algebraic-event.json",
     "certify-fails": "inputs/singular-keyframe.json",
+    "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",
 }
 
 

@@ -22,7 +22,7 @@ from projbraid.polys import (
     rational_roots_in_unit_interval,
     refine_once,
     refine_to_exclude,
-    squarefree_part,
+    squarefree_split,
     sub,
 )
 
@@ -71,8 +71,13 @@ class TestArithmetic:
         assert gcd(f, ONE) == ONE
 
     def test_squarefree_part(self):
-        f = mul(from_roots(1, 1), from_roots(-2))
-        assert squarefree_part(f) == monic(from_roots(1, -2))
+        f = polys.scale(mul(from_roots(1, 1, 1), from_roots(-2, F(1, 3), F(1, 3))), F(-3, 2))
+        squarefree, multiple = squarefree_split(f)
+        assert squarefree == from_roots(1, -2, F(1, 3))
+        assert multiple == monic(mul(from_roots(1, 1), from_roots(F(1, 3))))
+        assert squarefree_split(from_roots(1, -2)) == (from_roots(1, -2), ONE)
+        assert squarefree_split(poly(5)) == (ONE, ONE)
+        assert squarefree_split(ZERO) == (ZERO, ZERO)
 
 
 class TestRootCounting:

@@ -6,16 +6,19 @@ from itertools import combinations
 
 import pytest
 
+from projbraid import polys
 from projbraid.projective import (
     Configuration,
     DegenerateFrameError,
     ProjectivePoint,
     ProjectiveTransform,
+    _bareiss,
     base_configuration,
     det,
     det_subset,
     general_position_violation,
     is_general_position,
+    poly_det,
     shear_family,
     sign_snap,
     sign_string_of,
@@ -114,6 +117,95 @@ class TestDeterminants:
             det_subset(base, (2, 1, 3))
         with pytest.raises(ValueError):
             det_subset(base, (1, 2, 5))
+
+
+def cofactor_det(entries) -> polys.Poly:
+    """Determinant of a polynomial matrix by cofactor expansion along the first row."""
+    if len(entries) == 1:
+        return entries[0][0]
+    result = polys.ZERO
+    for j in range(len(entries)):
+        minor = [row[:j] + row[j + 1 :] for row in entries[1:]]
+        term = polys.mul(entries[0][j], cofactor_det(minor))
+        result = polys.add(result, term) if j % 2 == 0 else polys.sub(result, term)
+    return result
+
+
+def random_pencils(seed: int, counts: dict[int, int]):
+    """Seeded square polynomial matrices: entries of degree -1 (zero) to 2 with
+    denominators up to 12, and at every size from 2 one with a zero row and one
+    that is singular for every t."""
+    rng = random.Random(seed)
+
+    def entry() -> polys.Poly:
+        degree = rng.choice((-1, 0, 0, 1, 1, 2))
+        return polys.poly(*(F(rng.randint(-4, 4), rng.randint(1, 12)) for _ in range(degree + 1)))
+
+    for size, count in counts.items():
+        for index in range(count):
+            rows = [[entry() for _ in range(size)] for _ in range(size)]
+            if size >= 2 and index == 0:
+                rows[rng.randrange(size)] = [polys.ZERO] * size
+            elif size >= 2 and index == 1:
+                factor = polys.poly(F(rng.randint(1, 5), rng.randint(1, 12)), rng.randint(-2, 2))
+                rows[1] = [polys.mul(factor, e) for e in rows[0]]
+            yield rows
+
+
+PENCILS = {1: 20, 2: 30, 3: 30, 4: 20, 5: 10, 6: 4, 7: 2}
+
+
+class TestPolyDet:
+    def test_matches_cofactor_expansion(self):
+        singular = 0
+        for rows in random_pencils(3, PENCILS):
+            expected = cofactor_det(rows)
+            assert poly_det(rows) == expected
+            singular += expected == polys.ZERO
+        assert singular >= 12
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        t = sympy.Symbol("t")
+
+        def expression(f: polys.Poly):
+            return sum((sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(f)), sympy.S.Zero)
+
+        for rows in random_pencils(4, PENCILS):
+            matrix = DomainMatrix.from_Matrix(sympy.Matrix([[expression(e) for e in row] for row in rows]))
+            expected = matrix.domain.to_sympy(matrix.det())
+            assert sympy.Poly(expression(poly_det(rows)), t) == sympy.Poly(expected, t)
+
+    def test_constant_and_linear_examples(self):
+        assert poly_det([[polys.poly(F(1, 2))]]) == (F(1, 2),)
+        # det [[1, t], [t, 1]] = 1 - t^2
+        assert poly_det([[polys.ONE, polys.poly(0, 1)], [polys.poly(0, 1), polys.ONE]]) == (F(1), F(0), F(-1))
+        assert poly_det([[polys.ONE, polys.ZERO], [polys.ZERO, polys.ZERO]]) == polys.ZERO
+
+
+class TestBareiss:
+    def test_rank_and_determinant_agree_with_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(13)
+        deficient = 0
+        for _ in range(400):
+            k = rng.randint(2, 7)
+            rows = k - 1 if rng.random() < 0.5 else k
+            leading = rng.randint(0, k - 1)
+            m = [[0] * leading + [rng.randint(-2, 2) for _ in range(k - leading)] for _ in range(rows)]
+            if rng.random() < 0.3:
+                gap = rng.randrange(leading, k)
+                for row in m:
+                    row[gap] = 0
+            expected = sympy.Matrix(m)
+            rank, pivot = _bareiss([row[:] for row in m])
+            assert rank == expected.rank()
+            deficient += rank < rows
+            if rows == k and rank == k:
+                assert pivot == expected.det()
+        assert deficient >= 100
 
 
 class TestGeneralPosition:

@@ -1,5 +1,6 @@
 """Piecewise linear paths: event detection, certification, roundtrips, files."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from projbraid.projective import (
 )
 from projbraid.realization import (
     AlgebraicTime,
+    BaseSignMismatch,
     CertificationError,
     DegenerateKeyframe,
     IdenticallySingularSegment,
@@ -24,6 +26,7 @@ from projbraid.realization import (
     _segment_events,
     apply_transform_to_path,
     certify_roundtrip,
+    check_base_sign,
     detect_events,
     letter_path,
     load_path_file,
@@ -250,6 +253,15 @@ class TestPathFromWord:
         report = certify_roundtrip(parse_word("b5 b2 b4", p54))
         assert report.ok
 
+    @pytest.mark.parametrize("k", [7, 8])
+    def test_seeded_roundtrip_at_high_k(self, k):
+        params = GroupParams(k + 1, k)
+        rng = random.Random(k)
+        word = Word(params, tuple(params.b_letter(rng.randint(1, k + 1)) for _ in range(12)))
+        signs = tuple(rng.choice((1, -1)) for _ in range(k - 1))
+        report = certify_roundtrip(word, signs)
+        assert report.ok
+
 
 class TestVoidPaths:
     def test_fixed_configuration(self):
@@ -328,6 +340,13 @@ class TestPathFiles:
         doc["base_sign"] = base_sign
         with pytest.raises(ValueError):
             path_from_document(doc)
+
+    def test_check_base_sign(self):
+        p = path_from_word(parse_word("b4 b1", P43), (1, -1))
+        check_base_sign(p, (1, -1))
+        for wrong in ((1, 1), (-1, -1), (-1, 1)):
+            with pytest.raises(BaseSignMismatch):
+                check_base_sign(p, wrong)
 
     def test_base_sign_forms_accepted(self):
         doc = path_to_document(path(BASE, BASE), base_sign=(1, -1))
