@@ -48,6 +48,7 @@ from .words import (
     Word,
     WordSyntaxError,
     bfs_equal_oracle,
+    check_subset_count,
     concat,
     format_word,
     free_reduce,
@@ -138,7 +139,9 @@ def _time_doc(t):
 
 def _params(args) -> GroupParams:
     n = args.n if args.n is not None else args.k + 1
-    return GroupParams(n, args.k)
+    params = GroupParams(n, args.k)
+    check_subset_count(params)
+    return params
 
 
 def _square_params(parser: _Parser, args) -> GroupParams:
@@ -182,7 +185,6 @@ def _report_verdict(out: _Output, verdict, show_trace: bool) -> int:
         out.field("trace_moves", len(verdict.trace))
         if show_trace:
             _report_trace(out, verdict.trace.steps)
-    out.flush()
     return _status_exit(verdict.status)
 
 
@@ -210,7 +212,6 @@ def _cmd_f_image(parser: _Parser, args, out: _Output) -> int:
     out.text(format_obstruction(image))
     out.field("f_image", format_obstruction(image))
     out.field("trivial", not image)
-    out.flush()
     return 0
 
 
@@ -220,7 +221,6 @@ def _cmd_parity(parser: _Parser, args, out: _Output) -> int:
     parity = parity_vector(word)
     out.text(" ".join(str(b) for b in parity))
     out.field("parity", list(parity))
-    out.flush()
     return 0
 
 
@@ -241,7 +241,6 @@ def _cmd_sign_action(parser: _Parser, args, out: _Output) -> int:
     out.text(f"{format_sign_string(start)} -> {format_sign_string(end)}")
     out.field("start", format_sign_string(start))
     out.field("end", format_sign_string(end))
-    out.flush()
     return 0
 
 
@@ -254,7 +253,6 @@ def _cmd_eliminate(parser: _Parser, args, out: _Output) -> int:
         out.text(f"not in subgroup: obstruction {format_obstruction(exc.obstruction)}")
         out.field("member", False)
         out.field("obstruction", format_obstruction(exc.obstruction))
-        out.flush()
         return 1
     ok = check_trace(word, trace, rewritten)
     out.text(_word_text(rewritten))
@@ -264,7 +262,6 @@ def _cmd_eliminate(parser: _Parser, args, out: _Output) -> int:
     out.field("trace_moves", len(trace))
     if args.trace:
         _report_trace(out, trace.steps)
-    out.flush()
     return 0 if ok else 1
 
 
@@ -280,7 +277,6 @@ def _cmd_in_h(parser: _Parser, args, out: _Output) -> int:
         out.text(f"no: obstruction {format_obstruction(membership.obstruction)}")
         out.field("member", False)
         out.field("obstruction", format_obstruction(membership.obstruction))
-    out.flush()
     return 0 if membership.member else 1
 
 
@@ -290,7 +286,6 @@ def _cmd_in_tilde(parser: _Parser, args, out: _Output) -> int:
     inside = in_tilde_subgroup(word)
     out.text("yes" if inside else "no")
     out.field("member", inside)
-    out.flush()
     return 0 if inside else 1
 
 
@@ -306,7 +301,6 @@ def _cmd_realize(parser: _Parser, args, out: _Output) -> int:
     out.field("endpoint", format_sign_string(end))
     out.field("keyframes", len(path.keyframes))
     out.field("file", str(args.out))
-    out.flush()
     return 0
 
 
@@ -325,7 +319,6 @@ def _cmd_certify(parser: _Parser, args, out: _Output) -> int:
         out.text(f"certification failed: {type(exc).__name__}: {exc}")
         out.field("error", type(exc).__name__)
         out.field("message", str(exc))
-        out.flush()
         return 1
     word = word_from_path(path)
     out.text(f"word: {_word_text(word)}")
@@ -341,7 +334,6 @@ def _cmd_certify(parser: _Parser, args, out: _Output) -> int:
             for e in events
         ],
     )
-    out.flush()
     return 0
 
 
@@ -353,7 +345,6 @@ def _cmd_orbit(parser: _Parser, args, out: _Output) -> int:
     out.text(f"size: {len(orbit)}")
     out.field("orbit", [format_sign_string(s) for s in orbit])
     out.field("size", len(orbit))
-    out.flush()
     return 0
 
 
@@ -372,7 +363,6 @@ def _cmd_oracle(parser: _Parser, args, out: _Output) -> int:
         out.text(f"Unknown ({result.states} states)")
         out.field("equal", None)
     out.field("states", result.states)
-    out.flush()
     return 0 if result.equal else 2
 
 
@@ -389,7 +379,6 @@ def _cmd_selftest(parser: _Parser, args, out: _Output) -> int:
     out.field("seed", args.seed)
     out.field("suites", [r.to_dict() for r in results])
     out.field("passed", all_passed)
-    out.flush()
     return 0 if all_passed else 1
 
 
@@ -407,8 +396,9 @@ def build_parser() -> _Parser:
     parser.add_argument("--max-states", type=int, default=100_000, help="oracle state bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, help_text: str, *, word=0, trace=False, signs=False):
+    def cmd(name: str, handler, help_text: str, *, word=0, trace=False, signs=False):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if word == 1:
             p.add_argument("word")
         elif word == 2:
@@ -420,41 +410,24 @@ def build_parser() -> _Parser:
             p.add_argument("--signs", default=None, help="starting sign string, e.g. '(+,-)'")
         return p
 
-    cmd("solve", "decide whether a word is trivial", word=1, trace=True)
-    cmd("equal", "decide whether two words are equal", word=2, trace=True)
-    cmd("f-image", "obstruction image of a word", word=1)
-    cmd("parity", "per-letter occurrence parities", word=1)
-    cmd("sign-action", "action of a word on a sign string", word=1, signs=True)
-    cmd("eliminate", "rewrite away the last letter, with trace", word=1, trace=True)
-    cmd("in-h", "membership in the last-letter-free subgroup", word=1)
-    cmd("in-tilde", "membership in the sign-preserving subgroup", word=1)
-    realize = cmd("realize", "write a path file realizing a word", word=1, signs=True)
+    cmd("solve", _cmd_solve, "decide whether a word is trivial", word=1, trace=True)
+    cmd("equal", _cmd_equal, "decide whether two words are equal", word=2, trace=True)
+    cmd("f-image", _cmd_f_image, "obstruction image of a word", word=1)
+    cmd("parity", _cmd_parity, "per-letter occurrence parities", word=1)
+    cmd("sign-action", _cmd_sign_action, "action of a word on a sign string", word=1, signs=True)
+    cmd("eliminate", _cmd_eliminate, "rewrite away the last letter, with trace", word=1, trace=True)
+    cmd("in-h", _cmd_in_h, "membership in the last-letter-free subgroup", word=1)
+    cmd("in-tilde", _cmd_in_tilde, "membership in the sign-preserving subgroup", word=1)
+    realize = cmd("realize", _cmd_realize, "write a path file realizing a word", word=1, signs=True)
     realize.add_argument("out", help="output path file")
-    certify = cmd("certify", "read a path file, recover its word and events")
+    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events")
     certify.add_argument("file", help="input path file")
-    cmd("orbit", "orbit of the reference sign string")
-    cmd("oracle", "bounded search for a rewrite between two words", word=2, trace=True)
-    st = cmd("selftest", "run the verification suites")
+    cmd("orbit", _cmd_orbit, "orbit of the reference sign string")
+    cmd("oracle", _cmd_oracle, "bounded search for a rewrite between two words", word=2, trace=True)
+    st = cmd("selftest", _cmd_selftest, "run the verification suites")
     st.add_argument("scale", nargs="?", choices=("quick", "full"), default="quick")
     st.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     return parser
-
-
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "equal": _cmd_equal,
-    "f-image": _cmd_f_image,
-    "parity": _cmd_parity,
-    "sign-action": _cmd_sign_action,
-    "eliminate": _cmd_eliminate,
-    "in-h": _cmd_in_h,
-    "in-tilde": _cmd_in_tilde,
-    "realize": _cmd_realize,
-    "certify": _cmd_certify,
-    "orbit": _cmd_orbit,
-    "oracle": _cmd_oracle,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -466,10 +439,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.command} needs k >= 3")
     out = _Output(structured=args.format == "structured", lines=[], doc={"command": args.command})
     try:
-        return _COMMANDS[args.command](parser, args, out)
+        code = args.handler(parser, args, out)
     except (WordSyntaxError, ValueError) as exc:
         print(f"projbraid: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    out.flush()
+    return code
 
 
 if __name__ == "__main__":

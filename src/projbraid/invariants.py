@@ -51,22 +51,18 @@ def occurrence_index(word: Word, pos: int) -> IndexString:
 
     The parity vector is invariant under the relations, so the index does
     not change when the prefix before ``pos`` is replaced by any word equal
-    to it in the group.  This call rescans the prefix;
-    ``last_alias_occurrences`` gives every index of a word in one pass.
+    to it in the group.  This call scans the prefix up to ``pos`` with
+    ``last_alias_occurrences``, which gives every index of a word in one
+    pass.
     """
     params = word.params
     params.require_square()
-    k = params.k
     if not 0 <= pos < len(word):
         raise ValueError(f"position {pos} out of bounds")
-    if word.letters[pos] != params.b_letter(k + 1):
+    if word.letters[pos] != params.b_letter(params.k + 1):
         raise ValueError(f"letter at {pos} is {word.letters[pos]}, not the last alias")
-    counts = [0] * k
-    for letter in word.letters[:pos]:
-        j = letter.b_index(params)
-        if j <= k:
-            counts[j - 1] ^= 1
-    return _normalize_index(counts, k)
+    _, indices = last_alias_occurrences(Word(params, word.letters[: pos + 1]))
+    return indices[-1]
 
 
 def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:

@@ -18,6 +18,7 @@ exactly; nothing is ever compared through floating point.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -38,7 +39,7 @@ from .projective import (
     sign_string_of,
     singular_subsets,
 )
-from .words import GroupParams, Letter, Word
+from .words import GroupParams, Letter, Word, check_subset_count
 
 
 class PathError(ValueError):
@@ -405,10 +406,26 @@ def _encode_fraction(value: Fraction):
     return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
+_FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
+
+
 def _decode_fraction(value) -> Fraction:
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer or 'p/q' string, got {value!r}")
-    return Fraction(value)
+    """Read a coordinate as ``_encode_fraction`` writes it: an int or a
+    ``"p"`` / ``"p/q"`` string with q nonzero.  Nothing else is accepted, so
+    a float, a bool, ``"1/0"`` or an exponent like ``"1e20000000"`` fails
+    with ValueError instead of raising something else or expanding."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
+        return Fraction(value)
+    raise ValueError(f"expected an integer or 'p/q' string with q nonzero, got {value!r}")
+
+
+def _decode_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
@@ -427,10 +444,11 @@ def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
 
 def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
     try:
-        params = GroupParams(int(doc["n"]), int(doc["k"]))
+        params = GroupParams(_decode_int(doc, "n"), _decode_int(doc, "k"))
         raw_keyframes = doc["keyframes"]
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
+    check_subset_count(params)
     keyframes = []
     for frame in raw_keyframes:
         points = tuple(

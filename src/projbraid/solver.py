@@ -16,11 +16,11 @@ verdict that uses it.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .invariants import (
+    IndexString,
     ObstructionWord,
     ParityVector,
     f_image,
@@ -40,6 +40,7 @@ from .words import (
     Word,
     apply_move,
     concat,
+    free_cancel,
     free_reduce,
     free_reduce_with_trace,
     inverse,
@@ -112,20 +113,6 @@ def check_trace(input_word: Word, trace: EliminationTrace, output_word: Word) ->
     return current.letters == output_word.letters
 
 
-def _insert_mirrored(word: Word, at: int, letters: list[Letter], moves: list[Move]) -> Word:
-    """Insert reverse(letters) + letters at position ``at`` via pair moves.
-
-    Built inside out:  for letters p1..pr the j-th move inserts the pair
-    p_{r-j+1} at offset at+j-1, producing  pr .. p1 p1 .. pr.
-    """
-    current = word
-    for j, letter in enumerate(reversed(letters)):
-        move = InsertPair(at + j, letter)
-        moves.append(move)
-        current = apply_move(current, move)
-    return current
-
-
 def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     """Remove a matched pair of ``b(k+1)`` letters around ``block``.
 
@@ -155,29 +142,24 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
 
     word = concat(Word(params, (last,)), block, Word(params, (last,)))
     moves: list[Move] = []
+
+    def play(move: Move) -> None:
+        nonlocal word
+        moves.append(move)
+        word = apply_move(word, move)
+
     first = 0          # position of the left b(k+1)
     second = len(word) - 1
 
     while True:
         # keep the enclosed block freely reduced
-        reduced = True
-        while reduced:
-            reduced = False
-            letters = word.letters
-            for j in range(first + 1, second - 1):
-                if letters[j] == letters[j + 1]:
-                    move = CancelPair(j, letters[j])
-                    moves.append(move)
-                    word = apply_move(word, move)
-                    second -= 2
-                    reduced = True
-                    break
+        inner, cancels = free_cancel(word.letters[first + 1 : second])
+        for pos, letter in cancels:
+            play(CancelPair(first + 1 + pos, letter))
+        second -= 2 * len(cancels)
 
-        inner = word.letters[first + 1 : second]
         if not inner:
-            move = CancelPair(first, last)
-            moves.append(move)
-            word = apply_move(word, move)
+            play(CancelPair(first, last))
             break
 
         indices = [letter.b_index(params) for letter in inner]
@@ -185,12 +167,8 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
 
         if repeat is None:
             # the block is a once-each arrangement of b1..bk: one window
-            move = ReverseWindow(first)
-            moves.append(move)
-            word = apply_move(word, move)
-            move = CancelPair(first + k, last)
-            moves.append(move)
-            word = apply_move(word, move)
+            play(ReverseWindow(first))
+            play(CancelPair(first + k, last))
             break
 
         p = repeat + 1            # 1-based position of the first repeated alias
@@ -203,21 +181,17 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
 
         distance_before = second - first
 
-        # window 1: P b(k+1) b_{i_1} .. b_{i_{p-1}}
-        word = _insert_mirrored(word, first, p_letters, moves)
-        move = ReverseWindow(first + r)
-        moves.append(move)
-        word = apply_move(word, move)
-        first = first + r + (p - 1)
-        second = second + 2 * r
-
-        # window 2: Q b(k+1) reverse(P) b_{i_p}
-        word = _insert_mirrored(word, first, q_letters, moves)
-        move = ReverseWindow(first + len(q_letters))
-        moves.append(move)
-        word = apply_move(word, move)
-        first = first + len(q_letters) + 1 + r
-        second = second + 2 * len(q_letters)
+        # window 1 is P b(k+1) b_{i_1} .. b_{i_{p-1}}, window 2 is
+        # Q b(k+1) reverse(P) b_{i_p}.  Each inserts reverse(mirrored) +
+        # mirrored in front of b(k+1), one pair at a time from the inside
+        # out; reversing the window then moves b(k+1) past its tail, the
+        # letters that followed b(k+1) in the window.
+        for mirrored, tail in ((p_letters, p - 1), (q_letters, r + 1)):
+            for j, letter in enumerate(reversed(mirrored)):
+                play(InsertPair(first + j, letter))
+            play(ReverseWindow(first + len(mirrored)))
+            first += len(mirrored) + tail
+            second += 2 * len(mirrored)
 
         if second - first != distance_before - 2:
             raise AssertionError("window surgery must shorten the gap by 2")
@@ -225,24 +199,24 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     return word, EliminationTrace(tuple(moves))
 
 
-def eliminate_last(word: Word, rng: random.Random | None = None) -> tuple[Word, EliminationTrace]:
+def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
     """Rewrite a word with empty obstruction image into one avoiding b(k+1).
 
-    Repeatedly picks a pair of consecutive ``b(k+1)`` occurrences with equal
-    index strings (one exists whenever the unreduced obstruction word reduces
-    to the identity) and removes it with ``inner_eliminate``.  Without
-    ``rng`` the leftmost such pair is taken; with it, the pair is chosen at
-    random among the candidates.  The result is equal in the group either
-    way, and the trace replays under ``check_trace``.
+    Reads the word once, left to right, keeping a stack of the ``b(k+1)``
+    occurrences not yet matched.  An occurrence whose index string equals
+    the one on top of the stack closes a pair: ``inner_eliminate`` replaces
+    the two occurrences and the letters between them.  This is the free
+    reduction of the unreduced obstruction word, so the stack empties
+    exactly when the image is trivial, and each pair removed is the
+    leftmost adjacent equal-index pair of the word at that moment.  The
+    result is equal in the group, and the trace replays under
+    ``check_trace``.
 
     The index strings come from one prefix-parity pass, which also yields
     the obstruction.  They are never recomputed: the parity vector is
     invariant under the relations and the replacement V equals
     b(k+1) . block . b(k+1), so removing a matched pair leaves the index of
-    every other occurrence unchanged.  Each round drops the two matched
-    entries and shifts the later positions by the change in length.  The
-    candidate lists, and so the choices and the trace, are the ones that
-    recomputing every index in every round would give.
+    every other occurrence unchanged.
     """
     params = word.params
     positions, indices = last_alias_occurrences(word)
@@ -250,32 +224,24 @@ def eliminate_last(word: Word, rng: random.Random | None = None) -> tuple[Word, 
     if obstruction:
         raise NotInSubgroupError(obstruction)
     moves: list[Move] = []
-    letters = list(word.letters)
-
-    while positions:
-        candidates = [j for j in range(len(positions) - 1) if indices[j] == indices[j + 1]]
-        if not candidates:
-            raise AssertionError("an adjacent equal-index pair must exist when the image is empty")
-        choice = candidates[0] if rng is None else rng.choice(candidates)
-        left, right = positions[choice], positions[choice + 1]
-        replacement, trace = inner_eliminate(Word(params, tuple(letters[left + 1 : right])))
-        for move in trace:
-            moves.append(_shift_move(move, left))
-        letters[left : right + 1] = replacement.letters
-        shift = len(replacement) - (right - left + 1)
-        del indices[choice : choice + 2]
-        positions[choice:] = [pos + shift for pos in positions[choice + 2 :]]
+    letters: list[Letter] = []      # the rewritten word up to the current occurrence
+    unmatched: list[tuple[int, IndexString]] = []   # (position in letters, index)
+    done = 0
+    for pos, index in zip(positions, indices):
+        letters.extend(word.letters[done:pos])
+        done = pos + 1
+        if unmatched and unmatched[-1][1] == index:
+            left, _ = unmatched.pop()
+            replacement, trace = inner_eliminate(Word(params, tuple(letters[left + 1 :])))
+            moves.extend(replace(move, pos=move.pos + left) for move in trace)
+            letters[left:] = replacement.letters
+        else:
+            unmatched.append((len(letters), index))
+            letters.append(word.letters[pos])
+    if unmatched:
+        raise AssertionError("an adjacent equal-index pair must exist when the image is empty")
+    letters.extend(word.letters[done:])
     return Word(params, tuple(letters)), EliminationTrace(tuple(moves))
-
-
-def _shift_move(move: Move, offset: int) -> Move:
-    if isinstance(move, CancelPair):
-        return CancelPair(move.pos + offset, move.letter)
-    if isinstance(move, InsertPair):
-        return InsertPair(move.pos + offset, move.letter)
-    if isinstance(move, ReverseWindow):
-        return ReverseWindow(move.pos + offset)
-    return move
 
 
 @dataclass(frozen=True)
@@ -288,12 +254,12 @@ class SubgroupMembership:
     obstruction: ObstructionWord | None = None
 
 
-def is_in_H(word: Word, rng: random.Random | None = None) -> SubgroupMembership:
+def is_in_H(word: Word) -> SubgroupMembership:
     """Membership in the subgroup of words avoiding the last alias."""
-    obstruction = f_image(word)
-    if obstruction:
-        return SubgroupMembership(False, obstruction=obstruction)
-    rewritten, trace = eliminate_last(word, rng=rng)
+    try:
+        rewritten, trace = eliminate_last(word)
+    except NotInSubgroupError as exc:
+        return SubgroupMembership(False, obstruction=exc.obstruction)
     return SubgroupMembership(True, rewritten=rewritten, trace=trace)
 
 

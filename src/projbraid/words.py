@@ -21,6 +21,7 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import TypeVar
 
 T = TypeVar("T")
@@ -73,6 +74,23 @@ class GroupParams:
             raise ValueError(f"b-index out of range: {j}")
         omitted = self.k + 2 - j
         return Letter(tuple(i for i in range(1, self.n + 1) if i != omitted))
+
+
+# Largest C(n, k) accepted from a command line or a path file.  The oracle's
+# letter table, the general-position check and event detection enumerate
+# every k-subset, and the oracle alone takes about 1 s at C(n, k) = 924.
+MAX_SUBSETS = 1000
+
+
+def check_subset_count(params: GroupParams) -> None:
+    """Raise ValueError when C(n, k) exceeds ``MAX_SUBSETS``.
+
+    C(n, k) >= n for 0 < k < n, so a large n is rejected before ``comb`` runs.
+    """
+    if params.n > MAX_SUBSETS or comb(params.n, params.k) > MAX_SUBSETS:
+        raise ValueError(
+            f"C(n, k) for n={params.n}, k={params.k} exceeds the cap of {MAX_SUBSETS} subsets"
+        )
 
 
 @dataclass(frozen=True, order=True)
@@ -468,8 +486,7 @@ def _rebuild_moves(searcher: _Searcher, parents, state) -> list[Move]:
     chain.reverse()
     moves: list[Move] = []
     for parent, edge in chain:
-        edge_moves, landed = searcher.edge_moves(parent, edge)
-        moves.extend(edge_moves)
+        moves.extend(searcher.edge_moves(parent, edge)[0])
     return moves
 
 
@@ -485,7 +502,6 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
         return OracleResult(True, (), 0)
 
     searcher = _Searcher(w1.params, max_len, max_states)
-    start_raw, end_raw = searcher.encode(w1), searcher.encode(w2)
     reduce1, cancels1 = free_reduce_with_trace(w1)
     reduce2, cancels2 = free_reduce_with_trace(w2)
     start, end = searcher.encode(reduce1), searcher.encode(reduce2)

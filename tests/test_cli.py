@@ -1,6 +1,7 @@
 """Command-line interface: exact output lines and exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -166,6 +167,59 @@ class TestRealizeCertify:
         code, _, err = run(capsys, "certify", str(file))
         assert code == 3
         assert "bad path file" in err
+
+
+FRAME_K3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+
+class TestUntrustedInput:
+    """Malformed or oversized input exits 3 quickly, without a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (json.dumps({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, "1/0", 1]]]}), "'1/0'"),
+            ('{"k": 3, "n": 1e400, "keyframes": []}', "n must be an integer"),
+            (json.dumps({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, "1e20000000", 1]]]}),
+             "'1e20000000'"),
+            ('{"k": 3, "n": 4.0, "keyframes": []}', "n must be an integer"),
+            ('{"k": true, "n": 4, "keyframes": []}', "k must be an integer"),
+            (json.dumps({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, 1.5, 1]]]}), "1.5"),
+        ],
+        ids=["zero-denominator", "huge-float-n", "exponent", "float-n", "bool-k", "float-coordinate"],
+    )
+    def test_bad_path_file(self, tmp_path, capsys, text, message):
+        file = tmp_path / "bad.json"
+        file.write_text(text)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", str(file))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "bad path file" in err and message in err
+
+    def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
+        # C(18, 9) = 48620 subsets from a file of about 1.5 KB
+        frame = [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9 for _ in range(9)]
+        file = tmp_path / "big.json"
+        file.write_text(json.dumps({"k": 9, "n": 18, "keyframes": [frame] * 3}))
+        assert 1400 < file.stat().st_size < 1700
+        start = time.perf_counter()
+        code, out, err = run(capsys, "certify", str(file))
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "exceeds the cap of 1000 subsets" in err
+
+    def test_oracle_over_the_subset_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--k", "10", "--n", "24", "oracle", "a{1,2,3,4,5,6,7,8,9,10}", "")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert "exceeds the cap of 1000 subsets" in err
+
+    def test_huge_n_over_the_subset_cap(self, capsys):
+        code, _, err = run(capsys, "--k", "3", "--n", str(10**9), "parity", "")
+        assert code == 3
+        assert "exceeds the cap" in err
 
 
 class TestStructuredOutput:

@@ -1,7 +1,6 @@
 """Last-letter elimination, trace checking, and the decision procedures."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -101,14 +100,6 @@ class TestEliminateLast:
         assert all(l.b_index(P43) != 4 for l in out.letters)
         assert check_trace(w, trace, out)
         assert free_reduce(out).letters == ()
-
-    def test_randomized_pair_choice_stays_sound(self):
-        w = w43("b4 b1 b1 b4 b4 b2 b2 b4")
-        for seed in range(6):
-            out, trace = eliminate_last(w, rng=random.Random(seed))
-            assert all(l.b_index(P43) != 4 for l in out.letters)
-            assert check_trace(w, trace, out)
-            assert bfs_equal_oracle(w, out, max_len=14, max_states=100_000).equal
 
     def test_pair_guard_survives_optimized_mode(self):
         # with the obstruction check bypassed, no equal-index pair exists;
