@@ -66,6 +66,9 @@ RUNS = {
     # realization and certification
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
+    # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
+    # order needs interval refinement
+    "certify-k4-segments": ["certify", "segments.json"],
     "certify-fails": ["certify", "singular.json"],
     "certify-base-sign-mismatch": ["certify", "mismatch.json"],
     # input errors exit 3 with nothing on stdout
@@ -76,6 +79,7 @@ RUNS = {
 INPUTS = {
     "readme-certify": "readme-realize.path.json",
     "certify-algebraic": "inputs/algebraic-event.json",
+    "certify-k4-segments": "inputs/k4-segments.json",
     "certify-fails": "inputs/singular-keyframe.json",
     "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",
 }
