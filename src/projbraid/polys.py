@@ -1,118 +1,160 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials with exact coefficients, and real root isolation.
 
 Coefficient tuples run from the constant term upward and never carry a
-trailing zero, so the zero polynomial is the empty tuple.  Everything here
-is exact: the root isolation below returns either rational roots or open
-intervals with certified sign changes, established through Sturm chains.
+trailing zero, so the zero polynomial is the empty tuple.  A ``Poly`` has
+``Fraction`` coefficients; it is the form event times are reported in.
+
+Root work runs on the *integer form* (``ZPoly``) instead: the coefficients
+times the positive lcm of their denominators.  A positive scale changes no
+root and no sign, so every decision below is the one the rational
+polynomial would give, without ``Fraction`` arithmetic on coefficients:
+
+* the sign of f(p/q), q > 0, is the sign of sum a_i p^i q^(d-i), taken by
+  homogeneous Horner (``evaluate``);
+* gcds and Sturm chains run Euclid over Z with primitive pseudo-remainders
+  (Collins & Akritas 1976).  The dividend is scaled by |lc(b)|, never by
+  lc(b), so each chain entry is a positive multiple of the rational one and
+  sign variations are unchanged.
+
+Everything is exact: the root isolation returns either rational roots or
+open intervals with certified sign changes, established through Sturm chains.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as igcd
+from math import lcm
 
 Poly = tuple[Fraction, ...]
+ZPoly = tuple[int, ...]
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
 
 
 def poly(*coeffs) -> Poly:
     return _trim(tuple(Fraction(c) for c in coeffs))
 
 
-def _trim(coeffs: tuple[Fraction, ...]) -> Poly:
+def _trim(coeffs: tuple) -> tuple:
     end = len(coeffs)
     while end and coeffs[end - 1] == 0:
         end -= 1
     return coeffs[:end]
 
 
-def degree(f: Poly) -> int:
+def degree(f) -> int:
     """Degree, with -1 for the zero polynomial."""
     return len(f) - 1
 
 
-def add(f: Poly, g: Poly) -> Poly:
-    if len(f) < len(g):
-        f, g = g, f
-    out = list(f)
-    for i, c in enumerate(g):
-        out[i] += c
-    return _trim(tuple(out))
-
-
-def neg(f: Poly) -> Poly:
-    return tuple(-c for c in f)
-
-
-def sub(f: Poly, g: Poly) -> Poly:
-    return add(f, neg(g))
-
-
-def mul(f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ZERO
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return _trim(tuple(out))
-
-
-def scale(f: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ZERO
-    return tuple(a * c for a in f)
-
-
-def evaluate(f: Poly, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(f: Poly) -> Poly:
+def derivative(f):
     return _trim(tuple(f[i] * i for i in range(1, len(f))))
 
 
-def divmod_exact(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Quotient and remainder over the rationals; g must be nonzero."""
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    dq = len(f) - len(g)
-    if dq < 0:
-        return ZERO, f
-    quot = [Fraction(0)] * (dq + 1)
-    lead = g[-1]
-    for i in range(dq, -1, -1):
-        c = rem[i + len(g) - 1] / lead
-        quot[i] = c
-        if c:
-            for j, b in enumerate(g):
-                rem[i + j] -= c * b
-    return _trim(tuple(quot)), _trim(tuple(rem))
-
-
-def monic(f: Poly) -> Poly:
+def monic(f) -> Poly:
+    """The monic ``Fraction`` form of a rational or integer polynomial."""
     if not f:
         return ZERO
-    return scale(f, 1 / f[-1])
+    lead = f[-1]
+    return tuple(Fraction(c) / lead for c in f)
 
 
-def gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    a, b = f, g
+def integer_form(f: Poly) -> ZPoly:
+    """f times the positive lcm of its coefficient denominators."""
+    scale = lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (scale // c.denominator) for c in f)
+
+
+def _homogeneous(f: ZPoly, p: int, q: int) -> int:
+    """sum f_i p^i q^(d-i): q^d f(p/q), with the sign of f(p/q) when q > 0."""
+    if not f:
+        return 0
+    acc = f[-1]
+    qpow = 1
+    for c in reversed(f[:-1]):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc
+
+
+def evaluate(f: ZPoly, x: Fraction) -> int:
+    """q^d f(x) for x = p/q in lowest terms: zero exactly where f is, and of
+    the same sign, since q > 0.  Equal to f(x) at integer x."""
+    return _homogeneous(f, x.numerator, x.denominator)
+
+
+def _sign(value: int) -> int:
+    return (value > 0) - (value < 0)
+
+
+def _primitive(f: ZPoly) -> ZPoly:
+    """f divided by the positive gcd of its coefficients."""
+    content = igcd(*f)
+    if content <= 1:
+        return f
+    return tuple(c // content for c in f)
+
+
+def _pseudo_remainder(a: ZPoly, b: ZPoly) -> ZPoly:
+    """The remainder of c * a by b for some c > 0, made primitive; b nonzero.
+
+    Each elimination step multiplies the running remainder by
+    |lc(b)| / g > 0, where g = gcd(|lc(b)|, leading term), so the result is
+    a positive multiple of the rational remainder of a by b.
+    """
+    lead = b[-1]
+    scale, flip = abs(lead), 1 if lead > 0 else -1
+    db = len(b) - 1
+    rem = list(a)
+    while len(rem) > db:
+        top = rem[-1]
+        if top:
+            g = igcd(top, scale)
+            up, down = scale // g, flip * (top // g)
+            shift = len(rem) - 1 - db
+            if up != 1:
+                rem = [c * up for c in rem]
+            for j, c in enumerate(b):
+                rem[shift + j] -= down * c
+        rem.pop()
+    return _primitive(_trim(tuple(rem)))
+
+
+def _exact_quotient(a: ZPoly, b: ZPoly) -> ZPoly:
+    """a / b over Z when b divides a with an integer quotient; b nonzero."""
+    rem = list(a)
+    db = len(b) - 1
+    quot = [0] * max(len(a) - db, 0)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[i + db], b[-1])
+        if r:
+            raise ArithmeticError("inexact polynomial division over the integers")
+        quot[i] = c
+        if c:
+            for j, v in enumerate(b):
+                rem[i + j] -= c * v
+    if any(rem):
+        raise ArithmeticError("inexact polynomial division over the integers")
+    return _trim(tuple(quot))
+
+
+def _normal(f: ZPoly) -> ZPoly:
+    """The primitive form of f with a positive leading coefficient."""
+    f = _primitive(f)
+    return tuple(-c for c in f) if f and f[-1] < 0 else f
+
+
+def gcd(f: ZPoly, g: ZPoly) -> ZPoly:
+    """Greatest common divisor over Z: primitive, positive leading coefficient."""
+    a, b = _normal(f), _normal(g)
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    return monic(a)
+        a, b = b, _pseudo_remainder(a, b)
+    return _normal(a)
 
 
-def squarefree_split(f: Poly) -> tuple[Poly, Poly]:
-    """The monic squarefree part f / gcd(f, f'), and gcd(f, f').
+def squarefree_split(f: ZPoly) -> tuple[ZPoly, ZPoly]:
+    """The squarefree part f / gcd(f, f'), and gcd(f, f'), both normal.
 
     The first shares exactly the distinct roots of f; the second vanishes
     exactly at its multiple roots.  Both are zero for the zero polynomial.
@@ -120,33 +162,31 @@ def squarefree_split(f: Poly) -> tuple[Poly, Poly]:
     multiple = gcd(f, derivative(f))
     if not multiple:
         return ZERO, ZERO
-    q, r = divmod_exact(f, multiple)
-    if r:
-        raise AssertionError("gcd(f, f') must divide f")
-    return monic(q), multiple
+    return _normal(_exact_quotient(f, multiple)), multiple
 
 
-def sturm_chain(f: Poly) -> list[Poly]:
-    """Sturm chain: f, f', then successive negated remainders."""
+def sturm_chain(f: ZPoly) -> list[ZPoly]:
+    """Sturm chain: f, f', then successive negated pseudo-remainders."""
     chain = [f, derivative(f)]
     while chain[-1]:
-        _, r = divmod_exact(chain[-2], chain[-1])
+        r = _pseudo_remainder(chain[-2], chain[-1])
         if not r:
             break
-        chain.append(neg(r))
+        chain.append(tuple(-c for c in r))
     return [p for p in chain if p]
 
 
-def _variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
+def _variations(chain: list[ZPoly], x: Fraction) -> int:
+    changes, last = 0, 0
     for p in chain:
-        v = evaluate(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+        s = _sign(evaluate(p, x))
+        if s:
+            changes += last != 0 and s != last
+            last = s
+    return changes
 
 
-def count_roots(f: Poly, lo: Fraction, hi: Fraction, chain: list[Poly] | None = None) -> int:
+def count_roots(f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None = None) -> int:
     """Number of distinct real roots in (lo, hi]; f must not vanish at lo."""
     if chain is None:
         chain = sturm_chain(f)
@@ -169,45 +209,36 @@ def _divisors(value: int, limit: int = 10**8) -> list[int] | None:
     return divs
 
 
-def rational_roots_in_unit_interval(f: Poly) -> tuple[list[Fraction], Poly] | None:
+def rational_roots_in_unit_interval(f: ZPoly) -> tuple[list[Fraction], ZPoly] | None:
     """Rational roots of f inside (0, 1), plus the cofactor with them removed.
 
-    Returns None when the integer coefficients are too large for the divisor
-    search; callers then fall back to isolating intervals, which stay exact.
+    A root p/q in lowest terms has p dividing the lowest nonzero coefficient
+    and q the leading one.  Returns None when those coefficients are too
+    large for the divisor search; callers then fall back to isolating
+    intervals, which stay exact.
     """
     if degree(f) < 1:
         return [], f
-    from math import gcd as igcd
-
-    denom = 1
-    for c in f:
-        denom = denom * c.denominator // igcd(denom, c.denominator)
-    ints = [int(c * denom) for c in f]
     shift = 0
-    while ints[shift] == 0:
+    while f[shift] == 0:
         shift += 1  # factor out t^shift; t = 0 is outside (0, 1)
-    num_divs = _divisors(ints[shift])
-    den_divs = _divisors(ints[-1])
+    num_divs = _divisors(f[shift])
+    den_divs = _divisors(f[-1])
     if num_divs is None or den_divs is None:
         return None
-    roots = set()
-    for p in num_divs:
-        for q in den_divs:
-            if p < q:  # only candidates strictly inside (0, 1)
-                cand = Fraction(p, q)
-                if evaluate(f, cand) == 0:
-                    roots.add(cand)
+    roots = sorted(
+        Fraction(p, q)
+        for p in num_divs
+        for q in den_divs
+        if p < q and igcd(p, q) == 1 and _homogeneous(f, p, q) == 0
+    )
     remaining = f
-    ordered = sorted(roots)
-    for r in ordered:
-        quot, rem = divmod_exact(remaining, (-r, Fraction(1)))
-        if rem:
-            raise AssertionError(f"t - {r} must divide the polynomial it is a root of")
-        remaining = quot
-    return ordered, remaining
+    for r in roots:
+        remaining = _exact_quotient(remaining, (-r.numerator, r.denominator))
+    return roots, remaining
 
 
-def _split_point(f: Poly, a: Fraction, b: Fraction) -> Fraction:
+def _split_point(f: ZPoly, a: Fraction, b: Fraction) -> Fraction:
     """An interior point of (a, b) where f does not vanish.
 
     f has at most deg(f) roots, so among deg(f) + 1 equally spaced interior
@@ -221,7 +252,7 @@ def _split_point(f: Poly, a: Fraction, b: Fraction) -> Fraction:
     raise AssertionError("unreachable: more candidate points than roots")
 
 
-def isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals, each holding exactly one root of squarefree f.
 
     Requires f(lo) != 0 != f(hi).  Subdivision points are chosen off the
@@ -238,7 +269,7 @@ def isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, F
         if count == 0:
             return
         if count == 1:
-            if evaluate(f, a) * evaluate(f, b) >= 0:
+            if _sign(evaluate(f, a)) * _sign(evaluate(f, b)) >= 0:
                 raise AssertionError(f"a simple root in ({a}, {b}) must change the sign of f")
             out.append((a, b))
             return
@@ -250,7 +281,7 @@ def isolate_roots(f: Poly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, F
     return sorted(out)
 
 
-def refine_to_exclude(f: Poly, lo: Fraction, hi: Fraction, point: Fraction) -> tuple[Fraction, Fraction]:
+def refine_to_exclude(f: ZPoly, lo: Fraction, hi: Fraction, point: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink an isolating interval of squarefree f until ``point`` lies outside.
 
     Preserves the sign-change certificate; requires f(point) != 0.  Returns
@@ -261,14 +292,15 @@ def refine_to_exclude(f: Poly, lo: Fraction, hi: Fraction, point: Fraction) -> t
     return lo, hi
 
 
-def refine_once(f: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
+def refine_once(f: ZPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Halve an isolating interval of squarefree f (sign change preserved).
 
     Returns (mid, mid) when the midpoint is the root: it is rational after all.
     """
     mid = (lo + hi) / 2
-    if evaluate(f, mid) == 0:
+    at_mid = _sign(evaluate(f, mid))
+    if at_mid == 0:
         return mid, mid
-    if evaluate(f, lo) * evaluate(f, mid) < 0:
+    if _sign(evaluate(f, lo)) == -at_mid:
         return lo, mid
     return mid, hi

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
@@ -79,12 +79,17 @@ class AlgebraicTime:
     """An irrational (or undetermined) root, exactly isolated.
 
     ``poly`` is squarefree and monic with exactly one root in (lo, hi), and
-    its values at lo and hi have opposite signs.
+    its values at lo and hi have opposite signs.  ``form``, its integer
+    form, is what every comparison works on.
     """
 
     poly: tuple[Fraction, ...]
     lo: Fraction
     hi: Fraction
+    form: polys.ZPoly = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "form", polys.integer_form(self.poly))
 
 
 EventTime = Fraction | AlgebraicTime
@@ -120,11 +125,11 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
     if isinstance(a, Fraction):
         a, b = b, a
     if isinstance(b, Fraction):
-        return a.lo < b < a.hi and polys.evaluate(a.poly, b) == 0
+        return a.lo < b < a.hi and polys.evaluate(a.form, b) == 0
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    common = polys.gcd(a.poly, b.poly)
+    common = polys.gcd(a.form, b.form)
     if polys.degree(common) < 1:
         return False
     return polys.count_roots(common, lo, hi) > 0
@@ -137,16 +142,16 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
     if isinstance(a, Fraction):
         return -time_cmp(b, a)
     if isinstance(b, Fraction):
-        lo, _ = polys.refine_to_exclude(a.poly, a.lo, a.hi, b)
+        lo, _ = polys.refine_to_exclude(a.form, a.lo, a.hi, b)
         return 1 if b <= lo else -1
     ia, ib = (a.lo, a.hi), (b.lo, b.hi)
     while not (ia[1] <= ib[0] or ib[1] <= ia[0]):
         if ia[1] - ia[0] >= ib[1] - ib[0]:
-            ia = polys.refine_once(a.poly, *ia)
+            ia = polys.refine_once(a.form, *ia)
             if ia[0] == ia[1]:
                 return time_cmp(ia[0], b)
         else:
-            ib = polys.refine_once(b.poly, *ib)
+            ib = polys.refine_once(b.form, *ib)
             if ib[0] == ib[1]:
                 return time_cmp(a, ib[0])
     return -1 if ia[1] <= ib[0] else 1
@@ -168,12 +173,15 @@ def _segment_rows(start: Configuration, end: Configuration) -> list[list[polys.P
 def _check_keyframe(config: Configuration, where: str = "") -> None:
     """Raise DegenerateKeyframe unless the configuration is in general position
     and nonsingular; ``where`` prefixes the message."""
+    singular = singular_subsets(config)
+    if not singular:
+        # n > k, so a (k-1)-subset of deficient rank lies in some k-subset,
+        # which is then singular: a valid keyframe needs no rank-(k-1) scan
+        return
     violation = general_position_violation(config)
     if violation is not None:
         raise DegenerateKeyframe(f"{where}points {violation} are not in general position")
-    singular = singular_subsets(config)
-    if singular:
-        raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")
+    raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")
 
 
 def _check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
@@ -194,27 +202,27 @@ def _segment_events(segment: int, start: Configuration, end: Configuration, para
             raise IdenticallySingularSegment(f"segment {segment}: subset {subset} is singular throughout")
         if polys.degree(d) < 1:
             continue
-        squarefree, multiple = polys.squarefree_split(d)
+        squarefree, multiple = polys.squarefree_split(polys.integer_form(d))
+        tangential = polys.degree(multiple) >= 1
 
         remaining = squarefree
         extracted = polys.rational_roots_in_unit_interval(squarefree)
         if extracted is not None:
             roots, remaining = extracted
             for r in roots:
-                if polys.degree(multiple) >= 1 and polys.evaluate(multiple, r) == 0:
+                if tangential and polys.evaluate(multiple, r) == 0:
                     raise TangentialEvent(
                         f"segment {segment}: subset {subset} has a multiple root at t = {r}"
                     )
                 found.append((r, subset))
         if polys.degree(remaining) >= 1:
+            shared = polys.gcd(remaining, multiple) if tangential else polys.ZERO
             for lo, hi in polys.isolate_roots(remaining, Fraction(0), Fraction(1)):
-                if polys.degree(multiple) >= 1:
-                    shared = polys.gcd(remaining, multiple)
-                    if polys.degree(shared) >= 1 and polys.count_roots(shared, lo, hi) > 0:
-                        raise TangentialEvent(
-                            f"segment {segment}: subset {subset} has a multiple root in ({lo}, {hi})"
-                        )
-                found.append((AlgebraicTime(remaining, lo, hi), subset))
+                if polys.degree(shared) >= 1 and polys.count_roots(shared, lo, hi) > 0:
+                    raise TangentialEvent(
+                        f"segment {segment}: subset {subset} has a multiple root in ({lo}, {hi})"
+                    )
+                found.append((AlgebraicTime(polys.monic(remaining), lo, hi), subset))
 
     for i in range(len(found)):
         for j in range(i + 1, len(found)):

@@ -221,6 +221,26 @@ class TestUntrustedInput:
         assert code == 3
         assert "exceeds the cap" in err
 
+    @pytest.mark.parametrize("k", ["14", "30", "999"])
+    def test_orbit_over_the_orbit_cap(self, capsys, k):
+        # C(k + 1, k) = k + 1 passes the subset cap up to k = 999; 2^(k-1) strings do not
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--k", k, "--n", str(int(k) + 1), "orbit")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert f"the sign orbit for k={k} has 2^{int(k) - 1} strings" in err
+        assert "beyond the cap of MAX_ORBIT_K = 13" in err
+
+    def test_orbit_cap_bounds_the_size(self, capsys, monkeypatch):
+        from projbraid import invariants
+
+        monkeypatch.setattr(invariants, "MAX_ORBIT_K", 4)
+        code, out, _ = run(capsys, "--k", "4", "orbit")
+        assert (code, out.splitlines()[-1]) == (0, "size: 8")
+        code, out, err = run(capsys, "--k", "5", "orbit")
+        assert (code, out) == (3, "")
+        assert "beyond the cap of MAX_ORBIT_K = 4" in err
+
 
 class TestStructuredOutput:
     def test_solve_document(self, capsys):

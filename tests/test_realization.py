@@ -100,8 +100,9 @@ class TestDetection:
         assert isinstance(t, AlgebraicTime)
         # the determinant is -(t^2 + t - 1); its positive root is 0.6180...
         assert t.poly == (F(-1), F(1), F(1))
-        assert t.lo < F(618, 1000) < t.hi or polys.count_roots(t.poly, F(61, 100), F(62, 100)) == 1
-        assert polys.evaluate(t.poly, t.lo) * polys.evaluate(t.poly, t.hi) < 0
+        assert t.form == (-1, 1, 1)
+        assert t.lo < F(618, 1000) < t.hi or polys.count_roots(t.form, F(61, 100), F(62, 100)) == 1
+        assert polys.evaluate(t.form, t.lo) * polys.evaluate(t.form, t.hi) < 0
 
     def test_events_ordered_within_segment(self):
         p = path((E1, E2, E3, (3, 1, 1)), (E1, E2, E3, (-1, -3, 1)))
@@ -131,6 +132,14 @@ class TestErrors:
     def test_keyframe_out_of_general_position(self):
         with pytest.raises(DegenerateKeyframe):
             detect_events(path((E1, E2, (2, 0, 0), (1, 1, 1)), BASE))
+
+    def test_general_position_reported_before_singular_subset(self):
+        # points 1 and 3 coincide, so every triple holding both is singular too;
+        # the keyframe check names the general-position violation first
+        with pytest.raises(DegenerateKeyframe, match=r"^keyframe 1: points \(1, 3\) are not in general position$"):
+            detect_events(path(BASE, (E1, E2, (2, 0, 0), (1, 1, 1))))
+        with pytest.raises(DegenerateKeyframe, match=r"^keyframe 1: singular subset \(1, 2, 4\)$"):
+            detect_events(path(BASE, (E1, E2, E3, (1, 1, 0))))
 
     def test_zero_vector_on_segment(self):
         with pytest.raises(ZeroVectorOnSegment):
