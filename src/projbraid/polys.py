@@ -84,10 +84,6 @@ def evaluate(f: ZPoly, x: Fraction) -> int:
     return _homogeneous(f, x.numerator, x.denominator)
 
 
-def _sign(value: int) -> int:
-    return (value > 0) - (value < 0)
-
-
 def _primitive(f: ZPoly) -> ZPoly:
     """f divided by the positive gcd of its coefficients."""
     content = igcd(*f)
@@ -177,13 +173,12 @@ def sturm_chain(f: ZPoly) -> list[ZPoly]:
 
 
 def _variations(chain: list[ZPoly], x: Fraction) -> int:
-    changes, last = 0, 0
+    signs = []
     for p in chain:
-        s = _sign(evaluate(p, x))
-        if s:
-            changes += last != 0 and s != last
-            last = s
-    return changes
+        v = evaluate(p, x)
+        if v:
+            signs.append(1 if v > 0 else -1)
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_roots(f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None = None) -> int:
@@ -269,7 +264,7 @@ def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, 
         if count == 0:
             return
         if count == 1:
-            if _sign(evaluate(f, a)) * _sign(evaluate(f, b)) >= 0:
+            if evaluate(f, a) * evaluate(f, b) >= 0:
                 raise AssertionError(f"a simple root in ({a}, {b}) must change the sign of f")
             out.append((a, b))
             return
@@ -298,9 +293,9 @@ def refine_once(f: ZPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fractio
     Returns (mid, mid) when the midpoint is the root: it is rational after all.
     """
     mid = (lo + hi) / 2
-    at_mid = _sign(evaluate(f, mid))
+    at_mid = evaluate(f, mid)
     if at_mid == 0:
         return mid, mid
-    if _sign(evaluate(f, lo)) == -at_mid:
+    if evaluate(f, lo) * at_mid < 0:
         return lo, mid
     return mid, hi
