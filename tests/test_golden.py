@@ -57,12 +57,14 @@ RUNS = {
     "in-tilde-no": ["in-tilde", "b4"],
     "parity": ["parity", "b4 b1 b4"],
     "parity-k4": ["--k", "4", "parity", "b5 b1 b2 b5"],
+    "parity-nonsquare": ["--k", "2", "--n", "4", "parity", "a{1,2} a{3,4} a{1,2}"],
     "sign-action-signs": ["sign-action", "--signs", "(-,+)", "b3 b4"],
     # the bounded oracle, including a far-commutation swap outside the square case
     "oracle-swap": ["--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{3,4}", "a{3,4} a{1,2}"],
     "oracle-trace": ["oracle", "--trace", "b1 b2 b3 b4", "b4 b3 b2 b1"],
     "oracle-insert": ["oracle", "--trace", "b4 b1 b2 b1 b2 b4", "b3 b2 b1 b2 b1 b3"],
     "oracle-cancel": ["oracle", "--trace", "b1 b1 b2 b3 b4 b4", "b2 b3 b2 b2"],
+    "oracle-unknown": ["oracle", "b1 b2", "b2 b1"],
     # realization and certification
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
@@ -73,6 +75,7 @@ RUNS = {
     "certify-base-sign-mismatch": ["certify", "mismatch.json"],
     # input errors exit 3 with nothing on stdout
     "solve-bad-token": ["solve", "b9"],
+    "solve-k2": ["--k", "2", "solve", "a{1,2}"],
 }
 
 # name -> file under tests/golden copied into the working directory as argv[-1]
