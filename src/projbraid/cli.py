@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -67,24 +66,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class _Output:
-    structured: bool
-    lines: list[str]
-    doc: dict
+class _UsageError(Exception):
+    """Bad input that ``main`` reports as argparse does: usage, message, exit 3."""
 
-    def text(self, line: str) -> None:
-        self.lines.append(line)
 
-    def field(self, key: str, value) -> None:
-        self.doc[key] = value
-
-    def flush(self) -> None:
-        if self.structured:
-            print(json.dumps(self.doc, indent=2, sort_keys=True))
-        else:
-            for line in self.lines:
-                print(line)
+# What a command found, as (key, value, line) entries in text order.  ``main``
+# prints the keyed values as the structured document, or the lines that are
+# not None as text; a line may hold several lines joined by newlines.
+Record = list[tuple[str, object, str | None]]
 
 
 def _word_text(word: Word) -> str:
@@ -104,17 +93,26 @@ _MOVE_FORMS = {
 }
 
 
-def _report_trace(out: _Output, moves) -> None:
-    """One indented text line per move, and the ``trace`` field."""
-    docs = []
+def _bits(bits) -> str:
+    return " ".join(str(b) for b in bits)
+
+
+def _lines(lines) -> str | None:
+    """Several text lines as one record line; none as no line."""
+    return "\n".join(lines) or None
+
+
+def _trace_entry(moves) -> tuple:
+    """The ``trace`` entry: one indented text line and one document per move."""
+    docs, lines = [], []
     for move in moves:
         kind, template = _MOVE_FORMS[type(move)]
         fields = {"pos": move.pos}
         if hasattr(move, "letter"):
             fields["letter"] = str(move.letter)
-        out.text("  " + template.format(**fields))
+        lines.append("  " + template.format(**fields))
         docs.append({"kind": kind, **fields})
-    out.field("trace", docs)
+    return ("trace", docs, _lines(lines))
 
 
 def _fraction_text(value: Fraction) -> str:
@@ -137,249 +135,167 @@ def _time_doc(t):
     return _fraction_text(t)
 
 
-def _params(args) -> GroupParams:
-    n = args.n if args.n is not None else args.k + 1
-    params = GroupParams(n, args.k)
-    check_subset_count(params)
-    return params
+# verdict status -> (exit code, name)
+_STATUS = {
+    Status.TRIVIAL: (0, "Trivial"),
+    Status.NONTRIVIAL: (1, "NonTrivial"),
+    Status.UNKNOWN: (2, "Unknown"),
+}
 
 
-def _square_params(parser: _Parser, args) -> GroupParams:
-    params = _params(args)
-    if not params.is_square:
-        parser.error(f"this command needs n = k + 1, got n = {params.n}, k = {params.k}")
-    return params
-
-
-def _parse(parser: _Parser, text: str, params: GroupParams) -> Word:
-    try:
-        return parse_word(text, params)
-    except WordSyntaxError as exc:
-        parser.error(str(exc))
-        raise AssertionError("unreachable")
-
-
-def _status_exit(status: Status) -> int:
-    return {Status.TRIVIAL: 0, Status.NONTRIVIAL: 1, Status.UNKNOWN: 2}[status]
-
-
-def _report_verdict(out: _Output, verdict, show_trace: bool) -> int:
-    names = {Status.TRIVIAL: "Trivial", Status.NONTRIVIAL: "NonTrivial", Status.UNKNOWN: "Unknown"}
-    out.text(names[verdict.status])
-    out.field("status", names[verdict.status])
+def _verdict(word: Word, show_trace: bool) -> tuple[int, Record]:
+    verdict = solve_k3(word) if word.params.k == 3 else solve_semi(word)
+    code, name = _STATUS[verdict.status]
+    record = [("status", name, name)]
     if verdict.obstruction is not None:
-        out.text(f"witness: obstruction {format_obstruction(verdict.obstruction)}")
-        out.field("obstruction", format_obstruction(verdict.obstruction))
+        obstruction = format_obstruction(verdict.obstruction)
+        record.append(("obstruction", obstruction, f"witness: obstruction {obstruction}"))
     if verdict.parity is not None:
-        out.text(f"witness: parity {' '.join(str(b) for b in verdict.parity)}")
-        out.field("parity", list(verdict.parity))
+        record.append(("parity", list(verdict.parity), f"witness: parity {_bits(verdict.parity)}"))
     if verdict.residue is not None:
         label = "witness: residue" if verdict.status is Status.NONTRIVIAL else "residue"
-        out.text(f"{label}: {_word_text(verdict.residue)}")
-        out.field("residue", _word_text(verdict.residue))
-    for flag in sorted(verdict.assumption_flags):
-        out.text(f"assumes: {flag}")
-    out.field("assumptions", sorted(verdict.assumption_flags))
+        residue = _word_text(verdict.residue)
+        record.append(("residue", residue, f"{label}: {residue}"))
+    flags = sorted(verdict.assumption_flags)
+    record.append(("assumptions", flags, _lines(f"assumes: {flag}" for flag in flags)))
     if verdict.trace is not None:
-        out.text(f"trace: {len(verdict.trace)} moves")
-        out.field("trace_moves", len(verdict.trace))
+        record.append(("trace_moves", len(verdict.trace), f"trace: {len(verdict.trace)} moves"))
         if show_trace:
-            _report_trace(out, verdict.trace.steps)
-    return _status_exit(verdict.status)
+            record.append(_trace_entry(verdict.trace.steps))
+    return code, record
 
 
-def _cmd_solve(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    return _decide(out, _parse(parser, args.word, params), args.trace)
+def _cmd_solve(args, word: Word) -> tuple[int, Record]:
+    return _verdict(word, args.trace)
 
 
-def _cmd_equal(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    w1 = _parse(parser, args.word1, params)
-    w2 = _parse(parser, args.word2, params)
-    return _decide(out, free_reduce(concat(w1, inverse(w2))), args.trace)
+def _cmd_equal(args, w1: Word, w2: Word) -> tuple[int, Record]:
+    return _verdict(free_reduce(concat(w1, inverse(w2))), args.trace)
 
 
-def _decide(out: _Output, word: Word, show_trace: bool) -> int:
-    verdict = solve_k3(word) if word.params.k == 3 else solve_semi(word)
-    return _report_verdict(out, verdict, show_trace)
-
-
-def _cmd_f_image(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
+def _cmd_f_image(args, word: Word) -> tuple[int, Record]:
     image = f_image(word)
-    out.text(format_obstruction(image))
-    out.field("f_image", format_obstruction(image))
-    out.field("trivial", not image)
-    return 0
+    text = format_obstruction(image)
+    return 0, [("f_image", text, text), ("trivial", not image, None)]
 
 
-def _cmd_parity(parser: _Parser, args, out: _Output) -> int:
-    params = _params(args)
-    word = _parse(parser, args.word, params)
+def _cmd_parity(args, word: Word) -> tuple[int, Record]:
     parity = parity_vector(word)
-    out.text(" ".join(str(b) for b in parity))
-    out.field("parity", list(parity))
-    return 0
+    return 0, [("parity", list(parity), _bits(parity))]
 
 
-def _signs_or_reference(parser: _Parser, args, params: GroupParams):
+def _signs_or_reference(args, params: GroupParams):
     if args.signs is None:
         return reference_signs(params)
     try:
         return parse_sign_string(args.signs, params)
     except ValueError as exc:
-        parser.error(str(exc))
+        raise _UsageError(str(exc)) from exc
 
 
-def _cmd_sign_action(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
-    start = _signs_or_reference(parser, args, params)
-    end = sign_action(word, start)
-    out.text(f"{format_sign_string(start)} -> {format_sign_string(end)}")
-    out.field("start", format_sign_string(start))
-    out.field("end", format_sign_string(end))
-    return 0
+def _cmd_sign_action(args, word: Word) -> tuple[int, Record]:
+    start = _signs_or_reference(args, word.params)
+    start_text, end_text = format_sign_string(start), format_sign_string(sign_action(word, start))
+    return 0, [("start", start_text, f"{start_text} -> {end_text}"), ("end", end_text, None)]
 
 
-def _cmd_eliminate(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
+def _cmd_eliminate(args, word: Word) -> tuple[int, Record]:
     try:
         rewritten, trace = eliminate_last(word)
     except NotInSubgroupError as exc:
-        out.text(f"not in subgroup: obstruction {format_obstruction(exc.obstruction)}")
-        out.field("member", False)
-        out.field("obstruction", format_obstruction(exc.obstruction))
-        return 1
+        obstruction = format_obstruction(exc.obstruction)
+        line = f"not in subgroup: obstruction {obstruction}"
+        return 1, [("member", False, None), ("obstruction", obstruction, line)]
     ok = check_trace(word, trace, rewritten)
-    out.text(_word_text(rewritten))
-    out.text(f"trace-{'ok' if ok else 'BROKEN'} ({len(trace)} moves)")
-    out.field("word", _word_text(rewritten))
-    out.field("trace_ok", ok)
-    out.field("trace_moves", len(trace))
+    text = _word_text(rewritten)
+    record = [
+        ("word", text, text),
+        ("trace_ok", ok, None),
+        ("trace_moves", len(trace), f"trace-{'ok' if ok else 'BROKEN'} ({len(trace)} moves)"),
+    ]
     if args.trace:
-        _report_trace(out, trace.steps)
-    return 0 if ok else 1
+        record.append(_trace_entry(trace.steps))
+    return (0 if ok else 1), record
 
 
-def _cmd_in_h(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
+def _cmd_in_h(args, word: Word) -> tuple[int, Record]:
     membership = is_in_H(word)
     if membership.member:
-        out.text(f"yes: {_word_text(membership.rewritten)}")
-        out.field("member", True)
-        out.field("rewritten", _word_text(membership.rewritten))
-    else:
-        out.text(f"no: obstruction {format_obstruction(membership.obstruction)}")
-        out.field("member", False)
-        out.field("obstruction", format_obstruction(membership.obstruction))
-    return 0 if membership.member else 1
+        rewritten = _word_text(membership.rewritten)
+        return 0, [("member", True, None), ("rewritten", rewritten, f"yes: {rewritten}")]
+    obstruction = format_obstruction(membership.obstruction)
+    return 1, [("member", False, None), ("obstruction", obstruction, f"no: obstruction {obstruction}")]
 
 
-def _cmd_in_tilde(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
+def _cmd_in_tilde(args, word: Word) -> tuple[int, Record]:
     inside = in_tilde_subgroup(word)
-    out.text("yes" if inside else "no")
-    out.field("member", inside)
-    return 0 if inside else 1
+    return (0 if inside else 1), [("member", inside, "yes" if inside else "no")]
 
 
-def _cmd_realize(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    word = _parse(parser, args.word, params)
-    start = _signs_or_reference(parser, args, params)
+def _cmd_realize(args, word: Word) -> tuple[int, Record]:
+    start = _signs_or_reference(args, word.params)
     path = path_from_word(word, start)
     save_path_file(path, args.out, base_sign=start)
-    end = sign_action(word, start)
-    out.text(f"endpoint: {format_sign_string(end)}")
-    out.text(f"keyframes: {len(path.keyframes)}")
-    out.field("endpoint", format_sign_string(end))
-    out.field("keyframes", len(path.keyframes))
-    out.field("file", str(args.out))
-    return 0
+    end = format_sign_string(sign_action(word, start))
+    return 0, [
+        ("endpoint", end, f"endpoint: {end}"),
+        ("keyframes", len(path.keyframes), f"keyframes: {len(path.keyframes)}"),
+        ("file", str(args.out), None),
+    ]
 
 
-def _cmd_certify(parser: _Parser, args, out: _Output) -> int:
+def _cmd_certify(args) -> tuple[int, Record]:
     try:
         path, base_sign = load_path_file(args.file)
-    except FileNotFoundError:
-        parser.error(f"no such file: {args.file}")
     except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
-        parser.error(f"bad path file: {exc}")
+        raise _UsageError(f"bad path file: {exc}") from exc
     try:
         if base_sign is not None:
             check_base_sign(path, base_sign)
         events = detect_events(path)
     except PathError as exc:
-        out.text(f"certification failed: {type(exc).__name__}: {exc}")
-        out.field("error", type(exc).__name__)
-        out.field("message", str(exc))
-        return 1
-    word = word_from_path(path)
-    out.text(f"word: {_word_text(word)}")
-    out.text(f"events: {len(events)}")
+        name = type(exc).__name__
+        return 1, [("error", name, f"certification failed: {name}: {exc}"), ("message", str(exc), None)]
+    word = _word_text(word_from_path(path))
+    docs = [{"segment": e.segment, "subset": list(e.subset), "t": _time_doc(e.t)} for e in events]
+    lines = [f"events: {len(events)}"]
     for event in events:
         subset = "{" + ",".join(str(i) for i in event.subset) + "}"
-        out.text(f"  segment {event.segment} subset {subset} t = {_time_text(event.t)}")
-    out.field("word", _word_text(word))
-    out.field(
-        "events",
-        [
-            {"segment": e.segment, "subset": list(e.subset), "t": _time_doc(e.t)}
-            for e in events
-        ],
-    )
-    return 0
+        lines.append(f"  segment {event.segment} subset {subset} t = {_time_text(event.t)}")
+    return 0, [("word", word, f"word: {word}"), ("events", docs, _lines(lines))]
 
 
-def _cmd_orbit(parser: _Parser, args, out: _Output) -> int:
-    params = _square_params(parser, args)
-    orbit = sorted(sign_orbit(params))
-    for signs in orbit:
-        out.text(format_sign_string(signs))
-    out.text(f"size: {len(orbit)}")
-    out.field("orbit", [format_sign_string(s) for s in orbit])
-    out.field("size", len(orbit))
-    return 0
+def _cmd_orbit(args, params: GroupParams) -> tuple[int, Record]:
+    orbit = [format_sign_string(signs) for signs in sorted(sign_orbit(params))]
+    return 0, [("orbit", orbit, _lines(orbit)), ("size", len(orbit), f"size: {len(orbit)}")]
 
 
-def _cmd_oracle(parser: _Parser, args, out: _Output) -> int:
-    params = _params(args)
-    w1 = _parse(parser, args.word1, params)
-    w2 = _parse(parser, args.word2, params)
+def _cmd_oracle(args, w1: Word, w2: Word) -> tuple[int, Record]:
     result = bfs_equal_oracle(w1, w2, max_len=args.max_len, max_states=args.max_states)
-    if result.equal:
-        out.text(f"Equal ({len(result.trace)} moves, {result.states} states)")
-        out.field("equal", True)
-        out.field("moves", len(result.trace))
-        if args.trace:
-            _report_trace(out, result.trace)
-    else:
-        out.text(f"Unknown ({result.states} states)")
-        out.field("equal", None)
-    out.field("states", result.states)
-    return 0 if result.equal else 2
+    if not result.equal:
+        return 2, [("equal", None, f"Unknown ({result.states} states)"), ("states", result.states, None)]
+    record = [
+        ("equal", True, f"Equal ({len(result.trace)} moves, {result.states} states)"),
+        ("moves", len(result.trace), None),
+        ("states", result.states, None),
+    ]
+    if args.trace:
+        record.append(_trace_entry(result.trace))
+    return 0, record
 
 
-def _cmd_selftest(parser: _Parser, args, out: _Output) -> int:
+def _cmd_selftest(args) -> tuple[int, Record]:
     try:
         results = selftest_mod.run_suites(args.scale, args.seed, args.suite or None)
     except ValueError as exc:
-        parser.error(str(exc))
-    all_passed = all(r.passed for r in results)
-    for result in results:
-        out.text(result.summary())
-    out.text("all suites passed" if all_passed else "FAILURES present")
-    out.field("scale", args.scale)
-    out.field("seed", args.seed)
-    out.field("suites", [r.to_dict() for r in results])
-    out.field("passed", all_passed)
-    return 0 if all_passed else 1
+        raise _UsageError(str(exc)) from exc
+    passed = all(r.passed for r in results)
+    return (0 if passed else 1), [
+        ("scale", args.scale, None),
+        ("seed", args.seed, None),
+        ("suites", [r.to_dict() for r in results], _lines(r.summary() for r in results)),
+        ("passed", passed, "all suites passed" if passed else "FAILURES present"),
+    ]
 
 
 @cache
@@ -396,38 +312,57 @@ def build_parser() -> _Parser:
     parser.add_argument("--max-states", type=int, default=100_000, help="oracle state bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, handler, help_text: str, *, word=0, trace=False, signs=False):
+    def cmd(name: str, handler, help_text: str, *words, group="square", min_k=2, trace=False, signs=False):
+        """A subcommand with positional ``words``.  ``main`` rejects k < ``min_k``,
+        builds the group of ``--k`` and ``--n`` unless ``group`` is None, requires
+        n = k + 1 when it is "square", and parses the words in that group."""
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
-        if word == 1:
-            p.add_argument("word")
-        elif word == 2:
-            p.add_argument("word1")
-            p.add_argument("word2")
+        p.set_defaults(handler=handler, word_args=words, group=group, min_k=min_k)
+        for word in words:
+            p.add_argument(word)
         if trace:
             p.add_argument("--trace", action="store_true", help="print the move trace")
         if signs:
             p.add_argument("--signs", default=None, help="starting sign string, e.g. '(+,-)'")
         return p
 
-    cmd("solve", _cmd_solve, "decide whether a word is trivial", word=1, trace=True)
-    cmd("equal", _cmd_equal, "decide whether two words are equal", word=2, trace=True)
-    cmd("f-image", _cmd_f_image, "obstruction image of a word", word=1)
-    cmd("parity", _cmd_parity, "per-letter occurrence parities", word=1)
-    cmd("sign-action", _cmd_sign_action, "action of a word on a sign string", word=1, signs=True)
-    cmd("eliminate", _cmd_eliminate, "rewrite away the last letter, with trace", word=1, trace=True)
-    cmd("in-h", _cmd_in_h, "membership in the last-letter-free subgroup", word=1)
-    cmd("in-tilde", _cmd_in_tilde, "membership in the sign-preserving subgroup", word=1)
-    realize = cmd("realize", _cmd_realize, "write a path file realizing a word", word=1, signs=True)
+    cmd("solve", _cmd_solve, "decide whether a word is trivial", "word", min_k=3, trace=True)
+    cmd("equal", _cmd_equal, "decide whether two words are equal", "word1", "word2", min_k=3, trace=True)
+    cmd("f-image", _cmd_f_image, "obstruction image of a word", "word")
+    cmd("parity", _cmd_parity, "per-letter occurrence parities", "word", group="any")
+    cmd("sign-action", _cmd_sign_action, "action of a word on a sign string", "word", signs=True)
+    cmd("eliminate", _cmd_eliminate, "rewrite away the last letter, with trace", "word", trace=True)
+    cmd("in-h", _cmd_in_h, "membership in the last-letter-free subgroup", "word")
+    cmd("in-tilde", _cmd_in_tilde, "membership in the sign-preserving subgroup", "word")
+    realize = cmd("realize", _cmd_realize, "write a path file realizing a word", "word", min_k=3, signs=True)
     realize.add_argument("out", help="output path file")
-    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events")
+    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events", group=None)
     certify.add_argument("file", help="input path file")
     cmd("orbit", _cmd_orbit, "orbit of the reference sign string")
-    cmd("oracle", _cmd_oracle, "bounded search for a rewrite between two words", word=2, trace=True)
-    st = cmd("selftest", _cmd_selftest, "run the verification suites")
+    cmd(
+        "oracle", _cmd_oracle, "bounded search for a rewrite between two words", "word1", "word2",
+        group="any", trace=True,
+    )
+    st = cmd("selftest", _cmd_selftest, "run the verification suites", group=None)
     st.add_argument("scale", nargs="?", choices=("quick", "full"), default="quick")
     st.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     return parser
+
+
+def _inputs(args) -> list:
+    """What the handler takes after ``args``: the parsed words, or the group
+    for a command without words; nothing for a command without a group."""
+    if args.group is None:
+        return []
+    params = GroupParams(args.n if args.n is not None else args.k + 1, args.k)
+    check_subset_count(params)
+    if args.group == "square" and not params.is_square:
+        raise _UsageError(f"this command needs n = k + 1, got n = {params.n}, k = {params.k}")
+    try:
+        words = [parse_word(getattr(args, name), params) for name in args.word_args]
+    except WordSyntaxError as exc:
+        raise _UsageError(str(exc)) from exc
+    return words or [params]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -435,15 +370,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.k < 2:
         parser.error("--k must be at least 2")
-    if args.command in ("solve", "equal", "realize") and args.k < 3:
-        parser.error(f"{args.command} needs k >= 3")
-    out = _Output(structured=args.format == "structured", lines=[], doc={"command": args.command})
+    if args.k < args.min_k:
+        parser.error(f"{args.command} needs k >= {args.min_k}")
     try:
-        code = args.handler(parser, args, out)
-    except (WordSyntaxError, ValueError) as exc:
+        code, record = args.handler(args, *_inputs(args))
+    except _UsageError as exc:
+        parser.error(str(exc))
+    except OSError as exc:
+        # only path files are opened: the input of certify, the output of realize
+        reason = "no such file" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"projbraid: error: {reason}: {exc.filename}", file=sys.stderr)
+        return USAGE_ERROR
+    except ValueError as exc:
         print(f"projbraid: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    out.flush()
+    if args.format == "structured":
+        doc = {"command": args.command} | {key: value for key, value, _ in record}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+    else:
+        for _, _, line in record:
+            if line is not None:
+                print(line)
     return code
 
 

@@ -136,11 +136,14 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
 
 
 def time_cmp(a: EventTime, b: EventTime) -> int:
-    """Order two distinct event times exactly, refining intervals as needed."""
+    """Order two event times exactly (-1, 0 or 1), refining intervals as needed."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return -1 if a < b else 1
+        return (a > b) - (a < b)
     if isinstance(a, Fraction):
         return -time_cmp(b, a)
+    if time_eq(a, b):
+        # the refinement below separates distinct times only
+        return 0
     if isinstance(b, Fraction):
         lo, _ = polys.refine_to_exclude(a.form, a.lo, a.hi, b)
         return 1 if b <= lo else -1
@@ -224,14 +227,18 @@ def _segment_events(segment: int, start: Configuration, end: Configuration, para
                     )
                 found.append((AlgebraicTime(polys.monic(remaining), lo, hi), subset))
 
-    for i in range(len(found)):
-        for j in range(i + 1, len(found)):
-            if time_eq(found[i][0], found[j][0]):
-                raise SimultaneousEvents(
-                    f"segment {segment}: subsets {found[i][1]} and {found[j][1]} "
-                    f"degenerate at the same parameter"
-                )
-    found.sort(key=cmp_to_key(lambda x, y: time_cmp(x[0], y[0])))
+    def order(x, y) -> int:
+        sign = time_cmp(x[0], y[0])
+        if sign == 0:
+            first, second = sorted((x[1], y[1]))
+            raise SimultaneousEvents(
+                f"segment {segment}: subsets {first} and {second} degenerate at the same parameter"
+            )
+        return sign
+
+    # a comparison sort compares every pair it leaves adjacent, and equal
+    # times end up adjacent, so no simultaneous pair escapes the sort
+    found.sort(key=cmp_to_key(order))
     return [SingularEvent(segment, t, subset) for t, subset in found]
 
 

@@ -197,6 +197,22 @@ class TestUntrustedInput:
         assert (code, out) == (3, "")
         assert "bad path file" in err and message in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("certify", "."), "Is a directory: ."),
+            (("realize", "b4", "."), "Is a directory: ."),
+            (("realize", "b4", "missing/dir/x.json"), "no such file: missing/dir/x.json"),
+        ],
+        ids=["certify-directory", "realize-into-directory", "realize-into-missing-directory"],
+    )
+    def test_path_file_io_error(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == f"projbraid: error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
         # C(18, 9) = 48620 subsets from a file of about 1.5 KB
         frame = [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9 for _ in range(9)]

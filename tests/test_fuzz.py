@@ -1,15 +1,23 @@
-"""Bounded fuzzing of the parsers that read untrusted input.
+"""Bounded fuzzing of the parsers that read untrusted input, and of the CLI.
 
 Each parser must return a result or raise one of the exceptions the command
 line turns into exit code 3: ``ValueError`` (which covers
 ``WordSyntaxError`` and ``json.JSONDecodeError``), ``KeyError`` or
 ``TypeError`` for path files, and ``ValueError`` for words and sign strings.
+The command line as a whole must end in an exit code, never a traceback.
 """
 
+import contextlib
+import io
 import json
+import os
+import shutil
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
+from projbraid.cli import main
 from projbraid.invariants import parse_sign_string
 from projbraid.realization import path_from_document
 from projbraid.words import GroupParams, MAX_SUBSETS, parse_word
@@ -120,3 +128,72 @@ def test_parse_sign_string(params, text):
         return
     assert params.is_square and len(signs) == params.k - 1
     assert set(signs) <= {1, -1}
+
+
+# command -> its positional arguments: w a word, f a path file
+SHAPES = {
+    "solve": "w", "equal": "ww", "f-image": "w", "parity": "w", "sign-action": "w", "eliminate": "w",
+    "in-h": "w", "in-tilde": "w", "realize": "wf", "certify": "f", "orbit": "", "oracle": "ww",
+    "selftest": "",
+}
+GLOBAL_FLAGS = st.lists(
+    st.one_of(
+        st.tuples(st.just("--k"), st.integers(2, 5).map(str)),
+        st.tuples(st.just("--n"), st.integers(2, 8).map(str)),
+        st.tuples(st.just("--format"), st.sampled_from(["text", "structured", "yaml"])),
+        st.tuples(st.just("--seed"), st.sampled_from(["0", "7", "-1", "x"])),
+    ),
+    max_size=3,
+).map(lambda pairs: [token for pair in pairs for token in pair])
+WORDS = st.sampled_from([
+    "", "b1", "b4 b4", "b4 b1 b4", "b1 b2 b3", "b5 b1 b5", "b1 b2 b1 b2 b1",
+    "a{1,2}", "a{1,2,3} a{2,3,4}", "a{1,2} a{3,4}", "b9", "b0", "xx", "a{1,1}",
+])
+# "@name" stands for a file made fresh for each run: see make_files
+FILES = st.sampled_from(["@missing", "@dir", "@bad", "@good", "@out", "@nested"])
+EXTRAS = st.sampled_from([
+    "--trace", "--signs", "(+,-)", "(-,+,+)", "(x)", "quick", "--suite", "nope", "-h", "--", "-1", "b1", "@good",
+])
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    # the oracle bounds are the user's by design, so they stay small here
+    argv = draw(GLOBAL_FLAGS) + ["--max-len", "8", "--max-states", "200"]
+    command = draw(st.sampled_from(sorted(SHAPES)))
+    argv.append(command)
+    argv += [draw(WORDS if kind == "w" else FILES) for kind in SHAPES[command]]
+    argv += draw(st.lists(EXTRAS, max_size=2))
+    if command == "selftest":
+        # one cheap suite keeps selftest fast; "full" is never drawn
+        argv += ["--suite", "sign-orbit"]
+    return argv
+
+
+def make_files(root: Path) -> dict[str, str]:
+    (root / "dir").mkdir()
+    (root / "bad.json").write_text("{not json")
+    shutil.copy(Path(__file__).resolve().parent / "golden" / "readme-realize.path.json", root / "good.json")
+    names = {"missing": "missing.json", "dir": "dir", "bad": "bad.json", "good": "good.json",
+             "out": "out.json", "nested": "missing/dir/x.json"}
+    return {f"@{key}": str(root / name) for key, name in names.items()}
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argv())
+def test_cli_argv(argv):
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        files = make_files(Path(tmp))
+        argv = [files.get(token, token) for token in argv]
+        # a relative path that a run writes lands in the temporary directory
+        os.chdir(tmp)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(previous)
+    assert code in (0, 1, 2, 3)

@@ -1,6 +1,8 @@
 """Piecewise linear paths: event detection, certification, roundtrips, files."""
 
+import contextlib
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -169,12 +171,36 @@ class TestErrors:
             _segment_events(0, start, end, P43)
 
 
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestTimeComparison:
     ROOT_HALF = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(0), F(1))
 
     def test_rational_vs_rational(self):
         assert time_eq(F(1, 2), F(2, 4))
         assert time_cmp(F(1, 3), F(1, 2)) == -1
+        assert time_cmp(F(1, 2), F(1, 2)) == 0
+        assert time_cmp(F(1, 2), F(2, 4)) == 0
+
+    def test_equal_irrational_times_compare_as_zero(self):
+        # interval refinement alone never separates a root from itself
+        other = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(1, 2), F(9, 10))
+        with time_limit(5):
+            assert time_cmp(self.ROOT_HALF, self.ROOT_HALF) == 0
+            assert time_cmp(self.ROOT_HALF, other) == 0
+            assert time_cmp(other, self.ROOT_HALF) == 0
 
     def test_rational_never_equals_irrational(self):
         assert not time_eq(self.ROOT_HALF, F(1, 2))
