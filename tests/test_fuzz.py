@@ -152,7 +152,8 @@ WORDS = st.sampled_from([
 # "@name" stands for a file made fresh for each run: see make_files
 FILES = st.sampled_from(["@missing", "@dir", "@bad", "@good", "@out", "@nested"])
 EXTRAS = st.sampled_from([
-    "--trace", "--signs", "(+,-)", "(-,+,+)", "(x)", "quick", "--suite", "nope", "-h", "--", "-1", "b1", "@good",
+    "--trace", "--signs", "(+,-)", "(-,+,+)", "(x)", "quick", "--suite", "nope",
+    "-h", "--", "-1", "b1", "@good",
 ])
 
 
