@@ -50,9 +50,14 @@ RUNS = {
     "equal-k3-no": ["--k", "3", "equal", "b1 b2 b3", "b3 b2 b1"],
     "equal-k4": ["--k", "4", "equal", "--trace", "b1 b2 b3 b4 b5", "b5 b4 b3 b2 b1"],
     "equal-k4-parity": ["--k", "4", "equal", "b1 b2", "b2"],
+    # k = 4 witnesses: an obstruction with odd parity reports the obstruction,
+    # and an empty obstruction with odd parity reports the parity
+    "solve-k4-obstruction-odd": ["--k", "4", "solve", "b5"],
+    "solve-k4-parity": ["--k", "4", "solve", "b5 b1 b2 b3 b4 b5 b1"],
     # membership and invariants
     "in-h-yes": ["in-h", "b4 b1 b2 b3 b4"],
     "in-h-no": ["in-h", "b4 b1 b4"],
+    "in-h-k4": ["--k", "4", "in-h", "b5 b1 b2 b3 b4 b5"],
     "in-tilde-yes": ["in-tilde", "b4 b4"],
     "in-tilde-no": ["in-tilde", "b4"],
     "parity": ["parity", "b4 b1 b4"],
