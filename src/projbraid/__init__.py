@@ -61,13 +61,11 @@ from .solver import (
     NotInSubgroupError,
     ParityMismatchError,
     Status,
-    SubgroupMembership,
     Verdict,
     check_trace,
     eliminate_last,
     equal_k3,
     inner_eliminate,
-    is_in_H,
     solve_k3,
     solve_semi,
 )
@@ -79,14 +77,11 @@ from .words import (
     Letter,
     Move,
     OracleResult,
-    RelationError,
     ReverseWindow,
     SwapAdjacent,
     Word,
     WordSyntaxError,
     apply_move,
-    apply_relation2_at,
-    apply_relation3_at,
     bfs_equal_oracle,
     concat,
     format_word,

@@ -27,6 +27,7 @@ from .invariants import (
     sign_action,
     sign_orbit,
 )
+from .polys import monic
 from .realization import (
     AlgebraicTime,
     PathError,
@@ -37,7 +38,7 @@ from .realization import (
     save_path_file,
     word_from_path,
 )
-from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, is_in_H, solve_k3, solve_semi
+from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, solve_k3, solve_semi
 from .words import (
     CancelPair,
     GroupParams,
@@ -121,7 +122,7 @@ def _fraction_text(value: Fraction) -> str:
 
 def _time_text(t) -> str:
     if isinstance(t, AlgebraicTime):
-        coeffs = ", ".join(_fraction_text(c) for c in t.poly)
+        coeffs = ", ".join(_fraction_text(c) for c in monic(t.poly))
         return f"root of [{coeffs}] in ({_fraction_text(t.lo)}, {_fraction_text(t.hi)})"
     return _fraction_text(t)
 
@@ -129,7 +130,7 @@ def _time_text(t) -> str:
 def _time_doc(t):
     if isinstance(t, AlgebraicTime):
         return {
-            "poly": [_fraction_text(c) for c in t.poly],
+            "poly": [_fraction_text(c) for c in monic(t.poly)],
             "interval": [_fraction_text(t.lo), _fraction_text(t.hi)],
         }
     return _fraction_text(t)
@@ -219,12 +220,13 @@ def _cmd_eliminate(args, word: Word) -> tuple[int, Record]:
 
 
 def _cmd_in_h(args, word: Word) -> tuple[int, Record]:
-    membership = is_in_H(word)
-    if membership.member:
-        rewritten = _word_text(membership.rewritten)
-        return 0, [("member", True, None), ("rewritten", rewritten, f"yes: {rewritten}")]
-    obstruction = format_obstruction(membership.obstruction)
-    return 1, [("member", False, None), ("obstruction", obstruction, f"no: obstruction {obstruction}")]
+    try:
+        rewritten, _ = eliminate_last(word)
+    except NotInSubgroupError as exc:
+        obstruction = format_obstruction(exc.obstruction)
+        return 1, [("member", False, None), ("obstruction", obstruction, f"no: obstruction {obstruction}")]
+    text = _word_text(rewritten)
+    return 0, [("member", True, None), ("rewritten", text, f"yes: {text}")]
 
 
 def _cmd_in_tilde(args, word: Word) -> tuple[int, Record]:

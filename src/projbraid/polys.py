@@ -2,7 +2,7 @@
 
 Coefficient tuples run from the constant term upward and never carry a
 trailing zero, so the zero polynomial is the empty tuple.  A ``Poly`` has
-``Fraction`` coefficients; it is the form event times are reported in.
+``Fraction`` coefficients; segment determinants are built in this form.
 
 Root work runs on the *integer form* (``ZPoly``) instead: the coefficients
 times the positive lcm of their denominators.  A positive scale changes no

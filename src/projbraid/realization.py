@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
@@ -78,18 +78,14 @@ class BaseSignMismatch(PathError):
 class AlgebraicTime:
     """An irrational (or undetermined) root, exactly isolated.
 
-    ``poly`` is squarefree and monic with exactly one root in (lo, hi), and
-    its values at lo and hi have opposite signs.  ``form``, its integer
-    form, is what every comparison works on.
+    ``poly`` is a squarefree integer form, primitive with a positive leading
+    coefficient, with exactly one root in (lo, hi); its values at lo and hi
+    have opposite signs.
     """
 
-    poly: tuple[Fraction, ...]
+    poly: polys.ZPoly
     lo: Fraction
     hi: Fraction
-    form: polys.ZPoly = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "form", polys.integer_form(self.poly))
 
 
 EventTime = Fraction | AlgebraicTime
@@ -125,11 +121,11 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
     if isinstance(a, Fraction):
         a, b = b, a
     if isinstance(b, Fraction):
-        return a.lo < b < a.hi and polys.evaluate(a.form, b) == 0
+        return a.lo < b < a.hi and polys.evaluate(a.poly, b) == 0
     lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
     if lo >= hi:
         return False
-    common = polys.gcd(a.form, b.form)
+    common = polys.gcd(a.poly, b.poly)
     if polys.degree(common) < 1:
         return False
     return polys.count_roots(common, lo, hi) > 0
@@ -145,16 +141,16 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
         # the refinement below separates distinct times only
         return 0
     if isinstance(b, Fraction):
-        lo, _ = polys.refine_to_exclude(a.form, a.lo, a.hi, b)
+        lo, _ = polys.refine_to_exclude(a.poly, a.lo, a.hi, b)
         return 1 if b <= lo else -1
     ia, ib = (a.lo, a.hi), (b.lo, b.hi)
     while not (ia[1] <= ib[0] or ib[1] <= ia[0]):
         if ia[1] - ia[0] >= ib[1] - ib[0]:
-            ia = polys.refine_once(a.form, *ia)
+            ia = polys.refine_once(a.poly, *ia)
             if ia[0] == ia[1]:
                 return time_cmp(ia[0], b)
         else:
-            ib = polys.refine_once(b.form, *ib)
+            ib = polys.refine_once(b.poly, *ib)
             if ib[0] == ib[1]:
                 return time_cmp(a, ib[0])
     return -1 if ia[1] <= ib[0] else 1
@@ -225,7 +221,7 @@ def _segment_events(segment: int, start: Configuration, end: Configuration, para
                     raise TangentialEvent(
                         f"segment {segment}: subset {subset} has a multiple root in ({lo}, {hi})"
                     )
-                found.append((AlgebraicTime(polys.monic(remaining), lo, hi), subset))
+                found.append((AlgebraicTime(remaining, lo, hi), subset))
 
     def order(x, y) -> int:
         sign = time_cmp(x[0], y[0])
@@ -273,19 +269,15 @@ def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
     c = letter.omitted_index(params)
     start = base_configuration(params, signs)
 
+    end_signs = sign_action(Word(params, (letter,)), signs)
     if c <= k - 1:
-        target = list(signs)
-        target[c - 1] = -target[c - 1]
-        end_signs = tuple(target)
         keyframes = (start, base_configuration(params, end_signs))
     elif c == k:
-        end_signs = tuple(-s for s in signs)
         moved = ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(-1),))
         keyframes = (start, Configuration(params, start.points[:k] + (moved,)))
     else:
         # the last point is framed by the others: send point k on a detour
         # through the opposite side, then shear everything straight again
-        end_signs = tuple(-s for s in signs)
         detour = ProjectivePoint(tuple(Fraction(-2 * s) for s in signs) + (Fraction(-1),))
         middle = Configuration(
             params, start.points[: k - 1] + (detour,) + (start.points[k],)

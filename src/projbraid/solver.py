@@ -23,7 +23,6 @@ from .invariants import (
     IndexString,
     ObstructionWord,
     ParityVector,
-    f_image,
     format_obstruction,
     free_product_reduce,
     last_alias_occurrences,
@@ -244,25 +243,6 @@ def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
     return Word(params, tuple(letters)), EliminationTrace(tuple(moves))
 
 
-@dataclass(frozen=True)
-class SubgroupMembership:
-    """Outcome of the membership test for the b(k+1)-free subgroup."""
-
-    member: bool
-    rewritten: Word | None = None
-    trace: EliminationTrace | None = None
-    obstruction: ObstructionWord | None = None
-
-
-def is_in_H(word: Word) -> SubgroupMembership:
-    """Membership in the subgroup of words avoiding the last alias."""
-    try:
-        rewritten, trace = eliminate_last(word)
-    except NotInSubgroupError as exc:
-        return SubgroupMembership(False, obstruction=exc.obstruction)
-    return SubgroupMembership(True, rewritten=rewritten, trace=trace)
-
-
 def solve_k3(word: Word) -> Verdict:
     """Decide the word problem for k = 3, n = 4.
 
@@ -273,9 +253,6 @@ def solve_k3(word: Word) -> Verdict:
     """
     if word.params != GroupParams(4, 3):
         raise ValueError("solve_k3 requires n=4, k=3")
-    obstruction = f_image(word)
-    if obstruction:
-        return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
     return _eliminate_and_reduce(word, Status.NONTRIVIAL, frozenset({H3_FLAG}))
 
 
@@ -293,22 +270,26 @@ def solve_semi(word: Word) -> Verdict:
     assumed for k >= 4).
     """
     word.params.require_square()
-    obstruction = f_image(word)
-    if obstruction:
-        return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
-    parity = parity_vector(word)
-    if any(parity):
-        return Verdict(Status.NONTRIVIAL, parity=parity)
-    return _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
+    verdict = _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
+    if verdict.status is Status.UNKNOWN:
+        # the parity vector is a group invariant, zero on every trivial word
+        parity = parity_vector(word)
+        if any(parity):
+            return Verdict(Status.NONTRIVIAL, parity=parity)
+    return verdict
 
 
 def _eliminate_and_reduce(word: Word, residue_status: Status, flags: frozenset[str]) -> Verdict:
     """Eliminate ``b(k+1)`` and reduce freely.
 
-    TRIVIAL with the full trace when nothing is left; otherwise
-    ``residue_status`` with the residue and the assumption ``flags``.
+    NONTRIVIAL with the obstruction when elimination is impossible; TRIVIAL
+    with the full trace when nothing is left; otherwise ``residue_status``
+    with the residue and the assumption ``flags``.
     """
-    eliminated, trace = eliminate_last(word)
+    try:
+        eliminated, trace = eliminate_last(word)
+    except NotInSubgroupError as exc:
+        return Verdict(Status.NONTRIVIAL, obstruction=exc.obstruction)
     residue, cancels = free_reduce_with_trace(eliminated)
     if not residue.letters:
         return Verdict(Status.TRIVIAL, trace=EliminationTrace(trace.steps + tuple(cancels)))

@@ -38,10 +38,6 @@ class WordSyntaxError(ValueError):
         super().__init__(message)
 
 
-class RelationError(ValueError):
-    """A relation was applied at a position where it is not legal."""
-
-
 @dataclass(frozen=True, order=True)
 class GroupParams:
     """Group parameters: generators are the k-subsets of {1, ..., n}."""
@@ -166,14 +162,20 @@ def parse_word(text: str, params: GroupParams) -> Word:
         if m:
             if not params.is_square:
                 raise WordSyntaxError("b-aliases require n = k + 1", index, token)
-            j = int(m.group(1))
+            try:
+                j = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                j = 0
             if not 1 <= j <= params.k + 1:
                 raise WordSyntaxError(f"b-index must lie in 1..{params.k + 1}", index, token)
             letters.append(params.b_letter(j))
             continue
         m = _A_TOKEN.match(token)
         if m:
-            indices = tuple(int(part) for part in m.group(1).split(","))
+            try:
+                indices = tuple(int(part) for part in m.group(1).split(","))
+            except ValueError:  # an index with more digits than int() converts
+                raise WordSyntaxError(f"index out of range 1..{params.n}", index, token) from None
             if len(set(indices)) != len(indices):
                 raise WordSyntaxError("repeated index in subset", index, token)
             if len(indices) != params.k:
@@ -236,7 +238,7 @@ def concat(*words: Word) -> Word:
     return Word(params, tuple(letters))
 
 
-# --- relation applications ------------------------------------------------
+# --- primitive moves and traces --------------------------------------------
 
 def _window_is_palindromic(letters: tuple[Letter, ...], k: int) -> bool:
     """A window of k+1 distinct letters qualifies when its subsets are exactly
@@ -248,33 +250,6 @@ def _window_is_palindromic(letters: tuple[Letter, ...], k: int) -> bool:
         union.update(letter.subset)
     return len(union) == k + 1
 
-
-def apply_relation3_at(word: Word, start: int) -> Word:
-    """Reverse the palindrome window of k+1 letters beginning at ``start``."""
-    k = word.params.k
-    if not 0 <= start <= len(word) - (k + 1):
-        raise RelationError(f"window [{start}, {start + k + 1}) out of bounds for length {len(word)}")
-    window = word.letters[start : start + k + 1]
-    if not _window_is_palindromic(window, k):
-        raise RelationError(f"letters at [{start}, {start + k + 1}) do not cover a common (k+1)-set once each")
-    return Word(word.params, word.letters[:start] + tuple(reversed(window)) + word.letters[start + k + 1 :])
-
-
-def apply_relation2_at(word: Word, i: int) -> Word:
-    """Swap the far-commuting letters at positions i and i+1.
-
-    Legal only when the two subsets share fewer than k - 1 indices; for
-    n = k + 1 there is no such pair and the move is never legal.
-    """
-    if not 0 <= i <= len(word) - 2:
-        raise RelationError(f"position {i} out of bounds for length {len(word)}")
-    a, b = word.letters[i], word.letters[i + 1]
-    if len(set(a.subset) & set(b.subset)) >= word.params.k - 1:
-        raise RelationError(f"{a} and {b} do not far-commute")
-    return Word(word.params, word.letters[:i] + (b, a) + word.letters[i + 2 :])
-
-
-# --- primitive moves and traces --------------------------------------------
 
 @dataclass(frozen=True)
 class CancelPair:
@@ -335,15 +310,23 @@ def apply_move(word: Word, move: Move) -> Word:
             raise IllegalMoveError(f"insert position {move.pos} out of bounds")
         return Word(word.params, letters[: move.pos] + (move.letter, move.letter) + letters[move.pos :])
     if isinstance(move, ReverseWindow):
-        try:
-            return apply_relation3_at(word, move.pos)
-        except RelationError as exc:
-            raise IllegalMoveError(str(exc)) from exc
+        start, end = move.pos, move.pos + word.params.k + 1
+        if start < 0 or end > len(letters):
+            raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(letters)}")
+        window = letters[start:end]
+        if not _window_is_palindromic(window, word.params.k):
+            raise IllegalMoveError(f"letters at [{start}, {end}) do not cover a common (k+1)-set once each")
+        return Word(word.params, letters[:start] + window[::-1] + letters[end:])
     if isinstance(move, SwapAdjacent):
-        try:
-            return apply_relation2_at(word, move.pos)
-        except RelationError as exc:
-            raise IllegalMoveError(str(exc)) from exc
+        # legal only when the subsets share fewer than k - 1 indices, which
+        # never happens when n = k + 1
+        pos = move.pos
+        if not 0 <= pos <= len(letters) - 2:
+            raise IllegalMoveError(f"position {pos} out of bounds for length {len(letters)}")
+        a, b = letters[pos], letters[pos + 1]
+        if len(set(a.subset) & set(b.subset)) >= word.params.k - 1:
+            raise IllegalMoveError(f"{a} and {b} do not far-commute")
+        return Word(word.params, letters[:pos] + (b, a) + letters[pos + 2 :])
     raise IllegalMoveError(f"unknown move {move!r}")
 
 

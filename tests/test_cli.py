@@ -213,6 +213,13 @@ class TestUntrustedInput:
         assert err == f"projbraid: error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("token", ["b" + "9" * 5000, "a{1,2," + "9" * 5000 + "}"], ids=["b", "subset"])
+    def test_token_beyond_the_int_conversion_limit(self, capsys, token):
+        code, out, err = run(capsys, "solve", token)
+        assert (code, out) == (3, "")
+        assert err.startswith("usage: projbraid")
+        assert "projbraid: error: token 1 (" in err
+
     def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
         # C(18, 9) = 48620 subsets from a file of about 1.5 KB
         frame = [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9 for _ in range(9)]

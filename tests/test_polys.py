@@ -335,6 +335,8 @@ class TestAgainstSympy:
             for r in roots:
                 restored = mul(restored, (-r.numerator, r.denominator))
             assert restored == squarefree
+            # the cofactor is already normal: event times store it as it is
+            assert integer_form(monic(cofactor)) == cofactor
         assert checked >= len(dets) // 2
 
     def test_gcd_matches_monic_sympy_gcd(self, sympy, dets):

@@ -101,10 +101,9 @@ class TestDetection:
         t = event.t
         assert isinstance(t, AlgebraicTime)
         # the determinant is -(t^2 + t - 1); its positive root is 0.6180...
-        assert t.poly == (F(-1), F(1), F(1))
-        assert t.form == (-1, 1, 1)
-        assert t.lo < F(618, 1000) < t.hi or polys.count_roots(t.form, F(61, 100), F(62, 100)) == 1
-        assert polys.evaluate(t.form, t.lo) * polys.evaluate(t.form, t.hi) < 0
+        assert t.poly == (-1, 1, 1)
+        assert t.lo < F(618, 1000) < t.hi or polys.count_roots(t.poly, F(61, 100), F(62, 100)) == 1
+        assert polys.evaluate(t.poly, t.lo) * polys.evaluate(t.poly, t.hi) < 0
 
     def test_events_ordered_within_segment(self):
         p = path((E1, E2, E3, (3, 1, 1)), (E1, E2, E3, (-1, -3, 1)))
@@ -186,7 +185,7 @@ def time_limit(seconds: int):
 
 
 class TestTimeComparison:
-    ROOT_HALF = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(0), F(1))
+    ROOT_HALF = AlgebraicTime((-1, 0, 2), F(0), F(1))
 
     def test_rational_vs_rational(self):
         assert time_eq(F(1, 2), F(2, 4))
@@ -196,7 +195,7 @@ class TestTimeComparison:
 
     def test_equal_irrational_times_compare_as_zero(self):
         # interval refinement alone never separates a root from itself
-        other = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(1, 2), F(9, 10))
+        other = AlgebraicTime((-1, 0, 2), F(1, 2), F(9, 10))
         with time_limit(5):
             assert time_cmp(self.ROOT_HALF, self.ROOT_HALF) == 0
             assert time_cmp(self.ROOT_HALF, other) == 0
@@ -214,16 +213,16 @@ class TestTimeComparison:
         assert time_cmp(self.ROOT_HALF, F(0)) == 1
         assert time_cmp(self.ROOT_HALF, F(1)) == -1
         # the first halving lands on the root, which is rational after all
-        half = AlgebraicTime(polys.poly(F(-1, 4), 0, 1), F(0), F(1))
+        half = AlgebraicTime((-1, 0, 4), F(0), F(1))
         assert time_cmp(half, F(3, 4)) == -1
         assert time_cmp(half, F(1, 4)) == 1
 
     def test_same_root_in_different_intervals(self):
-        other = AlgebraicTime(polys.poly(F(-1, 2), 0, 1), F(1, 2), F(9, 10))
+        other = AlgebraicTime((-1, 0, 2), F(1, 2), F(9, 10))
         assert time_eq(self.ROOT_HALF, other)
 
     def test_distinct_algebraic_roots(self):
-        golden = AlgebraicTime(polys.poly(F(-1), F(1), F(1)), F(0), F(1))
+        golden = AlgebraicTime((-1, 1, 1), F(0), F(1))
         assert not time_eq(golden, self.ROOT_HALF)
         assert time_cmp(golden, self.ROOT_HALF) == -1
         assert time_cmp(self.ROOT_HALF, golden) == 1

@@ -7,17 +7,18 @@ from pathlib import Path
 
 import pytest
 
+from projbraid.invariants import f_image, parity_vector
 from projbraid.solver import (
     EliminationTrace,
     H3_FLAG,
     NotInSubgroupError,
     ParityMismatchError,
     Status,
+    Verdict,
     check_trace,
     eliminate_last,
     equal_k3,
     inner_eliminate,
-    is_in_H,
     solve_k3,
     solve_semi,
 )
@@ -27,6 +28,7 @@ from projbraid.words import (
     bfs_equal_oracle,
     format_word,
     free_reduce,
+    free_reduce_with_trace,
     parse_word,
 )
 
@@ -142,15 +144,17 @@ class TestCheckTrace:
 
 
 class TestMembership:
+    """Membership in the b(k+1)-free subgroup is ``eliminate_last`` succeeding."""
+
     def test_member_carries_rewrite(self):
-        result = is_in_H(w43("b4 b1 b2 b3 b4"))
-        assert result.member
-        assert bword(result.rewritten) == "b3 b2 b1"
+        rewritten, trace = eliminate_last(w43("b4 b1 b2 b3 b4"))
+        assert bword(rewritten) == "b3 b2 b1"
+        assert check_trace(w43("b4 b1 b2 b3 b4"), trace, rewritten)
 
     def test_nonmember_carries_obstruction(self):
-        result = is_in_H(w43("b4"))
-        assert not result.member
-        assert result.obstruction == ((0, 0),)
+        with pytest.raises(NotInSubgroupError) as err:
+            eliminate_last(w43("b4"))
+        assert err.value.obstruction == ((0, 0),)
 
 
 class TestSolveK3:
@@ -212,3 +216,41 @@ class TestSolveSemi:
             full = solve_k3(w43(text))
             if semi.status is not Status.UNKNOWN:
                 assert semi.status is full.status
+
+
+def _reference_solve(word: Word) -> Verdict:
+    """``solve_k3``/``solve_semi`` as they were with an ``f_image`` pass of
+    their own before elimination."""
+    obstruction = f_image(word)
+    if obstruction:
+        return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
+    if word.params.k != 3:
+        parity = parity_vector(word)
+        if any(parity):
+            return Verdict(Status.NONTRIVIAL, parity=parity)
+    eliminated, trace = eliminate_last(word)
+    residue, cancels = free_reduce_with_trace(eliminated)
+    if not residue.letters:
+        return Verdict(Status.TRIVIAL, trace=EliminationTrace(trace.steps + tuple(cancels)))
+    if word.params.k == 3:
+        return Verdict(Status.NONTRIVIAL, residue=residue, assumption_flags=frozenset({H3_FLAG}))
+    return Verdict(Status.UNKNOWN, residue=residue)
+
+
+def _freely_reduced_words(params: GroupParams, max_len: int):
+    letters = [params.b_letter(j) for j in range(1, params.k + 2)]
+    level = [()]
+    for _ in range(max_len + 1):
+        yield from (Word(params, w) for w in level)
+        level = [w + (x,) for w in level for x in letters if not w or w[-1] != x]
+
+
+@pytest.mark.parametrize("params, max_len", [(P43, 7), (P54, 6)], ids=["k3", "k4"])
+def test_verdicts_match_the_f_image_first_reference(params, max_len):
+    solve = solve_k3 if params.k == 3 else solve_semi
+    count = 0
+    for word in _freely_reduced_words(params, max_len):
+        # Verdict equality compares status, every witness, the trace and the flags
+        assert solve(word) == _reference_solve(word), bword(word)
+        count += 1
+    assert count == (4373 if params.k == 3 else 6826)

@@ -1,5 +1,7 @@
 """Words, parsing, primitive moves, relations, and the bounded oracle."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,14 +11,11 @@ from projbraid.words import (
     IllegalMoveError,
     InsertPair,
     Letter,
-    RelationError,
     ReverseWindow,
     SwapAdjacent,
     Word,
     WordSyntaxError,
     apply_move,
-    apply_relation2_at,
-    apply_relation3_at,
     bfs_equal_oracle,
     concat,
     format_word,
@@ -119,6 +118,17 @@ class TestParsing:
         assert err.value.token_index == 2
         assert "b9" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [("b" + "9" * 5000, "b-index must lie in 1..4"), ("a{1,2," + "9" * 5000 + "}", "index out of range 1..4")],
+    )
+    def test_index_beyond_the_int_conversion_limit(self, token, message):
+        # int() refuses strings of more than 4300 digits with its own ValueError
+        with pytest.raises(WordSyntaxError, match=message) as err:
+            parse_word("b1 " + token, P43)
+        assert err.value.token_index == 1
+        assert err.value.token == token
+
     def test_b_tokens_need_square_params(self):
         with pytest.raises(WordSyntaxError):
             parse_word("b1", P52)
@@ -210,32 +220,86 @@ class TestMoves:
 
 
 class TestRelations:
+    """Window reversals and swaps through ``apply_move``, with their messages."""
+
     def test_far_commutation_needs_small_overlap(self):
         w = Word(P52, (Letter((1, 2)), Letter((3, 4))))
-        swapped = apply_relation2_at(w, 0)
+        swapped = apply_move(w, SwapAdjacent(0))
         assert [l.subset for l in swapped.letters] == [(3, 4), (1, 2)]
         overlapping = Word(P52, (Letter((1, 2)), Letter((2, 3))))
-        with pytest.raises(RelationError):
-            apply_relation2_at(overlapping, 0)
+        with pytest.raises(IllegalMoveError, match=r"^a\{1,2\} and a\{2,3\} do not far-commute$"):
+            apply_move(overlapping, SwapAdjacent(0))
+        with pytest.raises(IllegalMoveError, match=r"^position 1 out of bounds for length 2$"):
+            apply_move(w, SwapAdjacent(1))
+        with pytest.raises(IllegalMoveError, match=r"^position -1 out of bounds for length 2$"):
+            apply_move(w, SwapAdjacent(-1))
 
     def test_far_commutation_void_when_square(self):
-        with pytest.raises(RelationError):
-            apply_relation2_at(word(1, 2), 0)
+        with pytest.raises(IllegalMoveError, match=r"^a\{1,2,3\} and a\{1,2,4\} do not far-commute$"):
+            apply_move(word(1, 2), SwapAdjacent(0))
 
     def test_window_reversal_square(self):
         w = word(2, 4, 1, 3)
-        assert apply_relation3_at(w, 0).letters == word(3, 1, 4, 2).letters
+        assert apply_move(w, ReverseWindow(0)).letters == word(3, 1, 4, 2).letters
+        with pytest.raises(IllegalMoveError, match=r"^window \[1, 5\) out of bounds for length 4$"):
+            apply_move(w, ReverseWindow(1))
+        with pytest.raises(IllegalMoveError, match=r"^window \[-1, 3\) out of bounds for length 4$"):
+            apply_move(w, ReverseWindow(-1))
 
     def test_window_reversal_general(self):
         # three letters covering all 2-subsets of {1,2,3}
         w = Word(P52, (Letter((1, 2)), Letter((1, 3)), Letter((2, 3))))
-        out = apply_relation3_at(w, 0)
+        out = apply_move(w, ReverseWindow(0))
         assert [l.subset for l in out.letters] == [(2, 3), (1, 3), (1, 2)]
 
     def test_window_must_cover_a_common_superset(self):
         w = Word(P52, (Letter((1, 2)), Letter((1, 3)), Letter((1, 4))))
-        with pytest.raises(RelationError):
-            apply_relation3_at(w, 0)
+        message = r"^letters at \[0, {}\) do not cover a common \(k\+1\)-set once each$"
+        with pytest.raises(IllegalMoveError, match=message.format(3)):
+            apply_move(w, ReverseWindow(0))
+        with pytest.raises(IllegalMoveError, match=message.format(4)):
+            apply_move(word(1, 2, 1, 3), ReverseWindow(0))
+
+    @pytest.mark.parametrize("params, max_len", [(P43, 5), (P52, 3), (P54, 3)])
+    def test_matches_the_relation_functions(self, params, max_len):
+        # every window and swap position, in bounds or not, on every short word
+        table = params.all_letters()
+        for length in range(max_len + 1):
+            for letters in product(table, repeat=length):
+                w = Word(params, letters)
+                for pos in range(-1, length + 1):
+                    for move, relation in ((ReverseWindow(pos), _relation3), (SwapAdjacent(pos), _relation2)):
+                        try:
+                            expected = relation(w, pos).letters
+                        except ValueError as exc:
+                            expected = str(exc)
+                        try:
+                            got = apply_move(w, move).letters
+                        except IllegalMoveError as exc:
+                            got = str(exc)
+                        assert got == expected, (w, move)
+
+
+def _relation3(word: Word, start: int) -> Word:
+    """The window reversal as a separate function, before ``apply_move`` took it in."""
+    k = word.params.k
+    if not 0 <= start <= len(word) - (k + 1):
+        raise ValueError(f"window [{start}, {start + k + 1}) out of bounds for length {len(word)}")
+    window = word.letters[start : start + k + 1]
+    union = {i for letter in window for i in letter.subset}
+    if len(set(window)) != k + 1 or len(union) != k + 1:
+        raise ValueError(f"letters at [{start}, {start + k + 1}) do not cover a common (k+1)-set once each")
+    return Word(word.params, word.letters[:start] + tuple(reversed(window)) + word.letters[start + k + 1 :])
+
+
+def _relation2(word: Word, i: int) -> Word:
+    """The far-commutation swap as a separate function, before ``apply_move`` took it in."""
+    if not 0 <= i <= len(word) - 2:
+        raise ValueError(f"position {i} out of bounds for length {len(word)}")
+    a, b = word.letters[i], word.letters[i + 1]
+    if len(set(a.subset) & set(b.subset)) >= word.params.k - 1:
+        raise ValueError(f"{a} and {b} do not far-commute")
+    return Word(word.params, word.letters[:i] + (b, a) + word.letters[i + 2 :])
 
 
 class TestOracle:
