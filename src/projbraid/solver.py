@@ -23,6 +23,7 @@ from .invariants import (
     IndexString,
     ObstructionWord,
     ParityVector,
+    f_image,
     format_obstruction,
     free_product_reduce,
     last_alias_occurrences,
@@ -270,13 +271,14 @@ def solve_semi(word: Word) -> Verdict:
     assumed for k >= 4).
     """
     word.params.require_square()
-    verdict = _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
-    if verdict.status is Status.UNKNOWN:
-        # the parity vector is a group invariant, zero on every trivial word
-        parity = parity_vector(word)
-        if any(parity):
-            return Verdict(Status.NONTRIVIAL, parity=parity)
-    return verdict
+    parity = parity_vector(word)
+    if any(parity):
+        # an odd word needs no elimination; its obstruction still comes first
+        obstruction = f_image(word)
+        if obstruction:
+            return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
+        return Verdict(Status.NONTRIVIAL, parity=parity)
+    return _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
 
 
 def _eliminate_and_reduce(word: Word, residue_status: Status, flags: frozenset[str]) -> Verdict:

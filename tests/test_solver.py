@@ -26,9 +26,11 @@ from projbraid.words import (
     GroupParams,
     Word,
     bfs_equal_oracle,
+    concat,
     format_word,
     free_reduce,
     free_reduce_with_trace,
+    inverse,
     parse_word,
 )
 
@@ -209,6 +211,19 @@ class TestSolveSemi:
         assert verdict.status is Status.NONTRIVIAL
         assert verdict.parity is not None
         assert any(verdict.parity)
+
+    def test_odd_words_skip_elimination(self, monkeypatch):
+        import projbraid.solver as solver
+
+        def no_elimination(word):
+            raise AssertionError("odd word was eliminated")
+
+        monkeypatch.setattr(solver, "eliminate_last", no_elimination)
+        long = w54(" ".join(["b5 b1 b2 b3 b4"] * 200))
+        assert solve_semi(w54("b5")).obstruction
+        short = w54("b5 b1 b2 b3 b4 b5 b1")
+        assert solve_semi(short).parity == parity_vector(short)
+        assert solve_semi(concat(long, w54("b1"), inverse(long))).parity == parity_vector(w54("b1"))
 
     def test_k3_agrees_with_solve_k3(self):
         for text in ("b4 b4", "b4 b1 b4", "b1 b2 b3 b4 b1 b2 b3 b4"):
