@@ -10,10 +10,13 @@ pipeline can always distinguish "decided" from "could not run".
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 from . import selftest as selftest_mod
 from .invariants import (
@@ -36,13 +39,13 @@ from .realization import (
     load_path_file,
     path_from_word,
     save_path_file,
-    word_from_path,
 )
 from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, solve_k3, solve_semi
 from .words import (
     CancelPair,
     GroupParams,
     InsertPair,
+    Letter,
     ReverseWindow,
     SwapAdjacent,
     Word,
@@ -234,8 +237,20 @@ def _cmd_in_tilde(args, word: Word) -> tuple[int, Record]:
     return (0 if inside else 1), [("member", inside, "yes" if inside else "no")]
 
 
+def _check_output(file: str) -> None:
+    """Raise, before any work, the error that writing ``file`` would raise
+    when it is a directory or its directory is missing or not a directory;
+    create nothing."""
+    target = Path(file)
+    if target.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+    if not target.parent.is_dir():
+        target.stat()   # fails, naming the file, as opening it would
+
+
 def _cmd_realize(args, word: Word) -> tuple[int, Record]:
     start = _signs_or_reference(args, word.params)
+    _check_output(args.out)
     path = path_from_word(word, start)
     save_path_file(path, args.out, base_sign=start)
     end = format_sign_string(sign_action(word, start))
@@ -258,7 +273,7 @@ def _cmd_certify(args) -> tuple[int, Record]:
     except PathError as exc:
         name = type(exc).__name__
         return 1, [("error", name, f"certification failed: {name}: {exc}"), ("message", str(exc), None)]
-    word = _word_text(word_from_path(path))
+    word = _word_text(Word(path.params, tuple(Letter(e.subset) for e in events)))
     docs = [{"segment": e.segment, "subset": list(e.subset), "t": _time_doc(e.t)} for e in events]
     lines = [f"events: {len(events)}"]
     for event in events:

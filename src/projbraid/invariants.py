@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GroupParams, Word, free_cancel
+from .words import GroupParams, Word, _letter_table, free_cancel
 
 IndexString = tuple[int, ...]     # k-1 bits naming a free-product generator
 ObstructionWord = tuple[IndexString, ...]
@@ -74,16 +74,17 @@ def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:
     params = word.params
     params.require_square()
     k = params.k
-    last = params.b_letter(k + 1)
+    codes = _letter_table(params).codes     # code j - 1 is bj, so b(k+1) is k
     counts = [0] * k
     positions: list[int] = []
     indices: list[IndexString] = []
     for pos, letter in enumerate(word.letters):
-        if letter == last:
+        code = codes[letter]
+        if code == k:
             positions.append(pos)
             indices.append(_normalize_index(counts, k))
         else:
-            counts[letter.b_index(params) - 1] ^= 1
+            counts[code] ^= 1
     return positions, indices
 
 
@@ -106,12 +107,10 @@ def f_image(word: Word) -> ObstructionWord:
 
 def parity_vector(word: Word) -> ParityVector:
     """Letter counts mod 2, ordered by alias index (length k+1 when n = k+1)."""
-    params = word.params
-    table = params.all_letters()
-    index = {letter: i for i, letter in enumerate(table)}
-    counts = [0] * len(table)
+    codes = _letter_table(word.params).codes
+    counts = [0] * len(codes)
     for letter in word.letters:
-        counts[index[letter]] ^= 1
+        counts[codes[letter]] ^= 1
     return tuple(counts)
 
 

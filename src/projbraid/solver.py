@@ -16,7 +16,7 @@ verdict that uses it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .invariants import (
@@ -34,11 +34,10 @@ from .words import (
     GroupParams,
     IllegalMoveError,
     InsertPair,
-    Letter,
     Move,
     ReverseWindow,
     Word,
-    apply_move,
+    _Tape,
     concat,
     free_cancel,
     free_reduce,
@@ -104,13 +103,13 @@ def check_trace(input_word: Word, trace: EliminationTrace, output_word: Word) ->
     Every step is validated; an illegal step raises ``IllegalMoveError`` with
     its index.  A legal trace with the wrong endpoint returns False.
     """
-    current = input_word
+    tape = _Tape(input_word)
     for step_index, move in enumerate(trace):
         try:
-            current = apply_move(current, move)
+            tape.apply(move)
         except IllegalMoveError as exc:
             raise IllegalMoveError(f"{exc.args[0]}", step=step_index) from exc
-    return current.letters == output_word.letters
+    return tape.word().letters == output_word.letters
 
 
 def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
@@ -119,6 +118,20 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     Input: a block with no ``b(k+1)`` whose alias counts all share one
     parity.  Output: a word V over ``b1 .. bk`` equal in the group to
     b(k+1) . block . b(k+1), plus a trace transforming that word into V.
+    """
+    params = block.params
+    params.require_square()
+    last = Word(params, (params.b_letter(params.k + 1),))
+    tape = _Tape(concat(last, block, last))
+    moves: list[Move] = []
+    _eliminate_block(tape, 0, len(tape.cells) - 1, moves)
+    return tape.word(), EliminationTrace(tuple(moves))
+
+
+def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) -> None:
+    """Rewrite the ``b(k+1)`` cells ``first`` and ``second`` of ``tape`` and
+    the block between them into a word over ``b1 .. bk``, in place, and
+    append every move, at its position on the tape, to ``moves``.
 
     Each round frees the leftmost repeated alias: with the block starting
     b_{i_1} .. b_{i_{p-1}} b_{i_p} and i_p = i_q the first repeat, two
@@ -127,58 +140,44 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     second, Q b(k+1) reverse(P) b_{i_p} with Q the prefix aliases other than
     b_{i_q}, drags it back past the repeat.  The distance between the two
     b(k+1) occurrences drops by exactly two per round, which bounds the loop.
+
+    The block is freely reduced once, left to right.  A round then leaves it
+    as reverse(Q), whose letters are distinct, followed by the rest of the
+    reduced block, so the left-to-right reduction of the new block cancels
+    only pairs across that junction.  With the repeat among the first k+1
+    letters, a round costs O(k) checks whatever the length of the block.
     """
-    params = block.params
-    params.require_square()
-    k = params.k
-    last = params.b_letter(k + 1)
-    if any(letter == last for letter in block.letters):
+    k = tape.k
+    last = k                  # the code of b(k+1); code j - 1 is bj
+    cells, letters = tape.cells, tape.letters
+    block = cells[first + 1 : second]
+    if last in block:
         raise ValueError("block must not contain the last alias")
-    counts = [0] * k
-    for letter in block.letters:
-        counts[letter.b_index(params) - 1] += 1
+    counts = [block.count(code) for code in range(k)]
     if len({c % 2 for c in counts}) > 1:
         raise ParityMismatchError(f"alias counts {counts} are not of equal parity")
 
-    word = concat(Word(params, (last,)), block, Word(params, (last,)))
-    moves: list[Move] = []
-
     def play(move: Move) -> None:
-        nonlocal word
         moves.append(move)
-        word = apply_move(word, move)
+        tape.apply(move)
 
-    first = 0          # position of the left b(k+1)
-    second = len(word) - 1
+    for pos, code in free_cancel(block)[1]:
+        play(CancelPair(first + 1 + pos, letters[code]))
+        second -= 2
 
-    while True:
-        # keep the enclosed block freely reduced
-        inner, cancels = free_cancel(word.letters[first + 1 : second])
-        for pos, letter in cancels:
-            play(CancelPair(first + 1 + pos, letter))
-        second -= 2 * len(cancels)
-
-        if not inner:
-            play(CancelPair(first, last))
-            break
-
-        indices = [letter.b_index(params) for letter in inner]
-        repeat = next((p for p in range(len(indices)) if indices[p] in indices[:p]), None)
+    while second > first + 1:
+        head = cells[first + 1 : min(second, first + k + 2)]
+        repeat = next((p for p in range(len(head)) if head[p] in head[:p]), None)
 
         if repeat is None:
             # the block is a once-each arrangement of b1..bk: one window
             play(ReverseWindow(first))
-            play(CancelPair(first + k, last))
+            first += k
             break
 
-        p = repeat + 1            # 1-based position of the first repeated alias
-        prefix = indices[: p - 1]
-        i_p = indices[p - 1]
-        missing = [j for j in range(1, k + 1) if j not in prefix]
-        p_letters = [params.b_letter(j) for j in missing]
-        q_letters = [params.b_letter(j) for j in sorted(set(prefix) - {i_p})]
-        r = len(p_letters)
-
+        prefix, repeated = head[:repeat], head[repeat]
+        p_codes = [code for code in range(k) if code not in prefix]
+        q_codes = sorted(set(prefix) - {repeated})
         distance_before = second - first
 
         # window 1 is P b(k+1) b_{i_1} .. b_{i_{p-1}}, window 2 is
@@ -186,9 +185,9 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
         # mirrored in front of b(k+1), one pair at a time from the inside
         # out; reversing the window then moves b(k+1) past its tail, the
         # letters that followed b(k+1) in the window.
-        for mirrored, tail in ((p_letters, p - 1), (q_letters, r + 1)):
-            for j, letter in enumerate(reversed(mirrored)):
-                play(InsertPair(first + j, letter))
+        for mirrored, tail in ((p_codes, repeat), (q_codes, len(p_codes) + 1)):
+            for j, code in enumerate(reversed(mirrored)):
+                play(InsertPair(first + j, letters[code]))
             play(ReverseWindow(first + len(mirrored)))
             first += len(mirrored) + tail
             second += 2 * len(mirrored)
@@ -196,7 +195,13 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
         if second - first != distance_before - 2:
             raise AssertionError("window surgery must shorten the gap by 2")
 
-    return word, EliminationTrace(tuple(moves))
+        junction = first + 1 + len(q_codes)     # the first cell after reverse(Q)
+        while first + 1 < junction < second and cells[junction - 1] == cells[junction]:
+            junction -= 1
+            play(CancelPair(junction, letters[cells[junction]]))
+            second -= 2
+
+    play(CancelPair(first, letters[last]))
 
 
 def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
@@ -204,13 +209,13 @@ def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
 
     Reads the word once, left to right, keeping a stack of the ``b(k+1)``
     occurrences not yet matched.  An occurrence whose index string equals
-    the one on top of the stack closes a pair: ``inner_eliminate`` replaces
-    the two occurrences and the letters between them.  This is the free
-    reduction of the unreduced obstruction word, so the stack empties
-    exactly when the image is trivial, and each pair removed is the
-    leftmost adjacent equal-index pair of the word at that moment.  The
-    result is equal in the group, and the trace replays under
-    ``check_trace``.
+    the one on top of the stack closes a pair: the two occurrences and the
+    letters between them are rewritten in place, as ``inner_eliminate``
+    rewrites a block.  This is the free reduction of the unreduced
+    obstruction word, so the stack empties exactly when the image is
+    trivial, and each pair removed is the leftmost adjacent equal-index pair
+    of the word at that moment.  The result is equal in the group, and the
+    trace replays under ``check_trace``.
 
     The index strings come from one prefix-parity pass, which also yields
     the obstruction.  They are never recomputed: the parity vector is
@@ -218,30 +223,25 @@ def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
     b(k+1) . block . b(k+1), so removing a matched pair leaves the index of
     every other occurrence unchanged.
     """
-    params = word.params
     positions, indices = last_alias_occurrences(word)
     obstruction = free_product_reduce(tuple(indices))
     if obstruction:
         raise NotInSubgroupError(obstruction)
+    tape = _Tape(word)
     moves: list[Move] = []
-    letters: list[Letter] = []      # the rewritten word up to the current occurrence
-    unmatched: list[tuple[int, IndexString]] = []   # (position in letters, index)
-    done = 0
+    unmatched: list[tuple[int, IndexString]] = []   # (position on the tape, index)
+    shift = 0       # tape position minus word position, right of every rewrite so far
     for pos, index in zip(positions, indices):
-        letters.extend(word.letters[done:pos])
-        done = pos + 1
         if unmatched and unmatched[-1][1] == index:
             left, _ = unmatched.pop()
-            replacement, trace = inner_eliminate(Word(params, tuple(letters[left + 1 :])))
-            moves.extend(replace(move, pos=move.pos + left) for move in trace)
-            letters[left:] = replacement.letters
+            length = len(tape.cells)
+            _eliminate_block(tape, left, pos + shift, moves)
+            shift += len(tape.cells) - length
         else:
-            unmatched.append((len(letters), index))
-            letters.append(word.letters[pos])
+            unmatched.append((pos + shift, index))
     if unmatched:
         raise AssertionError("an adjacent equal-index pair must exist when the image is empty")
-    letters.extend(word.letters[done:])
-    return Word(params, tuple(letters)), EliminationTrace(tuple(moves))
+    return tape.word(), EliminationTrace(tuple(moves))
 
 
 def solve_k3(word: Word) -> Verdict:

@@ -20,9 +20,10 @@ import re
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import TypeVar
+from typing import NamedTuple, TypeVar
 
 T = TypeVar("T")
 
@@ -34,7 +35,9 @@ class WordSyntaxError(ValueError):
         self.token_index = token_index
         self.token = token
         if token_index is not None:
-            message = f"token {token_index + 1} ({token!r}): {message}"
+            # a token of any length may arrive; the message shows its start
+            shown = repr(token) if len(token) <= 32 else f"{token[:32]!r}..."
+            message = f"token {token_index + 1} ({shown}): {message}"
         super().__init__(message)
 
 
@@ -61,20 +64,20 @@ class GroupParams:
             raise ValueError(f"operation requires n = k + 1, got n={self.n}, k={self.k}")
 
     def all_letters(self) -> tuple[Letter, ...]:
-        return tuple(Letter(s) for s in combinations(range(1, self.n + 1), self.k))
+        return _letter_table(self).letters
 
     def b_letter(self, j: int) -> Letter:
         """The j-th aliased generator (1-based), defined only when n = k + 1."""
         self.require_square()
         if not 1 <= j <= self.k + 1:
             raise ValueError(f"b-index out of range: {j}")
-        omitted = self.k + 2 - j
-        return Letter(tuple(i for i in range(1, self.n + 1) if i != omitted))
+        return _letter_table(self).letters[j - 1]
 
 
-# Largest C(n, k) accepted from a command line or a path file.  The oracle's
-# letter table, the general-position check and event detection enumerate
-# every k-subset, and the oracle alone takes about 1 s at C(n, k) = 924.
+# Largest C(n, k) accepted from a command line or a path file, and the
+# largest group whose letter table is built.  The letter table, the
+# general-position check and event detection enumerate every k-subset, and
+# the oracle alone takes about 1 s at C(n, k) = 924.
 MAX_SUBSETS = 1000
 
 
@@ -146,6 +149,24 @@ class Word:
         return format_word(self)
 
 
+class _LetterTable(NamedTuple):
+    """Every letter of a group in ``all_letters`` order, the code of each
+    letter (its position in that order), and, when n = k + 1, the letter
+    of each token ``bj``: code j - 1 is ``bj``."""
+
+    letters: tuple[Letter, ...]
+    codes: dict[Letter, int]
+    aliases: dict[str, Letter]
+
+
+@lru_cache(maxsize=64)
+def _letter_table(params: GroupParams) -> _LetterTable:
+    check_subset_count(params)
+    letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
+    aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
+    return _LetterTable(letters, {letter: code for code, letter in enumerate(letters)}, aliases)
+
+
 _B_TOKEN = re.compile(r"b(\d+)\Z")
 _A_TOKEN = re.compile(r"a\{(\d+(?:,\d+)*)\}\Z")
 
@@ -157,7 +178,13 @@ def parse_word(text: str, params: GroupParams) -> Word:
     spaces inside the braces.  The empty string denotes the empty word.
     """
     letters: list[Letter] = []
+    # only b-tokens need the table, and only a square group has them
+    aliases = _letter_table(params).aliases if params.is_square else {}
     for index, token in enumerate(text.split()):
+        letter = aliases.get(token)
+        if letter is not None:
+            letters.append(letter)
+            continue
         m = _B_TOKEN.match(token)
         if m:
             if not params.is_square:
@@ -240,17 +267,6 @@ def concat(*words: Word) -> Word:
 
 # --- primitive moves and traces --------------------------------------------
 
-def _window_is_palindromic(letters: tuple[Letter, ...], k: int) -> bool:
-    """A window of k+1 distinct letters qualifies when its subsets are exactly
-    the k-subsets of a single (k+1)-set, i.e. their union has k+1 elements."""
-    if len(set(letters)) != k + 1:
-        return False
-    union: set[int] = set()
-    for letter in letters:
-        union.update(letter.subset)
-    return len(union) == k + 1
-
-
 @dataclass(frozen=True)
 class CancelPair:
     """Delete the equal adjacent letters at positions pos, pos+1."""
@@ -294,40 +310,85 @@ class IllegalMoveError(ValueError):
         super().__init__(message)
 
 
+class _Tape:
+    """A word as a mutable list of letter codes, rewritten in place by moves.
+
+    ``apply`` decides whether a move is legal from the cells it touches
+    alone: a cancel or an insert costs O(1) checks and one list splice, a
+    window O(k) checks.
+    """
+
+    def __init__(self, word: Word):
+        self.params = word.params
+        self.k = word.params.k
+        table = _letter_table(word.params)
+        self.letters, self.codes = table.letters, table.codes
+        self.cells = [self.codes[letter] for letter in word.letters]
+
+    def word(self) -> Word:
+        return Word(self.params, tuple(self.letters[code] for code in self.cells))
+
+    def apply(self, move: Move) -> None:
+        """Apply one primitive move, raising ``IllegalMoveError`` when it is illegal here."""
+        cells = self.cells
+        if isinstance(move, CancelPair):
+            pos = move.pos
+            if not 0 <= pos <= len(cells) - 2:
+                raise IllegalMoveError(f"cancel position {pos} out of bounds")
+            if cells[pos] != cells[pos + 1]:
+                raise IllegalMoveError(f"letters at {pos}, {pos + 1} differ")
+            letter = self.letters[cells[pos]]
+            if letter != move.letter:
+                raise IllegalMoveError(f"recorded letter {move.letter} does not match {letter}")
+            del cells[pos : pos + 2]
+        elif isinstance(move, InsertPair):
+            pos = move.pos
+            if not 0 <= pos <= len(cells):
+                raise IllegalMoveError(f"insert position {pos} out of bounds")
+            code = self.codes.get(move.letter)
+            if code is None:
+                Word(self.params, (move.letter,))  # raises on a letter of another group
+                raise ValueError(f"letter {move.letter} is not a letter of the group")
+            cells[pos:pos] = (code, code)
+        elif isinstance(move, ReverseWindow):
+            start, end = move.pos, move.pos + self.k + 1
+            if start < 0 or end > len(cells):
+                raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(cells)}")
+            window = cells[start:end]
+            if not self._is_window(window):
+                raise IllegalMoveError(
+                    f"letters at [{start}, {end}) do not cover a common (k+1)-set once each"
+                )
+            cells[start:end] = window[::-1]
+        elif isinstance(move, SwapAdjacent):
+            # legal only when the subsets share fewer than k - 1 indices, which
+            # never happens when n = k + 1
+            pos = move.pos
+            if not 0 <= pos <= len(cells) - 2:
+                raise IllegalMoveError(f"position {pos} out of bounds for length {len(cells)}")
+            a, b = self.letters[cells[pos]], self.letters[cells[pos + 1]]
+            if len(set(a.subset) & set(b.subset)) >= self.k - 1:
+                raise IllegalMoveError(f"{a} and {b} do not far-commute")
+            cells[pos], cells[pos + 1] = cells[pos + 1], cells[pos]
+        else:
+            raise IllegalMoveError(f"unknown move {move!r}")
+
+    def _is_window(self, window: list[int]) -> bool:
+        """k+1 distinct letters qualify when their subsets are exactly the
+        k-subsets of a single (k+1)-set, i.e. their union has k+1 elements;
+        when n = k + 1 every union does."""
+        if len(set(window)) != self.k + 1:
+            return False
+        if self.params.is_square:
+            return True
+        return len(set().union(*(self.letters[code].subset for code in window))) == self.k + 1
+
+
 def apply_move(word: Word, move: Move) -> Word:
     """Apply a single primitive move, validating its legality."""
-    letters = word.letters
-    if isinstance(move, CancelPair):
-        if not 0 <= move.pos <= len(letters) - 2:
-            raise IllegalMoveError(f"cancel position {move.pos} out of bounds")
-        if letters[move.pos] != letters[move.pos + 1]:
-            raise IllegalMoveError(f"letters at {move.pos}, {move.pos + 1} differ")
-        if letters[move.pos] != move.letter:
-            raise IllegalMoveError(f"recorded letter {move.letter} does not match {letters[move.pos]}")
-        return Word(word.params, letters[: move.pos] + letters[move.pos + 2 :])
-    if isinstance(move, InsertPair):
-        if not 0 <= move.pos <= len(letters):
-            raise IllegalMoveError(f"insert position {move.pos} out of bounds")
-        return Word(word.params, letters[: move.pos] + (move.letter, move.letter) + letters[move.pos :])
-    if isinstance(move, ReverseWindow):
-        start, end = move.pos, move.pos + word.params.k + 1
-        if start < 0 or end > len(letters):
-            raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(letters)}")
-        window = letters[start:end]
-        if not _window_is_palindromic(window, word.params.k):
-            raise IllegalMoveError(f"letters at [{start}, {end}) do not cover a common (k+1)-set once each")
-        return Word(word.params, letters[:start] + window[::-1] + letters[end:])
-    if isinstance(move, SwapAdjacent):
-        # legal only when the subsets share fewer than k - 1 indices, which
-        # never happens when n = k + 1
-        pos = move.pos
-        if not 0 <= pos <= len(letters) - 2:
-            raise IllegalMoveError(f"position {pos} out of bounds for length {len(letters)}")
-        a, b = letters[pos], letters[pos + 1]
-        if len(set(a.subset) & set(b.subset)) >= word.params.k - 1:
-            raise IllegalMoveError(f"{a} and {b} do not far-commute")
-        return Word(word.params, letters[:pos] + (b, a) + letters[pos + 2 :])
-    raise IllegalMoveError(f"unknown move {move!r}")
+    tape = _Tape(word)
+    tape.apply(move)
+    return tape.word()
 
 
 def invert_move(move: Move) -> Move:
@@ -375,8 +436,8 @@ class _Searcher:
         self.k = params.k
         self.max_len = max_len
         self.max_states = max_states
-        self.table = params.all_letters()
-        self.ids = {letter: i for i, letter in enumerate(self.table)}
+        table = _letter_table(params)
+        self.table, self.ids = table.letters, table.codes
         self.square = params.is_square
         if not self.square:
             n_ids = len(self.table)

@@ -148,6 +148,23 @@ class TestRealizeCertify:
         assert code == 1
         assert out.startswith("certification failed: DegenerateKeyframe")
 
+    def test_certify_detects_events_once(self, tmp_path, capsys, monkeypatch):
+        from projbraid import cli, realization
+
+        file = str(tmp_path / "p.json")
+        assert run(capsys, "--k", "4", "realize", "b5 b1 b2", file)[0] == 0
+        calls, detect_events = [], realization.detect_events
+
+        def counted(path):
+            calls.append(path)
+            return detect_events(path)
+
+        monkeypatch.setattr(realization, "detect_events", counted)
+        monkeypatch.setattr(cli, "detect_events", counted)
+        code, out, _ = run(capsys, "certify", file)
+        assert (code, out.splitlines()[0]) == (0, "word: b5 b1 b2")
+        assert len(calls) == 1
+
     def test_certify_missing_file(self, capsys):
         code, _, err = run(capsys, "certify", "/does/not/exist.json")
         assert code == 3
@@ -219,6 +236,26 @@ class TestUntrustedInput:
         assert (code, out) == (3, "")
         assert err.startswith("usage: projbraid")
         assert "projbraid: error: token 1 (" in err
+        assert max(len(line) for line in err.splitlines()) < 200
+        assert f"({token[:32]!r}...)" in err
+
+    def test_realize_checks_the_output_before_realizing(self, tmp_path, monkeypatch, capsys):
+        from projbraid import cli
+
+        def fail(*args):
+            raise AssertionError("path_from_word ran before the output was checked")
+
+        monkeypatch.setattr(cli, "path_from_word", fail)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "file").write_text("")
+        for out, message in [
+            ("missing/dir/x.json", "no such file: missing/dir/x.json"),
+            (".", "Is a directory: ."),
+            ("file/x.json", "Not a directory: file/x.json"),
+        ]:
+            code, stdout, err = run(capsys, "--k", "6", "realize", "b1 b7 b2 b7", out)
+            assert (code, stdout, err) == (3, "", f"projbraid: error: {message}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
     def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
         # C(18, 9) = 48620 subsets from a file of about 1.5 KB

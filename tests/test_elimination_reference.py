@@ -18,7 +18,7 @@ import pytest
 
 from projbraid.invariants import occurrence_index
 from projbraid.solver import EliminationTrace, check_trace, eliminate_last, inner_eliminate
-from projbraid.words import GroupParams, Word
+from projbraid.words import CancelPair, GroupParams, InsertPair, ReverseWindow, Word
 
 P43 = GroupParams(4, 3)
 P54 = GroupParams(5, 4)
@@ -143,3 +143,71 @@ def test_scan_agrees_with_occurrence_index():
     for word in empty_image_words(P43, 6)[::7] + long_words()[:4]:
         positions = [i for i, letter in enumerate(word.letters) if letter == P43.b_letter(4)]
         assert scan_indices(word) == [occurrence_index(word, p) for p in positions]
+
+
+def reference_block_moves(block: list[int], k: int) -> tuple[list[int], list]:
+    """The rounds of the replaced ``inner_eliminate`` on b(k+1) . block . b(k+1),
+    played on a plain list of b-indices: every round reduces the whole
+    enclosed block freely again and rescans it for the leftmost repeat.
+    Returns the rewritten b-indices and the moves."""
+    params = GroupParams(k + 1, k)
+    word = [k + 1] + list(block) + [k + 1]
+    moves = []
+
+    def cancel(pos):
+        moves.append(CancelPair(pos, params.b_letter(word[pos])))
+        del word[pos : pos + 2]
+
+    def insert(pos, j):
+        moves.append(InsertPair(pos, params.b_letter(j)))
+        word[pos:pos] = [j, j]
+
+    def reverse(pos):
+        moves.append(ReverseWindow(pos))
+        word[pos : pos + k + 1] = word[pos : pos + k + 1][::-1]
+
+    first, second = 0, len(word) - 1
+    while True:
+        stack = []
+        for j in word[first + 1 : second]:
+            if stack and stack[-1] == j:
+                stack.pop()
+                cancel(first + 1 + len(stack))
+                second -= 2
+            else:
+                stack.append(j)
+        if not stack:
+            cancel(first)
+            return word, moves
+        repeat = next((p for p in range(len(stack)) if stack[p] in stack[:p]), None)
+        if repeat is None:
+            reverse(first)
+            cancel(first + k)
+            return word, moves
+        prefix, repeated = stack[:repeat], stack[repeat]
+        missing = [j for j in range(1, k + 1) if j not in prefix]
+        others = sorted(set(prefix) - {repeated})
+        for mirrored, tail in ((missing, repeat), (others, len(missing) + 1)):
+            for i, j in enumerate(reversed(mirrored)):
+                insert(first + i, j)
+            reverse(first + len(mirrored))
+            first += len(mirrored) + tail
+            second += 2 * len(mirrored)
+
+
+def test_long_block_matches_the_full_rescan():
+    # a freely reduced block of 256 letters whose alias counts share one parity
+    rng = random.Random(256)
+    while True:
+        block = [rng.randint(1, 3)]
+        while len(block) < 256:
+            block.append(rng.choice([j for j in (1, 2, 3) if j != block[-1]]))
+        if len({block.count(j) % 2 for j in (1, 2, 3)}) == 1:
+            break
+    word = Word(P43, tuple(P43.b_letter(j) for j in [4] + block + [4]))
+    expected_word, expected_moves = reference_block_moves(block, 3)
+    rewritten, trace = eliminate_last(word)
+    assert [letter.b_index(P43) for letter in rewritten.letters] == expected_word
+    assert list(trace.steps) == expected_moves
+    assert len(trace) > 256
+    assert check_trace(word, trace, rewritten)
