@@ -70,6 +70,19 @@ RUNS = {
     "oracle-insert": ["oracle", "--trace", "b4 b1 b2 b1 b2 b4", "b3 b2 b1 b2 b1 b3"],
     "oracle-cancel": ["oracle", "--trace", "b1 b1 b2 b3 b4 b4", "b2 b3 b2 b2"],
     "oracle-unknown": ["oracle", "b1 b2", "b2 b1"],
+    # outside the square case: a window needs its letters to cover one
+    # (k+1)-set, an insertion feeds a window, a swap makes a window appear,
+    # and an Unknown whose state count every kind of edge feeds
+    "oracle-window-k2": [
+        "--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{1,3} a{2,3}", "a{2,3} a{1,3} a{1,2}",
+    ],
+    "oracle-insert-k2": [
+        "--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{1,3}", "a{2,3} a{1,3} a{1,2} a{2,3}",
+    ],
+    "oracle-swap-window-k2": [
+        "--k", "2", "--n", "5", "oracle", "--trace", "a{1,2} a{1,3} a{4,5} a{2,3}", "a{2,3} a{1,3} a{1,2} a{4,5}",
+    ],
+    "oracle-unknown-k2": ["--k", "2", "--n", "5", "oracle", "a{1,2} a{3,4} a{1,3}", "a{1,3} a{3,4} a{1,2}"],
     # realization and certification
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
