@@ -123,20 +123,14 @@ def _fraction_text(value: Fraction) -> str:
     return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
 
 
-def _time_text(t) -> str:
-    if isinstance(t, AlgebraicTime):
-        coeffs = ", ".join(_fraction_text(c) for c in monic(t.poly))
-        return f"root of [{coeffs}] in ({_fraction_text(t.lo)}, {_fraction_text(t.hi)})"
-    return _fraction_text(t)
-
-
-def _time_doc(t):
-    if isinstance(t, AlgebraicTime):
-        return {
-            "poly": [_fraction_text(c) for c in monic(t.poly)],
-            "interval": [_fraction_text(t.lo), _fraction_text(t.hi)],
-        }
-    return _fraction_text(t)
+def _time_entry(t) -> tuple:
+    """An event time as (document, text): a fraction, or the monic
+    polynomial of an algebraic time with its isolating interval."""
+    if not isinstance(t, AlgebraicTime):
+        return _fraction_text(t), _fraction_text(t)
+    poly = [_fraction_text(c) for c in monic(t.poly)]
+    lo, hi = _fraction_text(t.lo), _fraction_text(t.hi)
+    return {"poly": poly, "interval": [lo, hi]}, f"root of [{', '.join(poly)}] in ({lo}, {hi})"
 
 
 # verdict status -> (exit code, name)
@@ -274,11 +268,12 @@ def _cmd_certify(args) -> tuple[int, Record]:
         name = type(exc).__name__
         return 1, [("error", name, f"certification failed: {name}: {exc}"), ("message", str(exc), None)]
     word = _word_text(Word(path.params, tuple(Letter(e.subset) for e in events)))
-    docs = [{"segment": e.segment, "subset": list(e.subset), "t": _time_doc(e.t)} for e in events]
-    lines = [f"events: {len(events)}"]
+    docs, lines = [], [f"events: {len(events)}"]
     for event in events:
+        t_doc, t_text = _time_entry(event.t)
+        docs.append({"segment": event.segment, "subset": list(event.subset), "t": t_doc})
         subset = "{" + ",".join(str(i) for i in event.subset) + "}"
-        lines.append(f"  segment {event.segment} subset {subset} t = {_time_text(event.t)}")
+        lines.append(f"  segment {event.segment} subset {subset} t = {t_text}")
     return 0, [("word", word, f"word: {word}"), ("events", docs, _lines(lines))]
 
 

@@ -76,8 +76,9 @@ class GroupParams:
 
 # Largest C(n, k) accepted from a command line or a path file, and the
 # largest group whose letter table is built.  The letter table, the
-# general-position check and event detection enumerate every k-subset, and
-# the oracle alone takes about 1 s at C(n, k) = 924.
+# general-position check and event detection enumerate every k-subset; at
+# C(45, 2) = 990 the oracle takes 0.05 s to build its move rules (once per
+# group) and 6 ms to expand a state of six letters.
 MAX_SUBSETS = 1000
 
 
@@ -165,6 +166,27 @@ def _letter_table(params: GroupParams) -> _LetterTable:
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
     aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
     return _LetterTable(letters, {letter: code for code, letter in enumerate(letters)}, aliases)
+
+
+@lru_cache(maxsize=64)
+def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...]]:
+    """The move rules of a group on letter codes, read by the tape and the oracle.
+
+    Returns ``(windows, near)``: each palindrome window as the frozenset of the
+    codes of its k+1 letters, the k-subsets of one (k+1)-set, and in bit b of
+    ``near[a]`` whether letters a and b share k - 1 or k indices, i.e. are
+    equal or lie in a common window.  They far-commute exactly when it is clear.
+    """
+    codes = {letter.subset: code for letter, code in _letter_table(params).codes.items()}
+    windows = []
+    near = [0] * len(codes)
+    for union in combinations(range(1, params.n + 1), params.k + 1):
+        window = [codes[subset] for subset in combinations(union, params.k)]
+        bits = sum(1 << code for code in window)
+        for code in window:
+            near[code] |= bits
+        windows.append(frozenset(window))
+    return frozenset(windows), tuple(near)
 
 
 _B_TOKEN = re.compile(r"b(\d+)\Z")
@@ -323,6 +345,7 @@ class _Tape:
         self.k = word.params.k
         table = _letter_table(word.params)
         self.letters, self.codes = table.letters, table.codes
+        self.windows, self.near = _relations(word.params)
         self.cells = [self.codes[letter] for letter in word.letters]
 
     def word(self) -> Word:
@@ -355,33 +378,21 @@ class _Tape:
             if start < 0 or end > len(cells):
                 raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(cells)}")
             window = cells[start:end]
-            if not self._is_window(window):
+            if frozenset(window) not in self.windows:
                 raise IllegalMoveError(
                     f"letters at [{start}, {end}) do not cover a common (k+1)-set once each"
                 )
             cells[start:end] = window[::-1]
         elif isinstance(move, SwapAdjacent):
-            # legal only when the subsets share fewer than k - 1 indices, which
-            # never happens when n = k + 1
             pos = move.pos
             if not 0 <= pos <= len(cells) - 2:
                 raise IllegalMoveError(f"position {pos} out of bounds for length {len(cells)}")
-            a, b = self.letters[cells[pos]], self.letters[cells[pos + 1]]
-            if len(set(a.subset) & set(b.subset)) >= self.k - 1:
-                raise IllegalMoveError(f"{a} and {b} do not far-commute")
-            cells[pos], cells[pos + 1] = cells[pos + 1], cells[pos]
+            a, b = cells[pos], cells[pos + 1]
+            if self.near[a] >> b & 1:
+                raise IllegalMoveError(f"{self.letters[a]} and {self.letters[b]} do not far-commute")
+            cells[pos], cells[pos + 1] = b, a
         else:
             raise IllegalMoveError(f"unknown move {move!r}")
-
-    def _is_window(self, window: list[int]) -> bool:
-        """k+1 distinct letters qualify when their subsets are exactly the
-        k-subsets of a single (k+1)-set, i.e. their union has k+1 elements;
-        when n = k + 1 every union does."""
-        if len(set(window)) != self.k + 1:
-            return False
-        if self.params.is_square:
-            return True
-        return len(set().union(*(self.letters[code].subset for code in window))) == self.k + 1
 
 
 def apply_move(word: Word, move: Move) -> Word:
@@ -421,57 +432,44 @@ class OracleResult:
 
 
 class _Searcher:
-    """Bidirectional search over freely reduced words.
+    """Bidirectional search over words as tuples of letter codes.
 
-    States are freely reduced letter-id tuples.  Edges apply one palindrome
-    reversal, optionally preceded by one pair insertion overlapping the window
-    (an insertion elsewhere cancels straight back on a reduced word), or one
-    far-commutation swap; trailing cancellations are folded into the edge.
-    Each edge expands to a short list of primitive moves during trace replay,
-    so every Equal answer remains certified move by move.
+    An edge applies one palindrome reversal, optionally preceded by one pair
+    insertion overlapping the window (an insertion elsewhere cancels straight
+    back on a reduced word), then cancels freely and keeps the cancellations
+    it made; or it applies one far-commutation swap and cancels nothing.  So
+    the roots and the ends of window edges are freely reduced, but a swap may
+    bring equal letters together: at (n, k) = (4, 2) a swap at 0 turns
+    ``a{3,4} a{1,2} a{3,4}`` into the state ``a{1,2} a{3,4} a{3,4}``.  A path
+    of stored edges reads off as primitive moves, so every Equal answer
+    remains certified move by move.
     """
 
-    def __init__(self, params: GroupParams, max_len: int, max_states: int):
-        self.params = params
-        self.k = params.k
+    def __init__(self, params: GroupParams, max_len: int):
+        self.k = k = params.k
         self.max_len = max_len
-        self.max_states = max_states
-        table = _letter_table(params)
-        self.table, self.ids = table.letters, table.codes
+        self.n_letters = len(_letter_table(params).letters)
         self.square = params.is_square
-        if not self.square:
-            n_ids = len(self.table)
-            self.commutes = [
-                [
-                    len(set(self.table[i].subset) & set(self.table[j].subset)) < self.k - 1
-                    for j in range(n_ids)
-                ]
-                for i in range(n_ids)
-            ]
-            self.window_sets = {
-                frozenset(self.ids[Letter(s)] for s in combinations(u, self.k))
-                for u in combinations(range(1, params.n + 1), self.k + 1)
-            }
-
-    def encode(self, word: Word) -> tuple[int, ...]:
-        return tuple(self.ids[letter] for letter in word.letters)
-
-    def _window_ok(self, window: tuple[int, ...]) -> bool:
+        windows, self.near = _relations(params)
         if self.square:
-            return len(set(window)) == self.k + 1
-        return frozenset(window) in self.window_sets and len(set(window)) == self.k + 1
+            # the one window is every k+1 distinct letters
+            self.is_window = lambda window: len(set(window)) == k + 1
+        else:
+            self.is_window = lambda window: frozenset(window) in windows
 
     def successors(self, state: tuple[int, ...]):
-        """Yield (next_state, edge) pairs; an edge is (insert_pos, insert_id, window_pos)
-        with insert_pos = -1 when no insertion happens, or ('swap', pos)."""
+        """Yield (next_state, edge) pairs.  A window edge is (insert_pos,
+        insert_code, window_pos, cancellations) with insert_pos = -1 when no
+        insertion happens; a swap edge is ('swap', pos)."""
         k = self.k
+        is_window = self.is_window
         length = len(state)
         # plain window reversal
         for pos in range(length - k):
             window = state[pos : pos + k + 1]
-            if self._window_ok(window):
-                nxt, _ = free_cancel(state[:pos] + tuple(reversed(window)) + state[pos + k + 1 :])
-                yield nxt, (-1, -1, pos)
+            if is_window(window):
+                nxt, cancels = free_cancel(state[:pos] + tuple(reversed(window)) + state[pos + k + 1 :])
+                yield nxt, (-1, -1, pos, cancels)
         # one pair insertion feeding a window that uses exactly one inserted copy
         if length + 2 <= self.max_len and length >= k:
             for ins in range(length + 1):
@@ -481,56 +479,38 @@ class _Searcher:
                 for wpos, present in variants:
                     if len(present) != k or len(set(present)) != k:
                         continue
-                    candidates = [x for x in range(len(self.table)) if x not in present]
-                    for ins_id in candidates:
-                        grown = state[:ins] + (ins_id, ins_id) + state[ins:]
+                    for ins_code in [c for c in range(self.n_letters) if c not in present]:
+                        grown = state[:ins] + (ins_code, ins_code) + state[ins:]
                         window = grown[wpos : wpos + k + 1]
-                        if len(window) == k + 1 and self._window_ok(window):
-                            nxt, _ = free_cancel(
+                        if is_window(window):
+                            nxt, cancels = free_cancel(
                                 grown[:wpos] + tuple(reversed(window)) + grown[wpos + k + 1 :]
                             )
-                            yield nxt, (ins, ins_id, wpos)
+                            yield nxt, (ins, ins_code, wpos, cancels)
         # far commutation (void when n = k + 1)
         if not self.square:
+            near = self.near
             for pos in range(length - 1):
-                if self.commutes[state[pos]][state[pos + 1]]:
+                if not near[state[pos]] >> state[pos + 1] & 1:
                     yield state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :], ("swap", pos)
 
-    def edge_moves(self, state: tuple[int, ...], edge) -> tuple[list[Move], tuple[int, ...]]:
-        """Expand one search edge into primitive moves starting at ``state``."""
-        moves: list[Move] = []
+
+def _rebuild_moves(letters: tuple[Letter, ...], parents, state) -> list[Move]:
+    """The primitive moves from a search root to ``state``, read off the stored edges."""
+    edges = []
+    while parents[state][0] is not None:
+        state, edge = parents[state]
+        edges.append(edge)
+    moves: list[Move] = []
+    for edge in reversed(edges):
         if edge[0] == "swap":
             moves.append(SwapAdjacent(edge[1]))
-            pos = edge[1]
-            current = state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :]
-            return moves, current
-        ins, ins_id, wpos = edge
-        current = state
+            continue
+        ins, ins_code, wpos, cancels = edge
         if ins >= 0:
-            moves.append(InsertPair(ins, self.table[ins_id]))
-            current = current[:ins] + (ins_id, ins_id) + current[ins:]
+            moves.append(InsertPair(ins, letters[ins_code]))
         moves.append(ReverseWindow(wpos))
-        window = current[wpos : wpos + self.k + 1]
-        current = current[:wpos] + tuple(reversed(window)) + current[wpos + self.k + 1 :]
-        reduced, cancels = free_cancel(current)
-        moves.extend(CancelPair(pos, self.table[x]) for pos, x in cancels)
-        return moves, reduced
-
-
-def _rebuild_moves(searcher: _Searcher, parents, state) -> list[Move]:
-    """Reconstruct the primitive-move path from a search root to ``state``."""
-    chain = []
-    cur = state
-    while True:
-        parent, edge = parents[cur]
-        if parent is None:
-            break
-        chain.append((parent, edge))
-        cur = parent
-    chain.reverse()
-    moves: list[Move] = []
-    for parent, edge in chain:
-        moves.extend(searcher.edge_moves(parent, edge)[0])
+        moves.extend(CancelPair(pos, letters[code]) for pos, code in cancels)
     return moves
 
 
@@ -545,10 +525,12 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
     if w1.letters == w2.letters:
         return OracleResult(True, (), 0)
 
-    searcher = _Searcher(w1.params, max_len, max_states)
+    searcher = _Searcher(w1.params, max_len)
+    table = _letter_table(w1.params)
     reduce1, cancels1 = free_reduce_with_trace(w1)
     reduce2, cancels2 = free_reduce_with_trace(w2)
-    start, end = searcher.encode(reduce1), searcher.encode(reduce2)
+    start = tuple(table.codes[letter] for letter in reduce1.letters)
+    end = tuple(table.codes[letter] for letter in reduce2.letters)
 
     def finish(fwd_moves: list[Move], bwd_moves: list[Move], states: int) -> OracleResult:
         trace = list(cancels1) + fwd_moves
@@ -583,8 +565,8 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
                 parents[nxt] = (state, edge)
                 states += 1
                 if nxt in other:
-                    fwd_moves = _rebuild_moves(searcher, fwd_parents, nxt)
-                    bwd_moves = _rebuild_moves(searcher, bwd_parents, nxt)
+                    fwd_moves = _rebuild_moves(table.letters, fwd_parents, nxt)
+                    bwd_moves = _rebuild_moves(table.letters, bwd_parents, nxt)
                     return finish(fwd_moves, bwd_moves, states)
                 next_frontier.append(nxt)
                 if states >= max_states:

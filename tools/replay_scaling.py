@@ -88,7 +88,7 @@ def compare(parent: Path, change: Path, args) -> dict:
     scaling = {}
     for side, root in (("parent", parent), ("change", change)):
         argv = [sys.executable, __file__, "--src", str(root / "src"), "--repeats", str(args.repeats),
-                "--seed", str(args.seed)]
+                "--seed", str(args.seed), "--sizes", *map(str, args.sizes)]
         scaling[side] = json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
     runs, summary = [], {}
     for workload in args.workloads:
