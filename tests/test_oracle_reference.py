@@ -186,7 +186,7 @@ def legal_moves(word: Word) -> list[Move]:
         for move in (ReverseWindow(pos), SwapAdjacent(pos), CancelPair(pos, word.letters[pos])):
             try:
                 apply_move(word, move)
-            except (IllegalMoveError, IndexError):
+            except IllegalMoveError:
                 continue
             moves.append(move)
     return moves
