@@ -28,8 +28,6 @@ from .projective import (
     ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
-    det_subset,
-    is_general_position,
     shear_family,
     sign_string_of,
     singular_subsets,

@@ -171,23 +171,6 @@ def det(rows) -> Fraction:
     return Fraction(pivot, scale) if rank == len(m) else Fraction(0)
 
 
-def det_subset(config: Configuration, subset: tuple[int, ...]) -> Fraction:
-    """Determinant of the representatives of the points named by ``subset``.
-
-    Indices are 1-based and ascending.  The value depends on the stored
-    representatives (so it scales exactly under a transform applied to the
-    whole configuration); only its zero pattern and sign changes feed the
-    event detection downstream.
-    """
-    if len(subset) != config.params.k:
-        raise ValueError(f"subset must have k = {config.params.k} elements")
-    if list(subset) != sorted(set(subset)):
-        raise ValueError("subset must be ascending and distinct")
-    if subset[0] < 1 or subset[-1] > config.params.n:
-        raise ValueError(f"subset out of range 1..{config.params.n}")
-    return det([config.points[i - 1].coords for i in subset])
-
-
 def _subset_ranks(config: Configuration, size: int):
     """Each ascending ``size``-subset of points (1-based) with the rank of its representatives.
 
@@ -203,10 +186,6 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     """First (k-1)-subset of points failing to span a (k-1)-dim subspace."""
     k = config.params.k
     return next((subset for subset, rank in _subset_ranks(config, k - 1) if rank < k - 1), None)
-
-
-def is_general_position(config: Configuration) -> bool:
-    return general_position_violation(config) is None
 
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:

@@ -17,7 +17,6 @@ any two distinct k-subsets of a (k+1)-set share exactly k - 1 elements.
 from __future__ import annotations
 
 import re
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,8 +76,8 @@ class GroupParams:
 # Largest C(n, k) accepted from a command line or a path file, and the
 # largest group whose letter table is built.  The letter table, the
 # general-position check and event detection enumerate every k-subset; at
-# C(45, 2) = 990 the oracle takes 0.05 s to build its move rules (once per
-# group) and 6 ms to expand a state of six letters.
+# C(45, 2) = 990 the oracle takes 0.07 s to build its move rules (once per
+# group), and a 1438-state search between six-letter words 0.02 s after that.
 MAX_SUBSETS = 1000
 
 
@@ -169,13 +168,15 @@ def _letter_table(params: GroupParams) -> _LetterTable:
 
 
 @lru_cache(maxsize=64)
-def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...]]:
+def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...], dict]:
     """The move rules of a group on letter codes, read by the tape and the oracle.
 
-    Returns ``(windows, near)``: each palindrome window as the frozenset of the
-    codes of its k+1 letters, the k-subsets of one (k+1)-set, and in bit b of
-    ``near[a]`` whether letters a and b share k - 1 or k indices, i.e. are
-    equal or lie in a common window.  They far-commute exactly when it is clear.
+    Returns ``(windows, near, completion)``: each palindrome window as the
+    frozenset of the codes of its k+1 letters, the k-subsets of one (k+1)-set;
+    in bit b of ``near[a]`` whether letters a and b share k - 1 or k indices,
+    i.e. are equal or lie in a common window (they far-commute exactly when it
+    is clear); and a map from any k letters of a window, as a frozenset, to
+    the one letter completing them (unique, see ``bfs_equal_oracle``).
     """
     codes = {letter.subset: code for letter, code in _letter_table(params).codes.items()}
     windows = []
@@ -186,7 +187,8 @@ def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[in
         for code in window:
             near[code] |= bits
         windows.append(frozenset(window))
-    return frozenset(windows), tuple(near)
+    completion = {window - {code}: code for window in windows for code in window}
+    return frozenset(windows), tuple(near), completion
 
 
 _B_TOKEN = re.compile(r"b(\d+)\Z")
@@ -345,7 +347,7 @@ class _Tape:
         self.k = word.params.k
         table = _letter_table(word.params)
         self.letters, self.codes = table.letters, table.codes
-        self.windows, self.near = _relations(word.params)
+        self.windows, self.near, _ = _relations(word.params)
         self.cells = [self.codes[letter] for letter in word.letters]
 
     def word(self) -> Word:
@@ -431,70 +433,6 @@ class OracleResult:
     states: int
 
 
-class _Searcher:
-    """Bidirectional search over words as tuples of letter codes.
-
-    An edge applies one palindrome reversal, optionally preceded by one pair
-    insertion overlapping the window (an insertion elsewhere cancels straight
-    back on a reduced word), then cancels freely and keeps the cancellations
-    it made; or it applies one far-commutation swap and cancels nothing.  So
-    the roots and the ends of window edges are freely reduced, but a swap may
-    bring equal letters together: at (n, k) = (4, 2) a swap at 0 turns
-    ``a{3,4} a{1,2} a{3,4}`` into the state ``a{1,2} a{3,4} a{3,4}``.  A path
-    of stored edges reads off as primitive moves, so every Equal answer
-    remains certified move by move.
-    """
-
-    def __init__(self, params: GroupParams, max_len: int):
-        self.k = k = params.k
-        self.max_len = max_len
-        self.n_letters = len(_letter_table(params).letters)
-        self.square = params.is_square
-        windows, self.near = _relations(params)
-        if self.square:
-            # the one window is every k+1 distinct letters
-            self.is_window = lambda window: len(set(window)) == k + 1
-        else:
-            self.is_window = lambda window: frozenset(window) in windows
-
-    def successors(self, state: tuple[int, ...]):
-        """Yield (next_state, edge) pairs.  A window edge is (insert_pos,
-        insert_code, window_pos, cancellations) with insert_pos = -1 when no
-        insertion happens; a swap edge is ('swap', pos)."""
-        k = self.k
-        is_window = self.is_window
-        length = len(state)
-        # plain window reversal
-        for pos in range(length - k):
-            window = state[pos : pos + k + 1]
-            if is_window(window):
-                nxt, cancels = free_cancel(state[:pos] + tuple(reversed(window)) + state[pos + k + 1 :])
-                yield nxt, (-1, -1, pos, cancels)
-        # one pair insertion feeding a window that uses exactly one inserted copy
-        if length + 2 <= self.max_len and length >= k:
-            for ins in range(length + 1):
-                variants = [(ins + 1, state[ins : ins + k])]
-                if ins - k >= 0:
-                    variants.append((ins - k, state[ins - k : ins]))
-                for wpos, present in variants:
-                    if len(present) != k or len(set(present)) != k:
-                        continue
-                    for ins_code in [c for c in range(self.n_letters) if c not in present]:
-                        grown = state[:ins] + (ins_code, ins_code) + state[ins:]
-                        window = grown[wpos : wpos + k + 1]
-                        if is_window(window):
-                            nxt, cancels = free_cancel(
-                                grown[:wpos] + tuple(reversed(window)) + grown[wpos + k + 1 :]
-                            )
-                            yield nxt, (ins, ins_code, wpos, cancels)
-        # far commutation (void when n = k + 1)
-        if not self.square:
-            near = self.near
-            for pos in range(length - 1):
-                if not near[state[pos]] >> state[pos + 1] & 1:
-                    yield state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :], ("swap", pos)
-
-
 def _rebuild_moves(letters: tuple[Letter, ...], parents, state) -> list[Move]:
     """The primitive moves from a search root to ``state``, read off the stored edges."""
     edges = []
@@ -517,16 +455,60 @@ def _rebuild_moves(letters: tuple[Letter, ...], parents, state) -> list[Move]:
 def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 100_000) -> OracleResult:
     """Bounded bidirectional search for a rewrite path from ``w1`` to ``w2``.
 
-    Returns Equal together with a primitive-move trace replayable by
-    ``apply_move``, or Unknown when the state or length bound is exhausted.
+    Returns Equal together with a primitive-move trace that replays under
+    ``check_trace``, or Unknown when the state or length bound is exhausted.
+
+    States are words as tuples of letter codes.  An edge applies one
+    palindrome reversal, optionally preceded by one pair insertion
+    overlapping the window (an insertion elsewhere cancels straight back on
+    a reduced word), then cancels freely and keeps the cancellations it
+    made; or it applies one far-commutation swap and cancels nothing.  So
+    the roots and the ends of window edges are freely reduced, but a swap
+    may bring equal letters together: at (n, k) = (4, 2) a swap at 0 turns
+    ``a{3,4} a{1,2} a{3,4}`` into the state ``a{1,2} a{3,4} a{3,4}``.
+
+    An inserted copy must complete the k letters beside it to a window.
+    Those k letters lie in at most one window (k >= 2 distinct k-subsets of
+    a (k+1)-set have that set as their union), so each insertion point has
+    at most one candidate letter, read from the ``completion`` table of
+    ``_relations``.  A path of stored edges reads off as primitive moves, so
+    every Equal answer is certified move by move.
     """
     if w1.params != w2.params:
         raise ValueError("words live in different groups")
     if w1.letters == w2.letters:
         return OracleResult(True, (), 0)
 
-    searcher = _Searcher(w1.params, max_len)
+    k = w1.params.k
     table = _letter_table(w1.params)
+    windows, near, completion = _relations(w1.params)
+
+    # yields (next_state, edge): a window edge is (insert_pos, insert_code,
+    # window_pos, cancellations) with insert_pos = -1 when nothing is
+    # inserted; a swap edge is ('swap', pos)
+    def successors(state: tuple[int, ...]):
+        length = len(state)
+        for pos in range(length - k):
+            window = state[pos : pos + k + 1]
+            if frozenset(window) in windows:
+                nxt, cancels = free_cancel(state[:pos] + window[::-1] + state[pos + k + 1 :])
+                yield nxt, (-1, -1, pos, cancels)
+        if length + 2 <= max_len:
+            for ins in range(length + 1):
+                # the run of k letters beside the inserted pair c c starts at lo;
+                # reversing the window c run (or run c) leaves c rev(run) c
+                for wpos, lo in [(ins + 1, ins)] + ([(ins - k, ins - k)] if ins >= k else []):
+                    run = state[lo : lo + k]
+                    code = completion.get(frozenset(run))
+                    if code is not None:
+                        nxt, cancels = free_cancel(state[:lo] + (code, *run[::-1], code) + state[lo + k :])
+                        yield nxt, (ins, code, wpos, cancels)
+        # far commutation (void when n = k + 1)
+        if not w1.params.is_square:
+            for pos in range(length - 1):
+                if not near[state[pos]] >> state[pos + 1] & 1:
+                    yield state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :], ("swap", pos)
+
     reduce1, cancels1 = free_reduce_with_trace(w1)
     reduce2, cancels2 = free_reduce_with_trace(w2)
     start = tuple(table.codes[letter] for letter in reduce1.letters)
@@ -541,39 +523,30 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
     if start == end:
         return finish([], [], 0)
 
-    fwd_parents = {start: (None, None)}
-    bwd_parents = {end: (None, None)}
-    fwd_frontier: deque = deque([start])
-    bwd_frontier: deque = deque([end])
+    # side 0 searches forward from w1, side 1 backward from w2
+    parents = ({start: (None, None)}, {end: (None, None)})
+    frontiers = [[start], [end]]
     states = 0
 
-    while fwd_frontier or bwd_frontier:
-        # an empty side has fully explored its component; keep growing the
-        # other side toward the explored set
-        if not bwd_frontier or (fwd_frontier and len(fwd_frontier) <= len(bwd_frontier)):
-            frontier, parents, other = fwd_frontier, fwd_parents, bwd_parents
-            forward = True
-        else:
-            frontier, parents, other = bwd_frontier, bwd_parents, fwd_parents
-            forward = False
-        next_frontier: deque = deque()
-        while frontier:
-            state = frontier.popleft()
-            for nxt, edge in searcher.successors(state):
-                if nxt in parents:
+    while frontiers[0] or frontiers[1]:
+        # grow the smaller side, the forward one on a tie; an empty side has
+        # fully explored its component, so the other keeps growing toward it
+        side = 0 if frontiers[0] and (not frontiers[1] or len(frontiers[0]) <= len(frontiers[1])) else 1
+        own, other = parents[side], parents[1 - side]
+        next_frontier = []
+        for state in frontiers[side]:
+            for nxt, edge in successors(state):
+                if nxt in own:
                     continue
-                parents[nxt] = (state, edge)
+                own[nxt] = (state, edge)
                 states += 1
                 if nxt in other:
-                    fwd_moves = _rebuild_moves(table.letters, fwd_parents, nxt)
-                    bwd_moves = _rebuild_moves(table.letters, bwd_parents, nxt)
+                    fwd_moves = _rebuild_moves(table.letters, parents[0], nxt)
+                    bwd_moves = _rebuild_moves(table.letters, parents[1], nxt)
                     return finish(fwd_moves, bwd_moves, states)
                 next_frontier.append(nxt)
                 if states >= max_states:
                     return OracleResult(False, None, states)
-        if forward:
-            fwd_frontier = next_frontier
-        else:
-            bwd_frontier = next_frontier
+        frontiers[side] = next_frontier
 
     return OracleResult(False, None, states)

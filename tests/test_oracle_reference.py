@@ -227,6 +227,8 @@ GROUPS = [
     ((5, 3), 53, 200, 8, 300),
     ((6, 3), 63, 100, 8, 100),
     ((6, 2), 62, 100, 8, 100),
+    ((18, 3), 183, 12, 8, 40),
+    ((45, 2), 452, 12, 8, 40),
 ]
 
 
