@@ -6,7 +6,7 @@ obstructions.
 
 * ``f_image`` maps a word to the free product of 2^(k-1) order-two groups.
   Each occurrence of the last alias ``b(k+1)`` contributes one generator of
-  the free product, selected by the pattern of letter counts accumulated
+  the free product, selected by the pattern of letter counts gathered
   before it; a nonempty image certifies that the word avoids the subgroup
   generated by ``b1 .. bk``.
 

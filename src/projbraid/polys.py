@@ -1,13 +1,13 @@
 """Dense univariate polynomials with exact coefficients, and real root isolation.
 
 Coefficient tuples run from the constant term upward and never carry a
-trailing zero, so the zero polynomial is the empty tuple.  A ``Poly`` has
-``Fraction`` coefficients; segment determinants are built in this form.
-
-Root work runs on the *integer form* (``ZPoly``) instead: the coefficients
-times the positive lcm of their denominators.  A positive scale changes no
-root and no sign, so every decision below is the one the rational
-polynomial would give, without ``Fraction`` arithmetic on coefficients:
+trailing zero, so the zero polynomial is the empty tuple.  Segment
+determinants arrive with integer coefficients (``ZPoly``, from
+``projective.poly_det``), and all root work runs on them; a ``Poly`` with
+``Fraction`` coefficients is only the monic form the CLI prints.  A
+positive scale changes no root and no sign, so every decision below is the
+one the rational polynomial would give, without ``Fraction`` arithmetic on
+coefficients:
 
 * the sign of f(p/q), q > 0, is the sign of sum a_i p^i q^(d-i), taken by
   homogeneous Horner (``evaluate``);
@@ -24,16 +24,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd
-from math import lcm
 
 Poly = tuple[Fraction, ...]
 ZPoly = tuple[int, ...]
 
 ZERO: Poly = ()
-
-
-def poly(*coeffs) -> Poly:
-    return _trim(tuple(Fraction(c) for c in coeffs))
 
 
 def _trim(coeffs: tuple) -> tuple:
@@ -58,12 +53,6 @@ def monic(f) -> Poly:
         return ZERO
     lead = f[-1]
     return tuple(Fraction(c) / lead for c in f)
-
-
-def integer_form(f: Poly) -> ZPoly:
-    """f times the positive lcm of its coefficient denominators."""
-    scale = lcm(*(c.denominator for c in f))
-    return tuple(c.numerator * (scale // c.denominator) for c in f)
 
 
 def _homogeneous(f: ZPoly, p: int, q: int) -> int:

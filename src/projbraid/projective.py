@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import combinations
 from math import factorial, lcm
 
 from . import polys
@@ -104,9 +104,6 @@ class ProjectiveTransform:
             raise ValueError("matrix must be square")
         if det(self.matrix) == 0:
             raise ValueError("matrix must be invertible")
-
-    def determinant(self) -> Fraction:
-        return det(self.matrix)
 
     def apply(self, point: ProjectivePoint) -> ProjectivePoint:
         return ProjectivePoint(
@@ -277,29 +274,22 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
     return end, end.apply_to_configuration(config)
 
 
-def poly_det(entries) -> polys.Poly:
-    """Determinant of a square matrix of polynomials, by evaluation and interpolation.
+def poly_det(starts, ends) -> polys.ZPoly:
+    """Determinant of the integer linear pencil with rows a + t (b - a).
 
-    Each row is cleared of its denominators once.  The integer pencil is
-    evaluated at t = 0..D, where D, the sum of the row degrees, bounds the
-    degree of the determinant, and each value is taken by ``_bareiss``.
+    ``starts`` and ``ends`` hold the rows a and b.  Only a row that moves
+    (b != a) depends on t, so the determinant has degree at most D, the
+    number of moving rows.  It is evaluated at t = 0..D by ``_bareiss``;
     Newton forward differences turn the D + 1 values into the coefficients
-    times D!, which are integers; dividing by D! and the row scale gives the
-    exact rational coefficients.
+    times D!, and the division by D! is exact.
     """
-    size = len(entries)
-    flat, scale = _integer_rows([[c for entry in row for c in entry] for row in entries])
-    pencil = []
-    for row, ints in zip(entries, flat):
-        cuts = list(accumulate((len(entry) for entry in row), initial=0))
-        pencil.append([ints[a:b] for a, b in zip(cuts, cuts[1:])])
-    if any(not any(row) for row in pencil):
-        return polys.ZERO
-    top = sum(max(len(entry) for entry in row) - 1 for row in pencil)
+    size = len(starts)
+    steps = [[q - p for p, q in zip(a, b)] for a, b in zip(starts, ends)]
+    top = sum(1 for step in steps if any(step))
 
     values = []
     for t in range(top + 1):
-        rank, pivot = _bareiss([[_horner(entry, t) for entry in row] for row in pencil])
+        rank, pivot = _bareiss([[p + t * s for p, s in zip(a, step)] for a, step in zip(starts, steps)])
         values.append(pivot if rank == size else 0)
     differences = []
     while values:
@@ -307,21 +297,16 @@ def poly_det(entries) -> polys.Poly:
         values = [b - a for a, b in zip(values, values[1:])]
 
     # D! p(t) = sum_j differences[j] (D!/j!) t(t-1)...(t-j+1), in nested form
+    scale = factorial(top)
     coeffs: list[int] = []
     for j in range(top, -1, -1):
         shifted = [0] + coeffs
         for i, c in enumerate(coeffs):
             shifted[i] -= j * c
-        shifted[0] += differences[j] * (factorial(top) // factorial(j))
+        shifted[0] += differences[j] * (scale // factorial(j))
         coeffs = shifted
     while coeffs and not coeffs[-1]:
         coeffs.pop()
-    denominator = factorial(top) * scale
-    return tuple(Fraction(c, denominator) for c in coeffs)
-
-
-def _horner(coeffs: list[int], t: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+    if any(c % scale for c in coeffs):
+        raise AssertionError("inexact division by D! in a pencil determinant")
+    return tuple(c // scale for c in coeffs)

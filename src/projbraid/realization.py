@@ -31,6 +31,7 @@ from .projective import (
     Configuration,
     ProjectivePoint,
     ProjectiveTransform,
+    _integer_rows,
     base_configuration,
     general_position_violation,
     poly_det,
@@ -158,15 +159,13 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
 
 # --- event detection --------------------------------------------------------
 
-def _segment_rows(start: Configuration, end: Configuration) -> list[list[polys.Poly]]:
-    """Per point, the linear polynomials of its interpolated representative.
-
-    The determinant polynomial of a subset is ``poly_det`` of its points' rows.
-    """
-    rows = []
-    for p, q in zip(start.points, end.points):
-        rows.append([polys.poly(a, b - a) for a, b in zip(p.coords, q.coords)])
-    return rows
+def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[list[int]], list[list[int]]]:
+    """Per point, its start and end representatives as integer rows, the pair
+    cleared of denominators by one positive factor, which changes no root and
+    no sign of a subset determinant: ``poly_det`` of the subset's rows."""
+    k = start.params.k
+    rows, _ = _integer_rows([p.coords + q.coords for p, q in zip(start.points, end.points)])
+    return [row[:k] for row in rows], [row[k:] for row in rows]
 
 
 def _check_keyframe(config: Configuration, where: str = "") -> None:
@@ -194,14 +193,14 @@ def _check_representatives(segment: int, start: Configuration, end: Configuratio
 
 def _segment_events(segment: int, start: Configuration, end: Configuration, params: GroupParams):
     found: list[tuple[EventTime, tuple[int, ...]]] = []
-    rows = _segment_rows(start, end)
+    starts, ends = _segment_rows(start, end)
     for subset in combinations(range(1, params.n + 1), params.k):
-        d = poly_det([rows[i - 1] for i in subset])
+        d = poly_det([starts[i - 1] for i in subset], [ends[i - 1] for i in subset])
         if not d:
             raise IdenticallySingularSegment(f"segment {segment}: subset {subset} is singular throughout")
         if polys.degree(d) < 1:
             continue
-        squarefree, multiple = polys.squarefree_split(polys.integer_form(d))
+        squarefree, multiple = polys.squarefree_split(d)
         tangential = polys.degree(multiple) >= 1
 
         remaining = squarefree

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,10 +14,8 @@ from projbraid.polys import (
     derivative,
     evaluate,
     gcd,
-    integer_form,
     isolate_roots,
     monic,
-    poly,
     rational_roots_in_unit_interval,
     refine_once,
     refine_to_exclude,
@@ -25,6 +24,20 @@ from projbraid.polys import (
 )
 
 F = Fraction
+
+
+def poly(*coeffs):
+    """The trimmed rational polynomial with these coefficients (test-local;
+    src builds no rational polynomial)."""
+    return polys._trim(tuple(F(c) for c in coeffs))
+
+
+def integer_form(f):
+    """f times the positive lcm of its coefficient denominators (test-local)."""
+    scale = lcm(*(c.denominator for c in f))
+    return tuple(c.numerator * (scale // c.denominator) for c in f)
+
+
 ONE = poly(1)
 
 
@@ -248,10 +261,11 @@ class TestIsolation:
 
 def segment_determinants(seed: int, per_k: int):
     """Determinants of k random points moving linearly, for k = 3, 4, 5: the
-    polynomials event detection sees, as integer forms.  Every other one is
-    negated, so leading coefficients of both signs occur.  Only those of
-    degree >= 1 that vanish at neither t = 0 nor t = 1 are kept."""
-    from projbraid.projective import poly_det
+    integer polynomials event detection sees, each point's pair of
+    representatives cleared of denominators by one positive factor.  Every
+    other one is negated, so leading coefficients of both signs occur.  Only
+    those of degree >= 1 that vanish at neither t = 0 nor t = 1 are kept."""
+    from projbraid.projective import _integer_rows, poly_det
 
     rng = random.Random(seed)
 
@@ -262,11 +276,12 @@ def segment_determinants(seed: int, per_k: int):
     for k in (3, 4, 5):
         made = 0
         while made < per_k:
-            rows = []
+            pairs = []
             for _ in range(k):
                 start, end = [coord() for _ in range(k)], [coord() for _ in range(k)]
-                rows.append([poly(a, b - a) for a, b in zip(start, end)])
-            z = integer_form(poly_det(rows))
+                pairs.append(start + end)
+            rows, _ = _integer_rows(pairs)
+            z = poly_det([row[:k] for row in rows], [row[k:] for row in rows])
             if degree(z) < 1 or evaluate(z, F(0)) == 0 or evaluate(z, F(1)) == 0:
                 continue
             out.append(tuple(-c for c in z) if made % 2 else z)

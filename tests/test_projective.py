@@ -22,7 +22,7 @@ from projbraid.projective import (
     sign_string_of,
     singular_subsets,
 )
-from projbraid.realization import PLPath, detect_events
+from projbraid.realization import PLPath, _segment_rows, detect_events
 from projbraid.words import GroupParams
 
 F = Fraction
@@ -87,7 +87,7 @@ class TestDeterminants:
         config = config43(E1, E2, (1, 2, 3), (1, 1, 1))
         t = ProjectiveTransform(((F(1), F(2), F(0)), (F(0), F(1), F(1)), (F(1), F(0), F(3))))
         moved = t.apply_to_configuration(config)
-        scale = t.determinant()
+        scale = det(t.matrix)
         for subset in ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)):
             assert det(chosen(moved, subset)) == scale * det(chosen(config, subset))
 
@@ -120,7 +120,7 @@ def poly_mul(f: polys.Poly, g: polys.Poly) -> polys.Poly:
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             out[i + j] += a * b
-    return polys.poly(*out)
+    return polys._trim(tuple(out))
 
 
 def poly_add(f: polys.Poly, g: polys.Poly, sign: int = 1) -> polys.Poly:
@@ -130,7 +130,7 @@ def poly_add(f: polys.Poly, g: polys.Poly, sign: int = 1) -> polys.Poly:
         out[i] += c
     for i, c in enumerate(g):
         out[i] += sign * c
-    return polys.poly(*out)
+    return polys._trim(tuple(out))
 
 
 def cofactor_det(entries) -> polys.Poly:
@@ -145,25 +145,35 @@ def cofactor_det(entries) -> polys.Poly:
     return result
 
 
+def linear_entries(starts, ends) -> list[list[polys.Poly]]:
+    """The pencil a + t (b - a) as a matrix of linear ``Fraction`` polynomials."""
+    return [
+        [polys._trim((F(p), F(q - p))) for p, q in zip(a, b)]
+        for a, b in zip(starts, ends)
+    ]
+
+
 def random_pencils(seed: int, counts: dict[int, int]):
-    """Seeded square polynomial matrices: entries of degree -1 (zero) to 2 with
-    denominators up to 12, and at every size from 2 one with a zero row and one
-    that is singular for every t."""
+    """Seeded integer pencils (starts, ends).  Some rows stay put, so fewer
+    rows move than the size; at every size from 2, one pencil has a row that
+    passes through zero at an interior t and one is singular for every t."""
     rng = random.Random(seed)
 
-    def entry() -> polys.Poly:
-        degree = rng.choice((-1, 0, 0, 1, 1, 2))
-        return polys.poly(*(F(rng.randint(-4, 4), rng.randint(1, 12)) for _ in range(degree + 1)))
+    def row(size: int) -> list[int]:
+        return [rng.randint(-5, 5) for _ in range(size)]
 
     for size, count in counts.items():
         for index in range(count):
-            rows = [[entry() for _ in range(size)] for _ in range(size)]
+            starts = [row(size) for _ in range(size)]
+            ends = [a[:] if rng.random() < 0.3 else row(size) for a in starts]
             if size >= 2 and index == 0:
-                rows[rng.randrange(size)] = [polys.ZERO] * size
+                # row 0 is a (1 - t (1 + c)), zero at t = 1 / (1 + c)
+                c = rng.randint(1, 4)
+                ends[0] = [-c * x for x in starts[0]]
             elif size >= 2 and index == 1:
-                factor = polys.poly(F(rng.randint(1, 5), rng.randint(1, 12)), rng.randint(-2, 2))
-                rows[1] = [poly_mul(factor, e) for e in rows[0]]
-            yield rows
+                c = rng.choice((-3, -2, 2, 3))
+                starts[1], ends[1] = [c * x for x in starts[0]], [c * x for x in ends[0]]
+            yield starts, ends
 
 
 PENCILS = {1: 20, 2: 30, 3: 30, 4: 20, 5: 10, 6: 4, 7: 2}
@@ -171,32 +181,54 @@ PENCILS = {1: 20, 2: 30, 3: 30, 4: 20, 5: 10, 6: 4, 7: 2}
 
 class TestPolyDet:
     def test_matches_cofactor_expansion(self):
-        singular = 0
-        for rows in random_pencils(3, PENCILS):
-            expected = cofactor_det(rows)
-            assert poly_det(rows) == expected
+        singular = static = 0
+        for starts, ends in random_pencils(3, PENCILS):
+            expected = cofactor_det(linear_entries(starts, ends))
+            assert poly_det(starts, ends) == expected
             singular += expected == polys.ZERO
-        assert singular >= 12
+            static += any(a == b for a, b in zip(starts, ends))
+        assert singular >= 6 and static >= 50
 
     def test_matches_sympy(self):
         sympy = pytest.importorskip("sympy")
         from sympy.polys.matrices import DomainMatrix
 
         t = sympy.Symbol("t")
-
-        def expression(f: polys.Poly):
-            return sum((sympy.Rational(c.numerator, c.denominator) * t**i for i, c in enumerate(f)), sympy.S.Zero)
-
-        for rows in random_pencils(4, PENCILS):
-            matrix = DomainMatrix.from_Matrix(sympy.Matrix([[expression(e) for e in row] for row in rows]))
-            expected = matrix.domain.to_sympy(matrix.det())
-            assert sympy.Poly(expression(poly_det(rows)), t) == sympy.Poly(expected, t)
+        for starts, ends in random_pencils(4, PENCILS):
+            rows = [[p + t * (q - p) for p, q in zip(a, b)] for a, b in zip(starts, ends)]
+            matrix = DomainMatrix.from_Matrix(sympy.Matrix(rows))
+            expected = sympy.Poly(matrix.domain.to_sympy(matrix.det()), t)
+            got = sum((c * t**i for i, c in enumerate(poly_det(starts, ends))), sympy.S.Zero)
+            assert sympy.Poly(got, t) == expected
 
     def test_constant_and_linear_examples(self):
-        assert poly_det([[polys.poly(F(1, 2))]]) == (F(1, 2),)
+        assert poly_det([[3]], [[3]]) == (3,)
         # det [[1, t], [t, 1]] = 1 - t^2
-        assert poly_det([[polys.poly(1), polys.poly(0, 1)], [polys.poly(0, 1), polys.poly(1)]]) == (F(1), F(0), F(-1))
-        assert poly_det([[polys.poly(1), polys.ZERO], [polys.ZERO, polys.ZERO]]) == polys.ZERO
+        assert poly_det([[1, 0], [0, 1]], [[1, 1], [1, 1]]) == (1, 0, -1)
+        # the row (1 - 2t, 2 - 4t) vanishes at t = 1/2
+        assert poly_det([[1, 2], [0, 1]], [[-1, -2], [0, 1]]) == (1, -2)
+        assert poly_det([[1, 2], [2, 4]], [[0, 1], [0, 2]]) == polys.ZERO
+
+    def test_segment_rows_keep_the_determinant(self):
+        rng = random.Random(5)
+
+        def point(k: int) -> list[Fraction]:
+            return [F(rng.randint(-6, 6), rng.randint(1, 12)) for _ in range(k)]
+
+        for k in range(3, 7):
+            params = GroupParams(k + 1, k)
+            for _ in range(4):
+                begin = [point(k) for _ in range(k + 1)]
+                finish = [p if rng.random() < 0.3 else point(k) for p in begin]
+                if any(not any(p) for p in begin + finish):
+                    continue
+                start = Configuration(params, tuple(pt(*p) for p in begin))
+                end = Configuration(params, tuple(pt(*p) for p in finish))
+                starts, ends = _segment_rows(start, end)
+                for subset in combinations(range(k + 1), k):
+                    got = poly_det([starts[i] for i in subset], [ends[i] for i in subset])
+                    entries = linear_entries([begin[i] for i in subset], [finish[i] for i in subset])
+                    assert polys.monic(got) == polys.monic(cofactor_det(entries))
 
 
 class TestBareiss:
@@ -284,7 +316,7 @@ class TestShear:
         assert sheared.points[2].coords == (F(0), F(0), F(-1))
         assert sheared.points[3].coords == (F(-1), F(-1), F(1))
         assert sheared.points[0].coords == (F(1), F(0), F(0))
-        assert end.determinant() == 1
+        assert det(end.matrix) == 1
 
     def test_fixes_hyperplane_points(self):
         config = config43(E1, E2, (1, 2, 3), (0, 1, 2))
