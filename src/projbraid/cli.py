@@ -108,12 +108,12 @@ def _lines(lines) -> str | None:
 
 def _trace_entry(moves) -> tuple:
     """The ``trace`` entry: one indented text line and one document per move."""
-    docs, lines = [], []
+    docs, lines, names = [], [], {}
     for move in moves:
         kind, template = _MOVE_FORMS[type(move)]
         fields = {"pos": move.pos}
         if hasattr(move, "letter"):
-            fields["letter"] = str(move.letter)
+            fields["letter"] = names.get(move.letter) or names.setdefault(move.letter, str(move.letter))
         lines.append("  " + template.format(**fields))
         docs.append({"kind": kind, **fields})
     return ("trace", docs, _lines(lines))

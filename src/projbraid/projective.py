@@ -3,9 +3,9 @@
 Points are stored as explicit nonzero representative vectors in Q^k.  The
 representative matters: piecewise linear paths interpolate the stored
 vectors, and two vectors that differ by a negative scalar trace different
-arcs through projective space.  The canonical representative (last nonzero
-coordinate scaled to +1) is used for equality tests and for reading off
-sign strings, never silently.
+arcs through projective space.  Points are equal when their representatives
+are proportional (no canonical representative is formed), and sign strings
+are read off after scaling the last point's k-th coordinate to +1.
 
 A marked configuration has its first points at the coordinate points
 e_1, e_2, ...; one helper checks that, and the base configurations, the
@@ -43,18 +43,13 @@ class ProjectivePoint:
         if not self.coords or all(c == 0 for c in self.coords):
             raise ValueError("representative must be a nonzero vector")
 
-    def canonical(self) -> "ProjectivePoint":
-        """The representative whose last nonzero coordinate is +1."""
-        last = next(c for c in reversed(self.coords) if c != 0)
-        return ProjectivePoint(tuple(c / last for c in self.coords))
-
     def scaled(self, factor: Fraction) -> "ProjectivePoint":
         if factor == 0:
             raise ValueError("scaling factor must be nonzero")
         return ProjectivePoint(tuple(c * factor for c in self.coords))
 
     def same_point(self, other: "ProjectivePoint") -> bool:
-        return self.canonical().coords == other.canonical().coords
+        return len(self.coords) == len(other.coords) and self.ratio_to(other) is not None
 
     def ratio_to(self, other: "ProjectivePoint") -> Fraction | None:
         """The scalar r with self = r * other, or None if not proportional."""

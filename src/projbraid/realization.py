@@ -168,10 +168,9 @@ def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[list[i
     return [row[:k] for row in rows], [row[k:] for row in rows]
 
 
-def _check_keyframe(config: Configuration, where: str = "") -> None:
-    """Raise DegenerateKeyframe unless the configuration is in general position
-    and nonsingular; ``where`` prefixes the message."""
-    singular = singular_subsets(config)
+def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], where: str = "") -> None:
+    """Raise DegenerateKeyframe unless ``singular``, the configuration's
+    singular k-subsets in order, is empty; ``where`` prefixes the message."""
     if not singular:
         # n > k, so a (k-1)-subset of deficient rank lies in some k-subset,
         # which is then singular: a valid keyframe needs no rank-(k-1) scan
@@ -191,11 +190,16 @@ def _check_representatives(segment: int, start: Configuration, end: Configuratio
             )
 
 
-def _segment_events(segment: int, start: Configuration, end: Configuration, params: GroupParams):
-    found: list[tuple[EventTime, tuple[int, ...]]] = []
+def _segment_pencils(start: Configuration, end: Configuration) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
+    """Each k-subset, ascending, with its determinant along the segment."""
     starts, ends = _segment_rows(start, end)
-    for subset in combinations(range(1, params.n + 1), params.k):
-        d = poly_det([starts[i - 1] for i in subset], [ends[i - 1] for i in subset])
+    subsets = combinations(range(1, start.params.n + 1), start.params.k)
+    return [(s, poly_det([starts[i - 1] for i in s], [ends[i - 1] for i in s])) for s in subsets]
+
+
+def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPoly]]):
+    found: list[tuple[EventTime, tuple[int, ...]]] = []
+    for subset, d in pencils:
         if not d:
             raise IdenticallySingularSegment(f"segment {segment}: subset {subset} is singular throughout")
         if polys.degree(d) < 1:
@@ -244,14 +248,22 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     requirements: degenerate keyframes, a representative crossing the
     origin, identically singular segments, multiple roots, or two events
     sharing a parameter.  Re-running on equal input yields equal output.
+
+    Keyframes are checked first, off the segment pencils: ``_segment_rows``
+    scales points by positive factors, so a pencil's values at t = 0 (its
+    constant term) and t = 1 (its coefficient sum) vanish on exactly the
+    singular subsets of the keyframes at its ends.
     """
-    for idx, config in enumerate(path.keyframes):
-        _check_keyframe(config, f"keyframe {idx}: ")
+    frames = path.keyframes
+    pencils = [_segment_pencils(start, end) for start, end in zip(frames, frames[1:])]
+    # keyframe values: t = 0 of each segment, then t = 1 of the last one
+    ends = [[(subset, d[:1]) for subset, d in found] for found in pencils] + [pencils[-1]]
+    for idx, (config, values) in enumerate(zip(frames, ends)):
+        _check_keyframe(config, [subset for subset, d in values if not sum(d)], f"keyframe {idx}: ")
     events: list[SingularEvent] = []
-    for segment in range(len(path.keyframes) - 1):
-        start, end = path.keyframes[segment], path.keyframes[segment + 1]
-        _check_representatives(segment, start, end)
-        events.extend(_segment_events(segment, start, end, path.params))
+    for segment, found in enumerate(pencils):
+        _check_representatives(segment, frames[segment], frames[segment + 1])
+        events.extend(_segment_events(segment, found))
     return events
 
 
@@ -379,7 +391,7 @@ def void_path_to_base(config: Configuration) -> tuple[PLPath, SignString]:
     """
     params = config.params
     params.require_square()
-    _check_keyframe(config)
+    _check_keyframe(config, singular_subsets(config))
 
     keyframes = [config]
     _, sheared = shear_family(config)

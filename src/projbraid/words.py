@@ -168,15 +168,14 @@ def _letter_table(params: GroupParams) -> _LetterTable:
 
 
 @lru_cache(maxsize=64)
-def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...], dict]:
+def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...]]:
     """The move rules of a group on letter codes, read by the tape and the oracle.
 
-    Returns ``(windows, near, completion)``: each palindrome window as the
-    frozenset of the codes of its k+1 letters, the k-subsets of one (k+1)-set;
-    in bit b of ``near[a]`` whether letters a and b share k - 1 or k indices,
-    i.e. are equal or lie in a common window (they far-commute exactly when it
-    is clear); and a map from any k letters of a window, as a frozenset, to
-    the one letter completing them (unique, see ``bfs_equal_oracle``).
+    Returns ``(windows, near)``: each palindrome window as the frozenset of
+    the codes of its k+1 letters, the k-subsets of one (k+1)-set; and in bit
+    b of ``near[a]`` whether letters a and b share k - 1 or k indices, i.e.
+    are equal or lie in a common window (they far-commute exactly when it is
+    clear).
     """
     codes = {letter.subset: code for letter, code in _letter_table(params).codes.items()}
     windows = []
@@ -187,8 +186,13 @@ def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[in
         for code in window:
             near[code] |= bits
         windows.append(frozenset(window))
-    completion = {window - {code}: code for window in windows for code in window}
-    return frozenset(windows), tuple(near), completion
+    return frozenset(windows), tuple(near)
+
+
+@lru_cache(maxsize=64)
+def _completions(params: GroupParams) -> dict[frozenset[int], int]:
+    """Any k letters of a window, as a frozenset of codes, to the one completing them."""
+    return {window - {code}: code for window in _relations(params)[0] for code in window}
 
 
 _B_TOKEN = re.compile(r"b(\d+)\Z")
@@ -347,7 +351,7 @@ class _Tape:
         self.k = word.params.k
         table = _letter_table(word.params)
         self.letters, self.codes = table.letters, table.codes
-        self.windows, self.near, _ = _relations(word.params)
+        self.windows, self.near = _relations(word.params)
         self.cells = [self.codes[letter] for letter in word.letters]
 
     def word(self) -> Word:
@@ -470,9 +474,8 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
     An inserted copy must complete the k letters beside it to a window.
     Those k letters lie in at most one window (k >= 2 distinct k-subsets of
     a (k+1)-set have that set as their union), so each insertion point has
-    at most one candidate letter, read from the ``completion`` table of
-    ``_relations``.  A path of stored edges reads off as primitive moves, so
-    every Equal answer is certified move by move.
+    at most one candidate letter, read from ``_completions``.  Stored edges
+    read off as primitive moves, so every Equal answer is certified move by move.
     """
     if w1.params != w2.params:
         raise ValueError("words live in different groups")
@@ -481,7 +484,7 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
 
     k = w1.params.k
     table = _letter_table(w1.params)
-    windows, near, completion = _relations(w1.params)
+    (windows, near), completion = _relations(w1.params), _completions(w1.params)
 
     # yields (next_state, edge): a window edge is (insert_pos, insert_code,
     # window_pos, cancellations) with insert_pos = -1 when nothing is

@@ -90,6 +90,9 @@ RUNS = {
     # order needs interval refinement
     "certify-k4-segments": ["certify", "segments.json"],
     "certify-fails": ["certify", "singular.json"],
+    # k = 4, three keyframes: segment 0 sends point 5 through the origin, but
+    # the singular last keyframe is reported first
+    "certify-k4-last-keyframe-singular": ["certify", "singular.json"],
     "certify-base-sign-mismatch": ["certify", "mismatch.json"],
     # input errors exit 3 with nothing on stdout
     "solve-bad-token": ["solve", "b9"],
@@ -102,6 +105,7 @@ INPUTS = {
     "certify-algebraic": "inputs/algebraic-event.json",
     "certify-k4-segments": "inputs/k4-segments.json",
     "certify-fails": "inputs/singular-keyframe.json",
+    "certify-k4-last-keyframe-singular": "inputs/k4-last-keyframe-singular.json",
     "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",
 }
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from projbraid import polys
 from projbraid.projective import (
@@ -38,6 +39,12 @@ def config43(*rows) -> Configuration:
     return Configuration(P43, tuple(pt(*row) for row in rows))
 
 
+def canonical(point: ProjectivePoint) -> tuple[Fraction, ...]:
+    """The representative of the point whose last nonzero coordinate is +1."""
+    last = next(c for c in reversed(point.coords) if c != 0)
+    return tuple(c / last for c in point.coords)
+
+
 def chosen(config: Configuration, subset: tuple[int, ...]):
     """The stored representatives of the points named by ``subset`` (1-based)."""
     return [config.points[i - 1].coords for i in subset]
@@ -52,12 +59,30 @@ class TestPoints:
             pt(0, 0, 0)
 
     def test_canonical_scales_last_nonzero_to_one(self):
-        assert pt(2, 4, -2).canonical().coords == (F(-1), F(-2), F(1))
-        assert pt(3, 0, 0).canonical().coords == (F(1), F(0), F(0))
+        assert canonical(pt(2, 4, -2)) == (F(-1), F(-2), F(1))
+        assert canonical(pt(3, 0, 0)) == (F(1), F(0), F(0))
 
     def test_same_point_ignores_scale(self):
         assert pt(1, 2, 3).same_point(pt(-2, -4, -6))
         assert not pt(1, 2, 3).same_point(pt(1, 2, 4))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(-3, 3), min_size=2, max_size=5).filter(any),
+        st.data(),
+    )
+    def test_same_point_agrees_with_canonical_coordinates(self, coords, data):
+        # the other point is a nonzero rescaling of the first or an arbitrary
+        # nonzero vector of the same length, zero coordinates included
+        p = pt(*coords)
+        if data.draw(st.booleans()):
+            scale = data.draw(st.fractions(-5, 5).filter(bool))
+            q = p.scaled(scale)
+        else:
+            size = len(coords)
+            q = pt(*data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any)))
+        assert p.same_point(q) == (canonical(p) == canonical(q))
+        assert q.same_point(p) == p.same_point(q)
 
     def test_ratio_to(self):
         assert pt(-2, -4, -6).ratio_to(pt(1, 2, 3)) == F(-2)

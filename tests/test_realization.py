@@ -14,6 +14,8 @@ from projbraid.projective import (
     ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
+    general_position_violation,
+    singular_subsets,
 )
 from projbraid.realization import (
     AlgebraicTime,
@@ -21,11 +23,14 @@ from projbraid.realization import (
     CertificationError,
     DegenerateKeyframe,
     IdenticallySingularSegment,
+    PathError,
     PLPath,
     SimultaneousEvents,
     TangentialEvent,
     ZeroVectorOnSegment,
+    _check_representatives,
     _segment_events,
+    _segment_pencils,
     apply_transform_to_path,
     certify_roundtrip,
     check_base_sign,
@@ -167,7 +172,88 @@ class TestErrors:
         start = config(E1, E2, (0, 1, 1), (2, 1, 1))
         end = config(E1, E2, (1, 1, 1), (2, 1, 1))
         with pytest.raises(IdenticallySingularSegment):
-            _segment_events(0, start, end, P43)
+            _segment_events(0, _segment_pencils(start, end))
+
+
+def reference_detect_events(p: PLPath):
+    """``detect_events`` with every keyframe checked by its own elimination
+    (``singular_subsets``) before any segment is looked at."""
+    for idx, frame in enumerate(p.keyframes):
+        singular = singular_subsets(frame)
+        if singular:
+            violation = general_position_violation(frame)
+            if violation is not None:
+                raise DegenerateKeyframe(f"keyframe {idx}: points {violation} are not in general position")
+            raise DegenerateKeyframe(f"keyframe {idx}: singular subset {singular[0]}")
+    events = []
+    for segment, (start, end) in enumerate(zip(p.keyframes, p.keyframes[1:])):
+        _check_representatives(segment, start, end)
+        events.extend(_segment_events(segment, _segment_pencils(start, end)))
+    return events
+
+
+def outcome(run, p: PLPath):
+    try:
+        return "events", run(p)
+    except PathError as exc:
+        return type(exc), str(exc)
+
+
+def planted_path(rng: random.Random, k: int) -> PLPath:
+    """Random keyframes at k = 3..5, with a singular or non-general-position
+    keyframe planted first, in the middle or last, and sometimes an earlier
+    segment whose representative crosses the origin."""
+    params = GroupParams(k + 1 + (k == 3 and rng.random() < 0.3), k)
+    count = rng.randint(2, 4)
+
+    def vector():
+        while True:
+            coords = [rng.randint(-3, 3) for _ in range(k)]
+            if any(coords):
+                return coords
+
+    frames = [[vector() for _ in range(params.n)] for _ in range(count)]
+    plant = rng.choice([None, 0, count // 2, count - 1])
+    if plant is not None:
+        points = frames[plant]
+        i, j, *rest = rng.sample(range(params.n), k)
+        if rng.random() < 0.5:
+            # two proportional points: out of general position
+            points[j] = [-2 * c for c in points[i]]
+        else:
+            # point j in the span of k - 1 others: a singular k-subset
+            span = [i, *rest]
+            points[j] = [sum(rng.choice([-1, 1]) * points[m][c] for m in span) for c in range(k)]
+            if not any(points[j]):
+                points[j] = points[i]
+        if plant > 0 and rng.random() < 0.5:
+            segment = rng.randrange(plant)
+            m = rng.randrange(params.n)
+            frames[segment + 1][m] = [-c for c in frames[segment][m]]
+    return PLPath(
+        params,
+        tuple(Configuration(params, tuple(pt(*row) for row in frame)) for frame in frames),
+    )
+
+
+class TestKeyframePrecedence:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_a_keyframe_first_reference(self, seed):
+        rng = random.Random(f"keyframe-precedence:{seed}")
+        kinds = set()
+        for _ in range(25):
+            p = planted_path(rng, rng.randint(3, 5))
+            expected = outcome(reference_detect_events, p)
+            assert outcome(detect_events, p) == expected
+            kinds.add(expected[0])
+        assert DegenerateKeyframe in kinds
+
+    def test_keyframe_error_precedes_an_earlier_segment_error(self):
+        crossing = (E1, E2, E3, (1, 1, 1))
+        p = path(crossing, (E1, E2, E3, (-1, -1, -1)), (E1, E2, E3, (1, 1, 0)))
+        expected = outcome(reference_detect_events, p)
+        assert expected == (DegenerateKeyframe, "keyframe 2: singular subset (1, 2, 4)")
+        assert outcome(detect_events, p) == expected
 
 
 @contextlib.contextmanager

@@ -84,10 +84,11 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def compare(parent: Path, change: Path, args) -> dict:
+def compare(parent: Path, change: Path, args, script: str = __file__) -> dict:
+    """``script``'s own measurement on both checkouts, then the benchmark pairs."""
     scaling = {}
     for side, root in (("parent", parent), ("change", change)):
-        argv = [sys.executable, __file__, "--src", str(root / "src"), "--repeats", str(args.repeats),
+        argv = [sys.executable, script, "--src", str(root / "src"), "--repeats", str(args.repeats),
                 "--seed", str(args.seed), "--sizes", *map(str, args.sizes)]
         scaling[side] = json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
     runs, summary = [], {}
@@ -119,10 +120,11 @@ def compare(parent: Path, change: Path, args) -> dict:
             "summary": summary, "runs": runs}
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parent.parent / "src"))
-    parser.add_argument("--sizes", type=int, nargs="+", default=list(SIZES))
+def main(measure=measure, sizes=SIZES, script: str = __file__, doc: str = __doc__) -> None:
+    """The command line of ``script``, whose ``measure(sizes, repeats, seed)`` times one checkout."""
+    parser = argparse.ArgumentParser(description=doc.splitlines()[0])
+    parser.add_argument("--src", default=str(Path(script).resolve().parent.parent / "src"))
+    parser.add_argument("--sizes", type=int, nargs="+", default=list(sizes))
     parser.add_argument("--repeats", type=int, default=15)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"))
@@ -133,11 +135,11 @@ def main() -> None:
     parser.add_argument("--out")
     args = parser.parse_args()
     if args.compare:
-        doc = compare(Path(args.compare[0]).resolve(), Path(args.compare[1]).resolve(), args)
+        result = compare(Path(args.compare[0]).resolve(), Path(args.compare[1]).resolve(), args, script)
     else:
         sys.path.insert(0, str(Path(args.src).resolve()))
-        doc = measure(args.sizes, args.repeats, args.seed)
-    text = json.dumps(doc, indent=2)
+        result = measure(args.sizes, args.repeats, args.seed)
+    text = json.dumps(result, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
