@@ -89,6 +89,9 @@ RUNS = {
     # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
     # order needs interval refinement
     "certify-k4-segments": ["certify", "segments.json"],
+    # k = 3, n = 5: not square, so each subset is read off a block of four
+    # points; one rational event and one algebraic event
+    "certify-k3-n5": ["certify", "events.json"],
     "certify-fails": ["certify", "singular.json"],
     # k = 4, three keyframes: segment 0 sends point 5 through the origin, but
     # the singular last keyframe is reported first
@@ -104,6 +107,7 @@ INPUTS = {
     "readme-certify": "readme-realize.path.json",
     "certify-algebraic": "inputs/algebraic-event.json",
     "certify-k4-segments": "inputs/k4-segments.json",
+    "certify-k3-n5": "inputs/k3n5-events.json",
     "certify-fails": "inputs/singular-keyframe.json",
     "certify-k4-last-keyframe-singular": "inputs/k4-last-keyframe-singular.json",
     "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",
