@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import factorial, lcm
 
@@ -124,19 +125,23 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _bareiss(m: list[list[int]]) -> tuple[int, int]:
+def _bareiss(m: list[list[int]], columns: int | None = None) -> tuple[int, int]:
     """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
 
-    Returns the rank and the last pivot, negated once per row swap.  Columns
-    are scanned left to right and a column without a nonzero entry below the
-    pivots found so far is skipped, so the rank holds for rectangular
-    matrices too.  After each step every entry below the pivot rows is a
-    minor of the input, so the division by the previous pivot is exact; for
-    a square matrix of full rank the signed last pivot is the determinant.
+    Pivots are sought in the first ``columns`` columns (all by default),
+    left to right, and a column without a nonzero entry below the pivots
+    found so far is skipped; each step still clears whole rows.  Returns the
+    rank of those columns and the sign of the row permutation, -1 per swap.
+    After each step every entry below the pivot rows is a minor of the
+    row-permuted input, so the division by the previous pivot is exact; for
+    a square matrix of full rank the last entry, times that sign, is the
+    determinant.
     """
     rows = len(m)
+    if columns is None:
+        columns = len(m[0]) if m else 0
     rank, prev, sign = 0, 1, 1
-    for col in range(len(m[0]) if m else 0):
+    for col in range(columns):
         if rank == rows:
             break
         pivot = next((r for r in range(rank, rows) if m[r][col]), None)
@@ -153,14 +158,14 @@ def _bareiss(m: list[list[int]]) -> tuple[int, int]:
             row[col:] = [0] + [(p * v - a * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])]
         prev = p
         rank += 1
-    return rank, sign * prev
+    return rank, sign
 
 
 def det(rows) -> Fraction:
     """Determinant of a square rational matrix, by integer Bareiss elimination."""
     m, scale = _integer_rows(rows)
-    rank, pivot = _bareiss(m)
-    return Fraction(pivot, scale) if rank == len(m) else Fraction(0)
+    rank, sign = _bareiss(m)
+    return Fraction(sign * m[-1][-1], scale) if rank == len(m) else Fraction(0)
 
 
 def _subset_ranks(config: Configuration, size: int):
@@ -186,6 +191,7 @@ def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     return [subset for subset, rank in _subset_ranks(config, k) if rank < k]
 
 
+@lru_cache(maxsize=None)
 def _unit_points(k: int) -> tuple[ProjectivePoint, ...]:
     """The coordinate points e_1, ..., e_k."""
     return tuple(ProjectivePoint(tuple(Fraction(int(i == j)) for j in range(k))) for i in range(k))
@@ -269,23 +275,13 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
     return end, end.apply_to_configuration(config)
 
 
-def poly_det(starts, ends) -> polys.ZPoly:
-    """Determinant of the integer linear pencil with rows a + t (b - a).
+def _interpolate(values: list[int]) -> polys.ZPoly:
+    """The integer polynomial of degree at most D taking ``values`` at t = 0..D.
 
-    ``starts`` and ``ends`` hold the rows a and b.  Only a row that moves
-    (b != a) depends on t, so the determinant has degree at most D, the
-    number of moving rows.  It is evaluated at t = 0..D by ``_bareiss``;
     Newton forward differences turn the D + 1 values into the coefficients
-    times D!, and the division by D! is exact.
+    times D!, and the division by D! is checked to be exact.
     """
-    size = len(starts)
-    steps = [[q - p for p, q in zip(a, b)] for a, b in zip(starts, ends)]
-    top = sum(1 for step in steps if any(step))
-
-    values = []
-    for t in range(top + 1):
-        rank, pivot = _bareiss([[p + t * s for p, s in zip(a, step)] for a, step in zip(starts, steps)])
-        values.append(pivot if rank == size else 0)
+    top = len(values) - 1
     differences = []
     while values:
         differences.append(values[0])
@@ -305,3 +301,38 @@ def poly_det(starts, ends) -> polys.ZPoly:
     if any(c % scale for c in coeffs):
         raise AssertionError("inexact division by D! in a pencil determinant")
     return tuple(c // scale for c in coeffs)
+
+
+def pencil_minors(starts, ends) -> list[polys.ZPoly]:
+    """The k + 1 maximal minors of the (k + 1) x k integer pencil with rows a + t (b - a).
+
+    ``starts`` and ``ends`` hold the rows a and b; entry i is the
+    determinant of the pencil without row i.  Only a row that moves
+    (b != a) depends on t, so every minor has degree at most D, the number
+    of moving rows, and is interpolated from t = 0..D.  At each t one
+    elimination of [M(t) | I] over the first k columns gives all k + 1
+    values: det [M | e_i] = (-1)^(i + k) times the minor without row i, and
+    after k pivot steps the last row's identity part holds these
+    determinants of the row-permuted matrix, so the swap sign restores
+    them.  A rank below k makes every minor 0.
+    """
+    k = len(starts) - 1
+    steps = [[q - p for p, q in zip(a, b)] for a, b in zip(starts, ends)]
+    top = sum(1 for step in steps if any(step))
+    unit = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+    cofactor_signs = [(-1) ** (i + k) for i in range(k + 1)]
+
+    values = []
+    for t in range(top + 1):
+        m = [[p + t * s for p, s in zip(a, step)] + e for a, step, e in zip(starts, steps, unit)]
+        rank, sign = _bareiss(m, k)
+        last = m[k][k:] if rank == k else [0] * (k + 1)
+        values.append([sign * c * v for c, v in zip(cofactor_signs, last)])
+    return [_interpolate(list(column)) for column in zip(*values)]
+
+
+def poly_det(starts, ends) -> polys.ZPoly:
+    """Determinant of the square integer linear pencil with rows a + t (b - a):
+    the minor of ``pencil_minors`` that leaves out an appended zero row."""
+    zero = [0] * len(starts)
+    return pencil_minors([*starts, zero], [*ends, zero])[-1]

@@ -3,11 +3,14 @@
 A path is a sequence of keyframe configurations; between consecutive
 keyframes every point's representative moves linearly in Q^k.  Along a
 segment each k-subset of points has a determinant that is a polynomial of
-degree at most k in the segment parameter, with exact rational
-coefficients.  A *singular event* is a simple interior root of one of these
-polynomials: the moment the subset's points become projectively degenerate.
-Reading off the subsets in time order turns a path into a word; building a
-path letter by letter inverts that map on base configurations.
+degree at most k in the segment parameter.  Each point's pair of
+representatives is cleared of denominators by one positive factor, so these
+are integer pencils, computed k + 1 at a time as the maximal minors of a
+block of k + 1 points.  A *singular event* is a simple interior root of one
+of these polynomials: the moment the subset's points become projectively
+degenerate.  Reading off the subsets in time order turns a path into a
+word; building a path letter by letter inverts that map on base
+configurations.
 
 Event parameters are exact: rational when the root is found by the divisor
 search, otherwise an isolating interval with a certified sign change.  All
@@ -34,7 +37,7 @@ from .projective import (
     _integer_rows,
     base_configuration,
     general_position_violation,
-    poly_det,
+    pencil_minors,
     shear_family,
     sign_snap,
     sign_string_of,
@@ -162,7 +165,7 @@ def time_cmp(a: EventTime, b: EventTime) -> int:
 def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[list[int]], list[list[int]]]:
     """Per point, its start and end representatives as integer rows, the pair
     cleared of denominators by one positive factor, which changes no root and
-    no sign of a subset determinant: ``poly_det`` of the subset's rows."""
+    no sign of a subset determinant: the rows ``pencil_minors`` takes."""
     k = start.params.k
     rows, _ = _integer_rows([p.coords + q.coords for p, q in zip(start.points, end.points)])
     return [row[:k] for row in rows], [row[k:] for row in rows]
@@ -191,10 +194,23 @@ def _check_representatives(segment: int, start: Configuration, end: Configuratio
 
 
 def _segment_pencils(start: Configuration, end: Configuration) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
-    """Each k-subset, ascending, with its determinant along the segment."""
+    """Each k-subset S, ascending, with its determinant along the segment.
+
+    S is read off the (k+1)-block S + {m}, m the smallest index not in S, as
+    the minor without point m; ``pencil_minors`` gives each block's k + 1
+    minors at once, so a square segment (n = k + 1) is one block.
+    """
     starts, ends = _segment_rows(start, end)
-    subsets = combinations(range(1, start.params.n + 1), start.params.k)
-    return [(s, poly_det([starts[i - 1] for i in s], [ends[i - 1] for i in s])) for s in subsets]
+    n = start.params.n
+    minors: dict[tuple[int, ...], list[polys.ZPoly]] = {}
+    pencils = []
+    for subset in combinations(range(1, n + 1), start.params.k):
+        extra = next(i for i in range(1, n + 1) if i not in subset)
+        block = tuple(sorted((*subset, extra)))
+        if block not in minors:
+            minors[block] = pencil_minors([starts[i - 1] for i in block], [ends[i - 1] for i in block])
+        pencils.append((subset, minors[block][block.index(extra)]))
+    return pencils
 
 
 def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPoly]]):

@@ -17,6 +17,7 @@ from projbraid.projective import (
     base_configuration,
     det,
     general_position_violation,
+    pencil_minors,
     poly_det,
     shear_family,
     sign_snap,
@@ -256,6 +257,72 @@ class TestPolyDet:
                     assert polys.monic(got) == polys.monic(cofactor_det(entries))
 
 
+def static_matrices(seed: int):
+    """Seeded (k + 1) x k integer matrices for k = 2..7: some with zero
+    leading entries in their first rows, which force row swaps, and some of
+    rank below k."""
+    rng = random.Random(seed)
+    for index in range(240):
+        k = 2 + index % 6
+        m = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k + 1)]
+        kind = index // 6 % 4
+        if kind == 1:
+            for i in range(rng.randint(1, k)):
+                lead = rng.randint(1, k - 1)
+                m[i][:lead] = [0] * lead
+        elif kind == 2:
+            # a row of combinations of k - 2 others makes the rank < k
+            basis = rng.sample(range(k + 1), max(k - 2, 1))
+            for i in range(k + 1):
+                if i not in basis:
+                    coeffs = [rng.randint(-2, 2) for _ in basis]
+                    m[i] = [sum(c * m[b][j] for c, b in zip(coeffs, basis)) for j in range(k)]
+        elif kind == 3:
+            m[0] = [0] * (k - 1) + [rng.choice((-3, 3))]
+            m[1] = [0] * k
+        yield m
+
+
+class TestPencilMinors:
+    def test_entry_i_is_the_determinant_without_row_i(self):
+        # row 0 has a zero leading entry, so the elimination swaps rows
+        m = [[0, 1], [2, 0], [3, 5]]
+        assert pencil_minors(m, m) == [(10,), (-3,), (-2,)]
+        assert [det([row for j, row in enumerate(m) if j != i]) for i in range(3)] == [10, -3, -2]
+
+    def test_static_pencils_match_submatrix_determinants(self):
+        deficient = swapped = 0
+        for m in static_matrices(21):
+            expected = [det([row for j, row in enumerate(m) if j != i]) for i in range(len(m))]
+            assert pencil_minors(m, m) == [(int(d),) if d else () for d in expected]
+            deficient += not any(expected)
+            swapped += m[0][0] == 0
+        assert deficient >= 40 and swapped >= 60
+
+    def test_static_pencils_match_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.polys.matrices import DomainMatrix
+
+        for m in static_matrices(22):
+            got = pencil_minors(m, m)
+            for i, minor in enumerate(got):
+                expected = DomainMatrix.from_list([row for j, row in enumerate(m) if j != i], sympy.ZZ).det()
+                assert (minor[0] if minor else 0) == expected
+
+    def test_moving_pencils_match_cofactor_expansion(self):
+        rng = random.Random(23)
+        for k in range(2, 6):
+            for _ in range(8):
+                starts = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(k + 1)]
+                ends = [a[:] if rng.random() < 0.3 else [rng.randint(-4, 4) for _ in range(k)] for a in starts]
+                starts[0][0] = 0
+                got = pencil_minors(starts, ends)
+                for i in range(k + 1):
+                    rest = [j for j in range(k + 1) if j != i]
+                    entries = linear_entries([starts[j] for j in rest], [ends[j] for j in rest])
+                    assert got[i] == cofactor_det(entries)
+
+
 class TestBareiss:
     def test_rank_and_determinant_agree_with_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -271,11 +338,12 @@ class TestBareiss:
                 for row in m:
                     row[gap] = 0
             expected = sympy.Matrix(m)
-            rank, pivot = _bareiss([row[:] for row in m])
+            eliminated = [row[:] for row in m]
+            rank, sign = _bareiss(eliminated)
             assert rank == expected.rank()
             deficient += rank < rows
             if rows == k and rank == k:
-                assert pivot == expected.det()
+                assert sign * eliminated[-1][-1] == expected.det()
         assert deficient >= 100
 
 

@@ -4,6 +4,7 @@ import contextlib
 import random
 import signal
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -14,6 +15,7 @@ from projbraid.projective import (
     ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
+    det,
     general_position_violation,
     singular_subsets,
 )
@@ -31,6 +33,7 @@ from projbraid.realization import (
     _check_representatives,
     _segment_events,
     _segment_pencils,
+    _segment_rows,
     apply_transform_to_path,
     certify_roundtrip,
     check_base_sign,
@@ -254,6 +257,74 @@ class TestKeyframePrecedence:
         expected = outcome(reference_detect_events, p)
         assert expected == (DegenerateKeyframe, "keyframe 2: singular subset (1, 2, 4)")
         assert outcome(detect_events, p) == expected
+
+
+def reference_pencil(starts, ends) -> polys.ZPoly:
+    """One subset's determinant along a segment, computed for that subset
+    alone: ``det`` at t = 0..k, interpolated by Lagrange in fractions."""
+    ts = range(len(starts) + 1)
+    coeffs = [F(0)] * len(ts)
+    for i in ts:
+        value = det([[p + i * (q - p) for p, q in zip(a, b)] for a, b in zip(starts, ends)])
+        basis, scale = [F(1)], F(1)
+        for j in ts:
+            if j != i:
+                basis = [(basis[m - 1] if m else 0) - j * (basis[m] if m < len(basis) else 0)
+                         for m in range(len(basis) + 1)]
+                scale *= i - j
+        for m, c in enumerate(basis):
+            coeffs[m] += value * c / scale
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    assert all(c.denominator == 1 for c in coeffs)
+    return tuple(int(c) for c in coeffs)
+
+
+def random_segment(rng: random.Random, k: int, n: int) -> tuple[Configuration, Configuration]:
+    """Start and end of a seeded segment of n points at k, with one of: zero
+    leading entries that make the eliminations swap rows, two proportional
+    points, or a point that stays in the span of k - 1 others (the last two
+    leave some subset singular throughout)."""
+    params = GroupParams(n, k)
+    while True:
+        begin = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
+        finish = [p[:] if rng.random() < 0.3 else [F(rng.randint(-4, 4)) for _ in range(k)] for p in begin]
+        kind = rng.randrange(3)
+        if kind == 0:
+            for i in rng.sample(range(n), rng.randint(1, n - 1)):
+                lead = rng.randint(1, k - 1)
+                begin[i][:lead] = finish[i][:lead] = [F(0)] * lead
+        elif kind == 1:
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, F(1, 3), 3))
+            begin[j], finish[j] = [c * x for x in begin[i]], [c * x for x in finish[i]]
+        else:
+            j, *span = rng.sample(range(n), k)
+            coeffs = [rng.choice((-1, 1, 2)) for _ in span]
+            for frame in (begin, finish):
+                frame[j] = [sum(c * frame[m][x] for c, m in zip(coeffs, span)) for x in range(k)]
+        try:
+            return tuple(Configuration(params, tuple(pt(*p) for p in frame)) for frame in (begin, finish))
+        except ValueError:
+            continue
+
+
+class TestSegmentPencils:
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_block_minors_match_per_subset_determinants(self, k):
+        rng = random.Random(f"segment-pencils:{k}")
+        singular = 0
+        for n in range(k + 1, k + 4):
+            for _ in range(4 if k < 6 else 2):
+                start, end = random_segment(rng, k, n)
+                starts, ends = _segment_rows(start, end)
+                expected = [
+                    (s, reference_pencil([starts[i - 1] for i in s], [ends[i - 1] for i in s]))
+                    for s in combinations(range(1, n + 1), k)
+                ]
+                assert _segment_pencils(start, end) == expected
+                singular += any(not d for _, d in expected)
+        assert singular >= 2
 
 
 @contextlib.contextmanager

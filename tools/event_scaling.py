@@ -10,12 +10,16 @@ run from the root of a checkout:
 
 prints, per k and m, the median over ``--repeats`` runs of the two calls in
 milliseconds (the letter-path cache is cleared before each, as in a new
-process), the number of events, the number of ``_bareiss`` eliminations in
-one run (counted by a wrapper this tool installs around
-``projective._bareiss``), and the growth factor per doubling of m.
+process), the number of events, the number of eliminations in one run, and
+the growth factor per doubling of m.  Eliminations are counted by a wrapper
+this tool installs around ``projective._bareiss``, which passes on every
+argument.  That covers every elimination: ``singular_subsets``,
+``general_position_violation``, ``det`` and the augmented eliminations of ``pencil_minors`` (one per
+evaluation point t of each block of k + 1 points), since every caller
+looks ``_bareiss`` up in the module at call time.
 
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
-        --workloads realize-highk certify-files --out BENCH_keyframes.json
+        --workloads realize-highk certify-files --out BENCH_minors.json
 
 runs that on both checkouts and then pairs of ``perfbench/run.py``, as
 ``tools/replay_scaling.py --compare`` does.
@@ -39,10 +43,10 @@ def measure(sizes, repeats: int, seed: int) -> dict:
     eliminations = 0
     bareiss = projective._bareiss
 
-    def counted(m):
+    def counted(*args):
         nonlocal eliminations
         eliminations += 1
-        return bareiss(m)
+        return bareiss(*args)
 
     def realize_and_detect(word):
         realization._letter_path_cached.cache_clear()
