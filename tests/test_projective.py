@@ -259,8 +259,8 @@ class TestPolyDet:
 
 def static_matrices(seed: int):
     """Seeded (k + 1) x k integer matrices for k = 2..7: some with zero
-    leading entries in their first rows, which force row swaps, and some of
-    rank below k."""
+    leading entries in their first rows, which force row swaps, some of
+    rank below k, and some with a zero row below a row (0, ..., 0, c)."""
     rng = random.Random(seed)
     for index in range(240):
         k = 2 + index % 6
@@ -271,7 +271,7 @@ def static_matrices(seed: int):
                 lead = rng.randint(1, k - 1)
                 m[i][:lead] = [0] * lead
         elif kind == 2:
-            # a row of combinations of k - 2 others makes the rank < k
+            # every other row combines the same k - 2 rows (one at k = 2)
             basis = rng.sample(range(k + 1), max(k - 2, 1))
             for i in range(k + 1):
                 if i not in basis:

@@ -13,10 +13,11 @@ milliseconds (the letter-path cache is cleared before each, as in a new
 process), the number of events, the number of eliminations in one run, and
 the growth factor per doubling of m.  Eliminations are counted by a wrapper
 this tool installs around ``projective._bareiss``, which passes on every
-argument.  That covers every elimination: ``singular_subsets``,
-``general_position_violation``, ``det`` and the augmented eliminations of ``pencil_minors`` (one per
-evaluation point t of each block of k + 1 points), since every caller
-looks ``_bareiss`` up in the module at call time.
+argument.  Every caller looks ``_bareiss`` up in the module at call time,
+so the count covers every elimination: ``singular_subsets``,
+``general_position_violation``, ``det``, and the augmented eliminations of
+``pencil_minors``, one per evaluation point t of each block of k + 1
+points.
 
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
         --workloads realize-highk certify-files --out BENCH_minors.json
