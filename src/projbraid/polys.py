@@ -3,7 +3,7 @@
 Coefficient tuples run from the constant term upward and never carry a
 trailing zero, so the zero polynomial is the empty tuple.  Segment
 determinants arrive with integer coefficients (``ZPoly``, from
-``projective.poly_det``), and all root work runs on them; a ``Poly`` with
+``projective.pencil_minors``), and all root work runs on them; a ``Poly`` with
 ``Fraction`` coefficients is only the monic form the CLI prints.  A
 positive scale changes no root and no sign, so every decision below is the
 one the rational polynomial would give, without ``Fraction`` arithmetic on
