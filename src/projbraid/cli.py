@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import json
 import os
 import sys
 from fractions import Fraction
@@ -36,6 +35,7 @@ from .realization import (
     PathError,
     check_base_sign,
     detect_events,
+    indented_json,
     load_path_file,
     path_from_word,
     save_path_file,
@@ -258,7 +258,7 @@ def _cmd_realize(args, word: Word) -> tuple[int, Record]:
 def _cmd_certify(args) -> tuple[int, Record]:
     try:
         path, base_sign = load_path_file(args.file)
-    except (json.JSONDecodeError, ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:   # ValueError covers JSONDecodeError
         raise _UsageError(f"bad path file: {exc}") from exc
     try:
         if base_sign is not None:
@@ -398,7 +398,7 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     if args.format == "structured":
         doc = {"command": args.command} | {key: value for key, value, _ in record}
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(indented_json(doc, sort_keys=True))
     else:
         for _, _, line in record:
             if line is not None:

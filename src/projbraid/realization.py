@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
 from itertools import combinations
+from json.encoder import encode_basestring_ascii
 from pathlib import Path as FilePath
 
 from . import polys
@@ -505,8 +506,32 @@ def check_base_sign(path: PLPath, base_sign: SignString) -> None:
         )
 
 
+def indented_json(value, sort_keys: bool = False, margin: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte, for str-keyed dicts.
+
+    ``indent`` makes ``json`` give up its C encoder for a pure-Python one; this
+    walks the containers itself and leaves strings to the C escaper.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    inner = margin + "  "
+    if isinstance(value, (list, tuple)):
+        parts, brackets = [indented_json(v, sort_keys, inner) for v in value], "[]"
+    elif isinstance(value, dict):
+        items = sorted(value.items()) if sort_keys else value.items()
+        parts = [f"{encode_basestring_ascii(k)}: {indented_json(v, sort_keys, inner)}" for k, v in items]
+        brackets = "{}"
+    else:
+        return json.dumps(value)   # None, booleans and floats; anything else raises TypeError as json does
+    if not parts:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{margin}{brackets[1]}"
+
+
 def save_path_file(path: PLPath, file_path: str | FilePath, base_sign: SignString | None = None) -> None:
-    FilePath(file_path).write_text(json.dumps(path_to_document(path, base_sign), indent=2) + "\n")
+    FilePath(file_path).write_text(indented_json(path_to_document(path, base_sign)) + "\n")
 
 
 def load_path_file(file_path: str | FilePath) -> tuple[PLPath, SignString | None]:

@@ -202,8 +202,11 @@ class TestUntrustedInput:
             ('{"k": 3, "n": 4.0, "keyframes": []}', "n must be an integer"),
             ('{"k": true, "n": 4, "keyframes": []}', "k must be an integer"),
             (json.dumps({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, 1.5, 1]]]}), "1.5"),
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+            ('{"k": 3, "n": 4, "keyframes": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
         ],
-        ids=["zero-denominator", "huge-float-n", "exponent", "float-n", "bool-k", "float-coordinate"],
+        ids=["zero-denominator", "huge-float-n", "exponent", "float-n", "bool-k", "float-coordinate",
+             "deep-nesting", "deep-nesting-in-keyframes"],
     )
     def test_bad_path_file(self, tmp_path, capsys, text, message):
         file = tmp_path / "bad.json"
