@@ -9,8 +9,9 @@ block of length m.  Stdlib only; run from the root of a checkout:
     python3 tools/replay_scaling.py --src OTHER/src    # another tree
 
 prints, for each m = 64 .. 1024, the median over ``--repeats`` calls of
-``eliminate_last`` and ``check_trace`` in milliseconds, the number of moves,
-and the growth factor per doubling of m.
+``eliminate_last``, ``check_trace`` and the in-process command
+``--format structured solve --trace`` on the same word (stdout captured) in
+milliseconds, the number of moves, and the growth factor per doubling of m.
 
     python3 tools/replay_scaling.py --compare PARENT CHANGE --out BENCH_replay.json
 
@@ -23,6 +24,8 @@ median and quartiles of each end-to-end metric.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import random
 import statistics
@@ -55,6 +58,7 @@ def median_ms(call, repeats: int) -> float:
 
 
 def measure(sizes, repeats: int, seed: int) -> dict:
+    from projbraid import cli
     from projbraid.solver import check_trace, eliminate_last
     from projbraid.words import GroupParams, parse_word
 
@@ -67,13 +71,21 @@ def measure(sizes, repeats: int, seed: int) -> dict:
         rewritten, trace = eliminate_last(word)
         if not check_trace(word, trace, rewritten):
             raise RuntimeError(f"the trace at m = {m} does not replay")
+        argv = ["--format", "structured", "solve", "--trace", text]
+
+        def solve_cli():
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(argv)
+            if code not in (0, 1, 2):
+                raise RuntimeError(f"solve exited with {code} at m = {m}")
         rows.append({
             "m": m,
             "moves": len(trace),
             "eliminate_last_ms": median_ms(lambda: eliminate_last(word), repeats),
             "check_trace_ms": median_ms(lambda: check_trace(word, trace, rewritten), repeats),
+            "solve_cli_ms": median_ms(solve_cli, repeats),
         })
-    for stage in ("eliminate_last", "check_trace"):
+    for stage in ("eliminate_last", "check_trace", "solve_cli"):
         for before, after in zip(rows, rows[1:]):
             after[f"{stage}_growth"] = round(after[f"{stage}_ms"] / before[f"{stage}_ms"], 2)
     return {"k": 3, "seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows}
