@@ -1,24 +1,19 @@
 """The indented JSON writer against ``json.dumps(indent=2)``, byte for byte.
 
 ``realization.indented_json`` renders structured CLI output (sorted keys)
-and path files (insertion order).  ``json.dumps`` stays the reference here
-and nowhere else: with ``indent`` it runs the pure-Python encoder, so the
-package must not call it that way.
+and path files (insertion order).  ``json.dumps`` stays the reference here:
+with ``indent`` it runs the pure-Python encoder, which
+``tests/test_no_asserts.py`` keeps out of the package.
 """
 
-import ast
 import json
 import random
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import projbraid
 from projbraid import cli
 from projbraid.realization import indented_json
-
-SOURCES = sorted(Path(projbraid.__file__).resolve().parent.glob("*.py"))
 
 strings = st.one_of(
     st.text(),
@@ -78,18 +73,3 @@ def test_solve_trace_output_matches_json_dumps(monkeypatch, capsys):
     assert doc["status"] == "Trivial" and len(doc["trace"]) > 256
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-def test_sources_found():
-    assert len(SOURCES) >= 8
-
-
-def test_no_indented_json_dumps():
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("dumps", "dump")
-        and any(keyword.arg in ("indent", None) for keyword in node.keywords)
-    ]
-    assert found == [], "indent makes json fall back to its pure-Python encoder; use indented_json"
