@@ -54,6 +54,8 @@ class ProjectivePoint:
 
     def ratio_to(self, other: "ProjectivePoint") -> Fraction | None:
         """The scalar r with self = r * other, or None if not proportional."""
+        if self.coords == other.coords:
+            return Fraction(1)
         r = None
         for a, b in zip(self.coords, other.coords):
             if b == 0:
@@ -254,7 +256,8 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
     identity only in the last column, whose k-th entry stays 1, so
     det A(t) = 1 identically; every subset determinant is constant along the
     orbit of the configuration.  Returns the end transform A1 and the
-    transformed configuration.
+    transformed configuration, A1 p = p + p_k (c - e_k) for its last column
+    c, computed from that column alone.
     """
     params = config.params
     params.require_square()
@@ -271,8 +274,11 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
     # every A(t) unitriangular: that is the proof of det A(t) = 1
     if any(rows[i][j] != int(i == j) for i in range(k) for j in range(k) if j < k - 1 or i == k - 1):
         raise AssertionError("shear family must have unit determinant")
-    end = ProjectiveTransform(rows)
-    return end, end.apply_to_configuration(config)
+    sheared = tuple(
+        ProjectivePoint(tuple(c + p.coords[-1] * s for c, s in zip(p.coords, shear_column[:-1])) + p.coords[-1:])
+        for p in config.points
+    )
+    return ProjectiveTransform(rows), Configuration(params, sheared)
 
 
 def _interpolate(values: list[int]) -> polys.ZPoly:

@@ -185,27 +185,31 @@ def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], wher
     raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")
 
 
-def _check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
-    for i, (p, q) in enumerate(zip(start.points, end.points)):
-        ratio = q.ratio_to(p)
-        if ratio is not None and ratio < 0:
+def _check_representatives(segment: int, starts: list[list[int]], ends: list[list[int]]) -> None:
+    """Raise ZeroVectorOnSegment if some point's end row is a negative multiple
+    of its start row, read off the integer rows of ``_segment_rows``: with a
+    the start row, b the end row and j the first index with a_j != 0, that
+    is a_j * b_j < 0 with every cross-product a_j * b_m - b_j * a_m zero."""
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        j = next(j for j, x in enumerate(a) if x)
+        if a[j] * b[j] < 0 and all(a[j] * y == b[j] * x for x, y in zip(a, b)):
             raise ZeroVectorOnSegment(
                 f"segment {segment}: point {i + 1} representative passes through the origin"
             )
 
 
-def _segment_pencils(start: Configuration, end: Configuration) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
-    """Each k-subset S, ascending, with its determinant along the segment.
+def _segment_pencils(starts: list[list[int]], ends: list[list[int]]) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
+    """Each k-subset S, ascending, with its determinant along the segment
+    whose integer rows ``_segment_rows`` gave.
 
     S is read off the (k+1)-block S + {m}, m the smallest index not in S, as
     the minor without point m; ``pencil_minors`` gives each block's k + 1
     minors at once, so a square segment (n = k + 1) is one block.
     """
-    starts, ends = _segment_rows(start, end)
-    n = start.params.n
+    n = len(starts)
     minors: dict[tuple[int, ...], list[polys.ZPoly]] = {}
     pencils = []
-    for subset in combinations(range(1, n + 1), start.params.k):
+    for subset in combinations(range(1, n + 1), len(starts[0])):
         extra = next(i for i in range(1, n + 1) if i not in subset)
         block = tuple(sorted((*subset, extra)))
         if block not in minors:
@@ -272,14 +276,15 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     singular subsets of the keyframes at its ends.
     """
     frames = path.keyframes
-    pencils = [_segment_pencils(start, end) for start, end in zip(frames, frames[1:])]
+    rows = [_segment_rows(start, end) for start, end in zip(frames, frames[1:])]
+    pencils = [_segment_pencils(starts, ends) for starts, ends in rows]
     # keyframe values: t = 0 of each segment, then t = 1 of the last one
-    ends = [[(subset, d[:1]) for subset, d in found] for found in pencils] + [pencils[-1]]
-    for idx, (config, values) in enumerate(zip(frames, ends)):
+    frame_values = [[(subset, d[:1]) for subset, d in found] for found in pencils] + [pencils[-1]]
+    for idx, (config, values) in enumerate(zip(frames, frame_values)):
         _check_keyframe(config, [subset for subset, d in values if not sum(d)], f"keyframe {idx}: ")
     events: list[SingularEvent] = []
-    for segment, found in enumerate(pencils):
-        _check_representatives(segment, frames[segment], frames[segment + 1])
+    for segment, (found, (starts, ends)) in enumerate(zip(pencils, rows)):
+        _check_representatives(segment, starts, ends)
         events.extend(_segment_events(segment, found))
     return events
 
@@ -292,9 +297,11 @@ def word_from_path(path: PLPath) -> Word:
 # --- letter paths and roundtrips --------------------------------------------
 
 @lru_cache(maxsize=None)
-def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
+def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
+    """The letter path from the all-plus base configuration, certified by detection."""
     k = params.k
     c = letter.omitted_index(params)
+    signs = reference_signs(params)
     start = base_configuration(params, signs)
 
     end_signs = sign_action(Word(params, (letter,)), signs)
@@ -317,9 +324,24 @@ def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
     events = detect_events(path)
     if len(events) != 1 or events[0].subset != letter.subset:
         raise CertificationError(f"letter path for {letter} produced events {events}")
-    if not path.keyframes[-1].same_configuration(base_configuration(params, end_signs)):
+    return path
+
+
+@lru_cache(maxsize=None)
+def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
+    end_signs = sign_action(Word(params, (letter,)), signs)
+    # coordinate i of point j is multiplied by f_i g_j, f = (s, 1), g = (s, 1, 1)
+    flips = [[f * g for f in signs + (1,)] for g in signs + (1, 1)]
+    keyframes = tuple(
+        Configuration(params, tuple(
+            ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
+            for p, row in zip(config.points, flips)
+        ))
+        for config in _certified_letter_path(params, letter).keyframes
+    )
+    if not keyframes[-1].same_configuration(base_configuration(params, end_signs)):
         raise CertificationError(f"letter path for {letter} missed its endpoint")
-    return path, end_signs
+    return PLPath(params, keyframes), end_signs
 
 
 def letter_path(params: GroupParams, letter: Letter, signs: SignString) -> tuple[PLPath, SignString]:
@@ -332,7 +354,23 @@ def letter_path(params: GroupParams, letter: Letter, signs: SignString) -> tuple
     the last point across the hyperplane x_k = 0; the letter omitting k+1
     must move point k, which travels to the far side of the frame and is
     then brought back to its coordinate position by a determinant-one shear
-    that creates no events.  Construction is certified by detection.
+    that creates no events.
+
+    Construction is certified by detection once per letter, from the
+    all-plus signs, and the path from signs s is derived from that one
+    exactly.  With D_s = diag(s_1, ..., s_(k-1), 1) and g = (s_1, ...,
+    s_(k-1), 1, 1), point j of every keyframe is g_j D_s times its
+    all-plus representative.  That sends e_i to s_i^2 e_i = e_i and
+    (1, ..., 1) to (s_1, ..., s_(k-1), 1), so the first keyframe is
+    ``base_configuration(signs)`` exactly.  Representatives still move
+    linearly along each segment, and each k-subset determinant is
+    multiplied by the constant det(D_s) times the product of g_j over the
+    subset, which is +-1: every determinant has the same roots on every
+    segment, and a representative passes through the origin on one path
+    exactly when it does on the other.  So the derived path has the same
+    events and passes the same stability checks, and it needs no second
+    detection; only its endpoint is checked against the base configuration
+    of the translated sign string.
     """
     params.require_square()
     if len(letter.subset) != params.k or letter.subset[-1] > params.n:
@@ -364,7 +402,7 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
             keyframes.append(
                 Configuration(
                     params,
-                    tuple(p.scaled(s) for p, s in zip(config.points, scales)),
+                    tuple(p if s == 1 else p.scaled(s) for p, s in zip(config.points, scales)),
                 )
             )
     if len(keyframes) == 1:

@@ -259,7 +259,9 @@ def suite_roundtrip(scale: str = "full", seed: int = 0) -> SuiteResult:
 
 
 def suite_letter_paths(scale: str = "full", seed: int = 0) -> SuiteResult:
-    """Every (letter, sign string) pair yields a certified one-event path."""
+    """Every (letter, sign string) pair yields a one-event path, certified
+    here by detection, although ``letter_path`` derives all but one sign
+    string's path from a single certified path per letter."""
     del scale, seed
     failures: list[str] = []
     checked = 0
@@ -270,12 +272,15 @@ def suite_letter_paths(scale: str = "full", seed: int = 0) -> SuiteResult:
                 checked += 1
                 try:
                     path, end_signs = letter_path(params, letter, signs)
+                    subsets = [e.subset for e in detect_events(path)]
                 except Exception as exc:  # noqa: BLE001 - report, don't abort the sweep
                     failures.append(f"k={k} {letter} from {signs}: {exc}")
                     continue
                 expected = sign_action(Word(params, (letter,)), signs)
                 if end_signs != expected:
                     failures.append(f"k={k} {letter} from {signs}: ends at {end_signs}")
+                if subsets != [letter.subset]:
+                    failures.append(f"k={k} {letter} from {signs}: events {subsets}")
     return _result("letter-paths", checked, failures)
 
 

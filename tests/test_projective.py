@@ -444,6 +444,22 @@ class TestShear:
                 identity = sympy.eye(k)
                 assert sympy.expand((identity + t * (a - identity)).det()) == 1
 
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_configuration_is_the_end_transform_applied(self, k):
+        rng = random.Random(f"shear:{k}")
+        params = GroupParams(k + 1, k)
+        units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
+        for _ in range(10):
+            head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
+            point_k = pt(*head, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            while True:
+                point_n = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+                if any(point_n):
+                    break
+            config = Configuration(params, units + (point_k, pt(*point_n)))
+            end, sheared = shear_family(config)
+            assert sheared == end.apply_to_configuration(config)
+
 
 class TestSignSnap:
     def test_frozen_example(self):

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from projbraid import polys
-from projbraid.invariants import reference_signs, sign_action
+from projbraid.invariants import reference_signs, sign_action, sign_orbit
 from projbraid.projective import (
     Configuration,
     ProjectivePoint,
@@ -175,12 +175,24 @@ class TestErrors:
         start = config(E1, E2, (0, 1, 1), (2, 1, 1))
         end = config(E1, E2, (1, 1, 1), (2, 1, 1))
         with pytest.raises(IdenticallySingularSegment):
-            _segment_events(0, _segment_pencils(start, end))
+            _segment_events(0, _segment_pencils(*_segment_rows(start, end)))
+
+
+def reference_check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
+    """The origin-crossing check on the keyframes' fractions: an end
+    representative that is a negative multiple (``ratio_to``) of the start."""
+    for i, (p, q) in enumerate(zip(start.points, end.points)):
+        ratio = q.ratio_to(p)
+        if ratio is not None and ratio < 0:
+            raise ZeroVectorOnSegment(
+                f"segment {segment}: point {i + 1} representative passes through the origin"
+            )
 
 
 def reference_detect_events(p: PLPath):
     """``detect_events`` with every keyframe checked by its own elimination
-    (``singular_subsets``) before any segment is looked at."""
+    (``singular_subsets``) before any segment is looked at, and each
+    segment's representatives checked on fractions."""
     for idx, frame in enumerate(p.keyframes):
         singular = singular_subsets(frame)
         if singular:
@@ -190,8 +202,8 @@ def reference_detect_events(p: PLPath):
             raise DegenerateKeyframe(f"keyframe {idx}: singular subset {singular[0]}")
     events = []
     for segment, (start, end) in enumerate(zip(p.keyframes, p.keyframes[1:])):
-        _check_representatives(segment, start, end)
-        events.extend(_segment_events(segment, _segment_pencils(start, end)))
+        reference_check_representatives(segment, start, end)
+        events.extend(_segment_events(segment, _segment_pencils(*_segment_rows(start, end))))
     return events
 
 
@@ -237,6 +249,41 @@ def planted_path(rng: random.Random, k: int) -> PLPath:
         params,
         tuple(Configuration(params, tuple(pt(*row) for row in frame)) for frame in frames),
     )
+
+
+class TestRepresentativeCheck:
+    @staticmethod
+    def pair(rng: random.Random, k: int, kind: int):
+        """A start and end representative: a positive multiple, a negative
+        multiple, or an unrelated vector, each sometimes with zero entries."""
+        while True:
+            p = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+            for i in rng.sample(range(k), rng.randint(0, k - 1)):
+                p[i] = F(0)
+            if any(p):
+                break
+        if kind < 2:
+            r = F(rng.randint(1, 5), rng.randint(1, 4)) * (1 if kind == 0 else -1)
+            q = [r * c for c in p]
+        else:
+            q = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
+            zero = rng.randrange(k)
+            q[zero] = F(0) if any(q[:zero] + q[zero + 1 :]) else F(1)
+        return pt(*p), pt(*q)
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_integer_rows_match_the_fraction_rule(self, k):
+        rng = random.Random(f"representatives:{k}")
+        params = GroupParams(k + 1, k)
+        raised = 0
+        for _ in range(200):
+            pairs = [self.pair(rng, k, rng.choice((0, 0, 1, 2))) for _ in range(params.n)]
+            start = Configuration(params, tuple(p for p, _ in pairs))
+            end = Configuration(params, tuple(q for _, q in pairs))
+            expected = outcome(lambda _: reference_check_representatives(3, start, end), None)
+            assert outcome(lambda _: _check_representatives(3, *_segment_rows(start, end)), None) == expected
+            raised += expected[0] is ZeroVectorOnSegment
+        assert 20 <= raised <= 180
 
 
 class TestKeyframePrecedence:
@@ -322,7 +369,7 @@ class TestSegmentPencils:
                     (s, reference_pencil([starts[i - 1] for i in s], [ends[i - 1] for i in s]))
                     for s in combinations(range(1, n + 1), k)
                 ]
-                assert _segment_pencils(start, end) == expected
+                assert _segment_pencils(starts, ends) == expected
                 singular += any(not d for _, d in expected)
         assert singular >= 2
 
@@ -411,6 +458,45 @@ class TestLetterPaths:
     def test_rejects_foreign_letter(self):
         with pytest.raises(ValueError):
             letter_path(P43, Letter((1, 2, 5)), reference_signs(P43))
+
+
+def reference_letter_path(params: GroupParams, letter: Letter, signs) -> tuple[PLPath, tuple[int, ...]]:
+    """The letter path built for ``signs`` itself, with no derivation: the
+    start at ``base_configuration(signs)``, and for the letter omitting k + 1
+    a detour of point k then the straightening shear applied as a full
+    matrix."""
+    k = params.k
+    c = letter.omitted_index(params)
+    start = base_configuration(params, signs)
+    end_signs = sign_action(Word(params, (letter,)), signs)
+    if c <= k - 1:
+        return PLPath(params, (start, base_configuration(params, end_signs))), end_signs
+    if c == k:
+        moved = ProjectivePoint(tuple(F(s) for s in signs) + (F(-1),))
+        return PLPath(params, (start, Configuration(params, start.points[:k] + (moved,)))), end_signs
+    detour = ProjectivePoint(tuple(F(-2 * s) for s in signs) + (F(-1),))
+    middle = Configuration(params, start.points[: k - 1] + (detour,) + (start.points[k],))
+    column = [F(-2 * s) for s in signs] + [F(1)]   # -detour_j / detour_k
+    shear = ProjectiveTransform(tuple(
+        tuple(F(int(i == j)) for j in range(k - 1)) + (column[i],) for i in range(k)
+    ))
+    return PLPath(params, (start, middle, shear.apply_to_configuration(middle))), end_signs
+
+
+class TestDerivedLetterPaths:
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_every_sign_string_matches_its_own_construction(self, k):
+        params = GroupParams(k + 1, k)
+        pairs = 0
+        for letter in params.all_letters():
+            for signs in sorted(sign_orbit(params)):
+                derived, end = letter_path(params, letter, signs)
+                expected, expected_end = reference_letter_path(params, letter, signs)
+                assert path_to_document(derived) == path_to_document(expected)
+                assert end == expected_end
+                assert [e.subset for e in detect_events(derived)] == [letter.subset]
+                pairs += 1
+        assert pairs == (k + 1) * 2 ** (k - 1)   # 888 over k = 3..7
 
 
 class TestPathFromWord:

@@ -8,19 +8,21 @@ run from the root of a checkout:
     python3 tools/event_scaling.py                    # this checkout's src/
     python3 tools/event_scaling.py --src OTHER/src    # another tree
 
-prints, per k and m, the median over ``--repeats`` runs of the two calls in
-milliseconds (the letter-path cache is cleared before each, as in a new
-process), the number of events, the number of eliminations in one run, and
-the growth factor per doubling of m.  Eliminations are counted by a wrapper
-this tool installs around ``projective._bareiss``, which passes on every
-argument.  Every caller looks ``_bareiss`` up in the module at call time,
-so the count covers every elimination: ``singular_subsets``,
-``general_position_violation``, ``det``, and the augmented eliminations of
-``pencil_minors``, one per evaluation point t of each block of k + 1
-points.
+prints, per k and m, the median over ``--repeats`` runs of each call in
+milliseconds, ``realize_ms`` and ``detect_ms`` (every cache of
+``realization`` and ``projective``, found by its ``cache_clear`` method, is
+emptied before each realization, as in a new process), the number of
+events, the number of eliminations in one realization and detection, and
+the growth factor of each time per doubling of m.  Eliminations are
+counted by a wrapper this tool installs around ``projective._bareiss``,
+which passes on every argument.  Every caller looks ``_bareiss`` up in the
+module at call time, so the count covers every elimination:
+``singular_subsets``, ``general_position_violation``, ``det``, and the
+augmented eliminations of ``pencil_minors``, one per evaluation point t of
+each block of k + 1 points.
 
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
-        --workloads realize-highk certify-files --out BENCH_minors.json
+        --workloads realize-highk certify-files --out BENCH_letterpaths.json
 
 runs that on both checkouts and then pairs of ``perfbench/run.py``, as
 ``tools/replay_scaling.py --compare`` does.
@@ -49,9 +51,13 @@ def measure(sizes, repeats: int, seed: int) -> dict:
         eliminations += 1
         return bareiss(*args)
 
-    def realize_and_detect(word):
-        realization._letter_path_cached.cache_clear()
-        return realization.detect_events(realization.path_from_word(word))
+    caches = [value for module in (projective, realization) for value in vars(module).values()
+              if callable(getattr(value, "cache_clear", None))]
+
+    def realize(word):
+        for cache in caches:
+            cache.cache_clear()
+        return realization.path_from_word(word)
 
     rows = []
     for k in KS:
@@ -63,15 +69,18 @@ def measure(sizes, repeats: int, seed: int) -> dict:
             eliminations = 0
             projective._bareiss = counted
             try:
-                events = realize_and_detect(word)
+                path = realize(word)
+                events = realization.detect_events(path)
             finally:
                 projective._bareiss = bareiss
             if len(events) != m:
                 raise RuntimeError(f"k = {k}, m = {m}: {len(events)} events for {m} letters")
             row = {"k": k, "m": m, "events": len(events), "bareiss_calls": eliminations,
-                   "realize_detect_ms": median_ms(lambda: realize_and_detect(word), repeats)}
+                   "realize_ms": median_ms(lambda: realize(word), repeats),
+                   "detect_ms": median_ms(lambda: realization.detect_events(path), repeats)}
             if previous is not None:
-                row["growth"] = round(row["realize_detect_ms"] / previous["realize_detect_ms"], 2)
+                for stage in ("realize", "detect"):
+                    row[f"{stage}_growth"] = round(row[f"{stage}_ms"] / previous[f"{stage}_ms"], 2)
             rows.append(row)
             previous = row
     return {"seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows}

@@ -12,6 +12,10 @@ prints, for each m = 64 .. 1024, the median over ``--repeats`` calls of
 ``eliminate_last``, ``check_trace`` and the in-process command
 ``--format structured solve --trace`` on the same word (stdout captured) in
 milliseconds, the number of moves, and the growth factor per doubling of m.
+That word is NonTrivial, so its document has no trace; ``solve_trivial_cli``
+times the same command on the trivial word W . W^-1, W = b4 . B . b4 and
+W^-1 its reverse (every letter is an involution), whose Trivial verdict
+prints a trace of ``trivial_moves`` moves that grows with m.
 
     python3 tools/replay_scaling.py --compare PARENT CHANGE --out BENCH_replay.json
 
@@ -71,21 +75,25 @@ def measure(sizes, repeats: int, seed: int) -> dict:
         rewritten, trace = eliminate_last(word)
         if not check_trace(word, trace, rewritten):
             raise RuntimeError(f"the trace at m = {m} does not replay")
-        argv = ["--format", "structured", "solve", "--trace", text]
+        trivial = " ".join([text] + text.split()[::-1])
 
-        def solve_cli():
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(argv)
-            if code not in (0, 1, 2):
+        def solve_cli(text, codes=(0, 1, 2)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--format", "structured", "solve", "--trace", text])
+            if code not in codes:
                 raise RuntimeError(f"solve exited with {code} at m = {m}")
+            return out.getvalue()
         rows.append({
             "m": m,
             "moves": len(trace),
+            "trivial_moves": json.loads(solve_cli(trivial, (0,)))["trace_moves"],
             "eliminate_last_ms": median_ms(lambda: eliminate_last(word), repeats),
             "check_trace_ms": median_ms(lambda: check_trace(word, trace, rewritten), repeats),
-            "solve_cli_ms": median_ms(solve_cli, repeats),
+            "solve_cli_ms": median_ms(lambda: solve_cli(text), repeats),
+            "solve_trivial_cli_ms": median_ms(lambda: solve_cli(trivial, (0,)), repeats),
         })
-    for stage in ("eliminate_last", "check_trace", "solve_cli"):
+    for stage in ("eliminate_last", "check_trace", "solve_cli", "solve_trivial_cli"):
         for before, after in zip(rows, rows[1:]):
             after[f"{stage}_growth"] = round(after[f"{stage}_ms"] / before[f"{stage}_ms"], 2)
     return {"k": 3, "seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows}
