@@ -62,8 +62,9 @@ from .solver import (
     Verdict,
     check_trace,
     eliminate_last,
-    equal_k3,
+    equal,
     inner_eliminate,
+    solve,
     solve_k3,
     solve_semi,
 )

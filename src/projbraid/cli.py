@@ -40,7 +40,7 @@ from .realization import (
     path_from_word,
     save_path_file,
 )
-from .solver import NotInSubgroupError, Status, check_trace, eliminate_last, solve_k3, solve_semi
+from .solver import NotInSubgroupError, Status, Verdict, check_trace, eliminate_last, equal, solve
 from .words import (
     CancelPair,
     GroupParams,
@@ -52,10 +52,7 @@ from .words import (
     WordSyntaxError,
     bfs_equal_oracle,
     check_subset_count,
-    concat,
     format_word,
-    free_reduce,
-    inverse,
     parse_word,
 )
 
@@ -141,8 +138,7 @@ _STATUS = {
 }
 
 
-def _verdict(word: Word, show_trace: bool) -> tuple[int, Record]:
-    verdict = solve_k3(word) if word.params.k == 3 else solve_semi(word)
+def _verdict(verdict: Verdict, show_trace: bool) -> tuple[int, Record]:
     code, name = _STATUS[verdict.status]
     record = [("status", name, name)]
     if verdict.obstruction is not None:
@@ -164,11 +160,11 @@ def _verdict(word: Word, show_trace: bool) -> tuple[int, Record]:
 
 
 def _cmd_solve(args, word: Word) -> tuple[int, Record]:
-    return _verdict(word, args.trace)
+    return _verdict(solve(word), args.trace)
 
 
 def _cmd_equal(args, w1: Word, w2: Word) -> tuple[int, Record]:
-    return _verdict(free_reduce(concat(w1, inverse(w2))), args.trace)
+    return _verdict(equal(w1, w2), args.trace)
 
 
 def _cmd_f_image(args, word: Word) -> tuple[int, Record]:

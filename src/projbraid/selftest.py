@@ -23,6 +23,7 @@ from itertools import product
 from .invariants import (
     MoveInvariants,
     f_image,
+    parity_vector,
     reference_signs,
     sign_action,
     sign_orbit,
@@ -45,7 +46,7 @@ from .realization import (
     time_eq,
     void_path_to_base,
 )
-from .solver import Status, check_trace, eliminate_last, equal_k3, solve_k3
+from .solver import Status, check_trace, eliminate_last, equal, solve
 from .words import (
     CancelPair,
     GroupParams,
@@ -184,7 +185,8 @@ def suite_solver_oracle(scale: str = "full", seed: int = 0) -> SuiteResult:
 
     Over all freely reduced words up to the length cap, Trivial verdicts
     must coincide exactly with the oracle reaching the empty word, and
-    every NonTrivial verdict must carry a concrete witness.
+    every NonTrivial verdict must carry a concrete witness: an obstruction,
+    a residue, or the word's own nonzero parity vector.
     """
     del seed
     max_len = {"quick": 5, "full": 7}[scale]
@@ -205,13 +207,14 @@ def suite_solver_oracle(scale: str = "full", seed: int = 0) -> SuiteResult:
                 continue
             seen.add(reduced.letters)
             checked += 1
-            verdict = solve_k3(reduced)
+            verdict = solve(reduced)
             outcome = bfs_equal_oracle(reduced, empty, oracle_len, oracle_states)
             if (verdict.status is Status.TRIVIAL) != outcome.equal:
                 failures.append(f"{reduced}: solver {verdict.status.name}, oracle equal={outcome.equal}")
                 continue
             if verdict.status is Status.NONTRIVIAL:
-                if verdict.obstruction is None and verdict.residue is None:
+                parity_witness = any(verdict.parity or ()) and verdict.parity == parity_vector(reduced)
+                if verdict.obstruction is None and verdict.residue is None and not parity_witness:
                     failures.append(f"{reduced}: NonTrivial verdict without witness")
             elif verdict.status is Status.UNKNOWN:
                 failures.append(f"{reduced}: solver returned Unknown")
@@ -341,7 +344,7 @@ def suite_window_reversal(scale: str = "full", seed: int = 0) -> SuiteResult:
         word = Word(params, tuple(letters))
         reverse = Word(params, tuple(reversed(letters)))
         checked += 1
-        verdict = equal_k3(word, reverse)
+        verdict = equal(word, reverse)
         if verdict.status is not Status.TRIVIAL:
             failures.append(f"{word} vs {reverse}: {verdict.status.name}")
             continue

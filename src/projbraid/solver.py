@@ -8,10 +8,12 @@ a block is removed by palindrome-window surgery that shortens the distance
 between the occurrences by two per round.  Every step is recorded as a
 primitive move, so the whole derivation replays under ``check_trace``.
 
-For k = 3 the residue left after elimination lives in a free product of
-three order-two groups, which decides the word problem outright; that final
-step leans on an unpublished presentation result and is flagged on every
-verdict that uses it.
+``solve`` keeps one witness order at every k: an odd word is nontrivial by
+its obstruction image or else its parity vector, and an even word is
+eliminated.  For k = 3 a nonempty residue lives in a free product of three
+order-two groups, which decides the word problem outright; that last step
+leans on an unpublished presentation result and is flagged on every verdict
+that uses it.  For k >= 4 such a residue is Unknown.
 """
 
 from __future__ import annotations
@@ -244,50 +246,24 @@ def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
     return tape.word(), EliminationTrace(tuple(moves))
 
 
-def solve_k3(word: Word) -> Verdict:
-    """Decide the word problem for k = 3, n = 4.
+def solve(word: Word) -> Verdict:
+    """Decide (k = 3) or semi-decide (k >= 4) the word problem, n = k + 1.
 
-    Nonempty obstruction image: NONTRIVIAL with the image as witness.
-    Otherwise the word is rewritten over ``b1 .. b3`` and freely reduced;
-    an empty residue is TRIVIAL with a full trace, a nonempty one is
-    NONTRIVIAL under the flagged presentation assumption for the subgroup.
-    """
-    if word.params != GroupParams(4, 3):
-        raise ValueError("solve_k3 requires n=4, k=3")
-    return _eliminate_and_reduce(word, Status.NONTRIVIAL, frozenset({H3_FLAG}))
-
-
-def equal_k3(w1: Word, w2: Word) -> Verdict:
-    """Equality via triviality of the freely reduced difference word."""
-    return solve_k3(free_reduce(concat(w1, inverse(w2))))
-
-
-def solve_semi(word: Word) -> Verdict:
-    """Semi-decision for any k >= 3 with n = k + 1, using no unproven input.
-
-    NONTRIVIAL on a nonempty obstruction image or a nonzero parity vector;
-    TRIVIAL when elimination plus free reduction empties the word; UNKNOWN
-    otherwise, carrying the residue (no presentation of the subgroup is
-    assumed for k >= 4).
+    One witness order at every k.  A word with a nonzero parity vector is
+    NONTRIVIAL without elimination: its obstruction image when that is
+    nonempty, else its parity, which every move keeps.  An even word is
+    eliminated: NONTRIVIAL with the obstruction when that fails, TRIVIAL
+    with the full trace when elimination plus free reduction empties it,
+    and otherwise its residue decides only at k = 3, as NONTRIVIAL under
+    the flagged presentation assumption; at k >= 4 it is UNKNOWN.
     """
     word.params.require_square()
     parity = parity_vector(word)
     if any(parity):
-        # an odd word needs no elimination; its obstruction still comes first
         obstruction = f_image(word)
         if obstruction:
             return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
         return Verdict(Status.NONTRIVIAL, parity=parity)
-    return _eliminate_and_reduce(word, Status.UNKNOWN, frozenset())
-
-
-def _eliminate_and_reduce(word: Word, residue_status: Status, flags: frozenset[str]) -> Verdict:
-    """Eliminate ``b(k+1)`` and reduce freely.
-
-    NONTRIVIAL with the obstruction when elimination is impossible; TRIVIAL
-    with the full trace when nothing is left; otherwise ``residue_status``
-    with the residue and the assumption ``flags``.
-    """
     try:
         eliminated, trace = eliminate_last(word)
     except NotInSubgroupError as exc:
@@ -295,4 +271,23 @@ def _eliminate_and_reduce(word: Word, residue_status: Status, flags: frozenset[s
     residue, cancels = free_reduce_with_trace(eliminated)
     if not residue.letters:
         return Verdict(Status.TRIVIAL, trace=EliminationTrace(trace.steps + tuple(cancels)))
-    return Verdict(residue_status, residue=residue, assumption_flags=flags)
+    if word.params.k == 3:
+        return Verdict(Status.NONTRIVIAL, residue=residue, assumption_flags=frozenset({H3_FLAG}))
+    return Verdict(Status.UNKNOWN, residue=residue)
+
+
+def equal(w1: Word, w2: Word) -> Verdict:
+    """Equality via ``solve`` on the freely reduced difference word."""
+    return solve(free_reduce(concat(w1, inverse(w2))))
+
+
+def solve_k3(word: Word) -> Verdict:
+    """``solve``, for n = 4, k = 3 only."""
+    if word.params != GroupParams(4, 3):
+        raise ValueError(f"operation requires n=4, k=3, got n={word.params.n}, k={word.params.k}")
+    return solve(word)
+
+
+def solve_semi(word: Word) -> Verdict:
+    """``solve`` under its earlier name."""
+    return solve(word)

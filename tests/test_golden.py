@@ -44,6 +44,9 @@ RUNS = {
     "solve-trace-k3": ["--k", "3", "solve", "--trace", "b1 b2 b3 b4 b1 b2 b3 b4"],
     "solve-trace-k4": ["--k", "4", "solve", "--trace", "b1 b2 b3 b4 b5 b1 b2 b3 b4 b5"],
     "solve-trace-nontrivial-residue": ["--k", "3", "solve", "--trace", "b4 b1 b2 b3 b4 b1"],
+    # an even k = 3 word with an empty obstruction and a nonempty residue:
+    # the one verdict that rests on H3
+    "solve-k3-h3-residue": ["--k", "3", "solve", "b4 b1 b2 b1 b2 b4"],
     "eliminate-trace": ["eliminate", "--trace", "b4 b1 b2 b1 b2 b4 b3 b4 b1 b2 b3 b4"],
     "eliminate-not-member": ["eliminate", "--trace", "b4 b1 b4"],
     "equal-k3": ["--k", "3", "equal", "--trace", "b1 b2 b3 b4", "b4 b3 b2 b1"],

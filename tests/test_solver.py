@@ -17,8 +17,9 @@ from projbraid.solver import (
     Verdict,
     check_trace,
     eliminate_last,
-    equal_k3,
+    equal,
     inner_eliminate,
+    solve,
     solve_k3,
     solve_semi,
 )
@@ -177,16 +178,28 @@ class TestSolveK3:
         assert verdict.obstruction == ((0, 0), (1, 0))
         assert not verdict.assumption_flags
 
-    def test_residue_witness_is_flagged(self):
+    def test_odd_word_gets_parity_witness(self):
         verdict = solve_k3(w43("b1 b2"))
         assert verdict.status is Status.NONTRIVIAL
-        assert bword(verdict.residue) == "b1 b2"
+        assert verdict.parity == (1, 1, 0, 0)
+        assert verdict.residue is None
+        assert not verdict.assumption_flags
+
+    def test_residue_witness_is_flagged(self):
+        verdict = solve_k3(w43("b1 b2 b1 b2"))
+        assert verdict.status is Status.NONTRIVIAL
+        assert bword(verdict.residue) == "b1 b2 b1 b2"
         assert H3_FLAG in verdict.assumption_flags
 
+    def test_requires_k3(self):
+        with pytest.raises(ValueError):
+            solve_k3(w54("b1"))
+
     def test_equal_words(self):
-        assert equal_k3(w43("b4 b1 b2 b3 b4"), w43("b3 b2 b1")).status is Status.TRIVIAL
-        assert equal_k3(w43("b1"), w43("b2")).status is Status.NONTRIVIAL
-        assert equal_k3(w43("b4 b1 b2 b1 b2 b4"), w43("b3 b2 b1 b2 b1 b3")).status is Status.TRIVIAL
+        assert equal(w43("b4 b1 b2 b3 b4"), w43("b3 b2 b1")).status is Status.TRIVIAL
+        assert equal(w43("b1"), w43("b2")).status is Status.NONTRIVIAL
+        assert equal(w43("b4 b1 b2 b1 b2 b4"), w43("b3 b2 b1 b2 b1 b3")).status is Status.TRIVIAL
+        assert equal(w54("b1 b2"), w54("b2")).parity == (1, 0, 0, 0, 0)
 
 
 class TestSolveSemi:
@@ -212,30 +225,30 @@ class TestSolveSemi:
         assert verdict.parity is not None
         assert any(verdict.parity)
 
-    def test_odd_words_skip_elimination(self, monkeypatch):
+    @pytest.mark.parametrize("params", [P43, P54], ids=["k3", "k4"])
+    def test_odd_words_skip_elimination(self, monkeypatch, params):
         import projbraid.solver as solver
 
         def no_elimination(word):
             raise AssertionError("odd word was eliminated")
 
         monkeypatch.setattr(solver, "eliminate_last", no_elimination)
-        long = w54(" ".join(["b5 b1 b2 b3 b4"] * 200))
-        assert solve_semi(w54("b5")).obstruction
-        short = w54("b5 b1 b2 b3 b4 b5 b1")
-        assert solve_semi(short).parity == parity_vector(short)
-        assert solve_semi(concat(long, w54("b1"), inverse(long))).parity == parity_vector(w54("b1"))
+        k = params.k
 
-    def test_k3_agrees_with_solve_k3(self):
-        for text in ("b4 b4", "b4 b1 b4", "b1 b2 b3 b4 b1 b2 b3 b4"):
-            semi = solve_semi(w43(text))
-            full = solve_k3(w43(text))
-            if semi.status is not Status.UNKNOWN:
-                assert semi.status is full.status
+        def w(text: str) -> Word:
+            return parse_word(text, params)
+
+        window = " ".join([f"b{k + 1}"] + [f"b{j}" for j in range(1, k + 1)])
+        long = w(" ".join([window] * 200))
+        assert solve(w(f"b{k + 1}")).obstruction
+        short = w(f"{window} b{k + 1} b1")
+        assert solve(short).parity == parity_vector(short)
+        assert solve(concat(long, w("b1"), inverse(long))).parity == parity_vector(w("b1"))
 
 
 def _reference_solve(word: Word) -> Verdict:
-    """``solve_k3``/``solve_semi`` as they were with an ``f_image`` pass of
-    their own before elimination."""
+    """The witness order before ``solve``: an ``f_image`` pass of its own
+    before elimination, and a parity step at k >= 4 only."""
     obstruction = f_image(word)
     if obstruction:
         return Verdict(Status.NONTRIVIAL, obstruction=obstruction)
@@ -260,12 +273,20 @@ def _freely_reduced_words(params: GroupParams, max_len: int):
         level = [w + (x,) for w in level for x in letters if not w or w[-1] != x]
 
 
-@pytest.mark.parametrize("params, max_len", [(P43, 7), (P54, 6)], ids=["k3", "k4"])
-def test_verdicts_match_the_f_image_first_reference(params, max_len):
-    solve = solve_k3 if params.k == 3 else solve_semi
-    count = 0
+@pytest.mark.parametrize(
+    "params, max_len, count, moved", [(P43, 8, 13_121, 1221), (P54, 6, 6826, 0)], ids=["k3", "k4"]
+)
+def test_verdicts_match_the_f_image_first_reference(params, max_len, count, moved):
+    seen = changed = 0
     for word in _freely_reduced_words(params, max_len):
+        seen += 1
         # Verdict equality compares status, every witness, the trace and the flags
-        assert solve(word) == _reference_solve(word), bword(word)
-        count += 1
-    assert count == (4373 if params.k == 3 else 6826)
+        verdict, reference = solve(word), _reference_solve(word)
+        if verdict == reference:
+            continue
+        # only an H3-flagged residue may move, and only to the word's own parity
+        assert reference.residue is not None and H3_FLAG in reference.assumption_flags, bword(word)
+        assert verdict == Verdict(Status.NONTRIVIAL, parity=parity_vector(word)), bword(word)
+        assert any(verdict.parity), bword(word)
+        changed += 1
+    assert (seen, changed) == (count, moved)
