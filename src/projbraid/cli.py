@@ -13,7 +13,6 @@ import argparse
 import errno
 import os
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -116,17 +115,13 @@ def _trace_entry(moves) -> tuple:
     return ("trace", docs, _lines(lines))
 
 
-def _fraction_text(value: Fraction) -> str:
-    return str(value.numerator) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
-
-
 def _time_entry(t) -> tuple:
     """An event time as (document, text): a fraction, or the monic
     polynomial of an algebraic time with its isolating interval."""
     if not isinstance(t, AlgebraicTime):
-        return _fraction_text(t), _fraction_text(t)
-    poly = [_fraction_text(c) for c in monic(t.poly)]
-    lo, hi = _fraction_text(t.lo), _fraction_text(t.hi)
+        return str(t), str(t)
+    poly = [str(c) for c in monic(t.poly)]
+    lo, hi = str(t.lo), str(t.hi)
     return {"poly": poly, "interval": [lo, hi]}, f"root of [{', '.join(poly)}] in ({lo}, {hi})"
 
 

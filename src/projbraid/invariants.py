@@ -115,24 +115,21 @@ def parity_vector(word: Word) -> ParityVector:
 
 
 def sign_action(word: Word, signs: SignString) -> SignString:
-    """Act on a sign string of length k-1, letter by letter, left to right.
+    """Act on a sign string of length k-1 by the word's parity vector.
 
-    A letter whose subset omits index c flips the c-th sign when c <= k - 1
-    and flips every sign when c is k or k + 1.  The letters act by commuting
-    involutions, so the image depends only on the parity data of the word.
+    ``bj`` omits index k + 2 - j.  A letter omitting c <= k - 1 flips the
+    c-th sign, and the letters omitting k and k + 1 (``b2`` and ``b1``) flip
+    every sign.  These flips commute and square to the identity, so sign i
+    (0-based) is flipped by the word exactly when ``b(k+1-i)``, ``b1`` and
+    ``b2`` occur an odd number of times in total.
     """
     params = word.params
     params.require_square()
     check_sign_string(signs, params)
-    k = params.k
-    current = list(signs)
-    for letter in word.letters:
-        c = letter.omitted_index(params)
-        if c <= k - 1:
-            current[c - 1] = -current[c - 1]
-        else:
-            current = [-s for s in current]
-    return tuple(current)
+    parity = parity_vector(word)
+    flip_all = parity[0] ^ parity[1]
+    # parity[k - i] for sign i: the parities of b(k+1) down to b3
+    return tuple([-s if f ^ flip_all else s for s, f in zip(signs, parity[params.k:1:-1])])
 
 
 def check_sign_string(signs: SignString, params: GroupParams) -> None:
@@ -153,8 +150,8 @@ def in_tilde_subgroup(word: Word) -> bool:
 
 
 # The largest k whose sign orbit ``sign_orbit`` enumerates: 2^12 = 4096
-# strings at k = 13 take about 0.35 s (Python 3.11), and each step of k
-# doubles that.
+# strings at k = 13 take about 0.13 s (Python 3.11, 2 vCPU), and each step
+# of k doubles that.
 MAX_ORBIT_K = 13
 
 
@@ -169,16 +166,16 @@ def sign_orbit(params: GroupParams) -> list[SignString]:
             f"the sign orbit for k={params.k} has 2^{params.k - 1} strings, "
             f"beyond the cap of MAX_ORBIT_K = {MAX_ORBIT_K}"
         )
-    letters = params.all_letters()
-    seen: set[SignString] = set()
     frontier = [reference_signs(params)]
-    seen.add(frontier[0])
+    # a letter multiplies every sign string by its image of the all-plus one
+    masks = [sign_action(Word(params, (letter,)), frontier[0]) for letter in params.all_letters()]
+    seen: set[SignString] = {frontier[0]}
     order: list[SignString] = [frontier[0]]
     while frontier:
         nxt: list[SignString] = []
         for s in frontier:
-            for letter in letters:
-                image = sign_action(Word(params, (letter,)), s)
+            for mask in masks:
+                image = tuple([a * m for a, m in zip(s, mask)])
                 if image not in seen:
                     seen.add(image)
                     order.append(image)

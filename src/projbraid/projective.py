@@ -248,16 +248,17 @@ def sign_snap(config: Configuration) -> Configuration:
     return Configuration(config.params, config.points[:k] + (target,))
 
 
-def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configuration]:
-    """The unit-determinant shear moving point k into e_k, fixing e_1..e_{k-1}.
+def shear_family(config: Configuration) -> Configuration:
+    """The configuration moved by the unit-determinant shear that takes point k
+    into e_k and fixes e_1..e_{k-1}.
 
     Requires points 1..k-1 to be the coordinate points and point k to lie off
-    the hyperplane x_k = 0.  The family A(t) = I + t(A1 - I) differs from the
-    identity only in the last column, whose k-th entry stays 1, so
-    det A(t) = 1 identically; every subset determinant is constant along the
-    orbit of the configuration.  Returns the end transform A1 and the
-    transformed configuration, A1 p = p + p_k (c - e_k) for its last column
-    c, computed from that column alone.
+    the hyperplane x_k = 0.  The shear A1 is the identity except in its last
+    column c = (-x_1/x_k, ..., -x_{k-1}/x_k, 1), x point k.  The family
+    A(t) = I + t(A1 - I) is then upper unitriangular, so det A(t) = 1
+    identically, and every subset determinant is constant along the orbit of
+    the configuration: the motion creates no event.  Returns A1 applied to
+    every point, A1 p = p + p_k (c - e_k), computed from the column alone.
     """
     params = config.params
     params.require_square()
@@ -266,19 +267,12 @@ def shear_family(config: Configuration) -> tuple[ProjectiveTransform, Configurat
     xk = config.points[k - 1].coords
     if xk[k - 1] == 0:
         raise DegenerateFrameError("point k lies on the hyperplane x_k = 0")
-    shear_column = [-xk[j] / xk[k - 1] for j in range(k - 1)] + [Fraction(1)]
-    rows = tuple(
-        tuple(Fraction(int(i == j)) for j in range(k - 1)) + (shear_column[i],) for i in range(k)
-    )
-    # A1 equal to I outside its last column, with a last entry of 1, makes
-    # every A(t) unitriangular: that is the proof of det A(t) = 1
-    if any(rows[i][j] != int(i == j) for i in range(k) for j in range(k) if j < k - 1 or i == k - 1):
-        raise AssertionError("shear family must have unit determinant")
+    shear_column = [-xk[j] / xk[k - 1] for j in range(k - 1)]
     sheared = tuple(
-        ProjectivePoint(tuple(c + p.coords[-1] * s for c, s in zip(p.coords, shear_column[:-1])) + p.coords[-1:])
+        ProjectivePoint(tuple(c + p.coords[-1] * s for c, s in zip(p.coords, shear_column)) + p.coords[-1:])
         for p in config.points
     )
-    return ProjectiveTransform(rows), Configuration(params, sheared)
+    return Configuration(params, sheared)
 
 
 def _interpolate(values: list[int]) -> polys.ZPoly:

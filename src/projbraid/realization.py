@@ -317,31 +317,13 @@ def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
         middle = Configuration(
             params, start.points[: k - 1] + (detour,) + (start.points[k],)
         )
-        _, sheared = shear_family(middle)
-        keyframes = (start, middle, sheared)
+        keyframes = (start, middle, shear_family(middle))
 
     path = PLPath(params, keyframes)
     events = detect_events(path)
     if len(events) != 1 or events[0].subset != letter.subset:
         raise CertificationError(f"letter path for {letter} produced events {events}")
     return path
-
-
-@lru_cache(maxsize=None)
-def _letter_path_cached(params: GroupParams, letter: Letter, signs: SignString):
-    end_signs = sign_action(Word(params, (letter,)), signs)
-    # coordinate i of point j is multiplied by f_i g_j, f = (s, 1), g = (s, 1, 1)
-    flips = [[f * g for f in signs + (1,)] for g in signs + (1, 1)]
-    keyframes = tuple(
-        Configuration(params, tuple(
-            ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
-            for p, row in zip(config.points, flips)
-        ))
-        for config in _certified_letter_path(params, letter).keyframes
-    )
-    if not keyframes[-1].same_configuration(base_configuration(params, end_signs)):
-        raise CertificationError(f"letter path for {letter} missed its endpoint")
-    return PLPath(params, keyframes), end_signs
 
 
 def letter_path(params: GroupParams, letter: Letter, signs: SignString) -> tuple[PLPath, SignString]:
@@ -372,10 +354,20 @@ def letter_path(params: GroupParams, letter: Letter, signs: SignString) -> tuple
     detection; only its endpoint is checked against the base configuration
     of the translated sign string.
     """
-    params.require_square()
-    if len(letter.subset) != params.k or letter.subset[-1] > params.n:
-        raise ValueError(f"letter {letter} does not belong to this group")
-    return _letter_path_cached(params, letter, tuple(signs))
+    certified = _certified_letter_path(params, letter)
+    end_signs = sign_action(Word(params, (letter,)), signs)
+    # coordinate i of point j is multiplied by f_i g_j, f = (s, 1), g = (s, 1, 1)
+    flips = [[f * g for f in (*signs, 1)] for g in (*signs, 1, 1)]
+    keyframes = tuple(
+        Configuration(params, tuple(
+            ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
+            for p, row in zip(config.points, flips)
+        ))
+        for config in certified.keyframes
+    )
+    if not keyframes[-1].same_configuration(base_configuration(params, end_signs)):
+        raise CertificationError(f"letter path for {letter} missed its endpoint")
+    return PLPath(params, keyframes), end_signs
 
 
 def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
@@ -449,7 +441,7 @@ def void_path_to_base(config: Configuration) -> tuple[PLPath, SignString]:
     _check_keyframe(config, singular_subsets(config))
 
     keyframes = [config]
-    _, sheared = shear_family(config)
+    sheared = shear_family(config)
     for frame in (sheared, sign_snap(sheared)):
         if frame.points != keyframes[-1].points:
             keyframes.append(frame)
@@ -476,7 +468,7 @@ def apply_transform_to_path(transform: ProjectiveTransform, path: PLPath) -> PLP
 # --- path files --------------------------------------------------------------
 
 def _encode_fraction(value: Fraction):
-    return int(value) if value.denominator == 1 else f"{value.numerator}/{value.denominator}"
+    return int(value) if value.denominator == 1 else str(value)
 
 
 _FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")

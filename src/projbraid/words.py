@@ -109,20 +109,17 @@ class Letter:
     def omitted_index(self, params: GroupParams) -> int:
         """The unique element of {1, ..., n} missing from the subset (n = k+1 only).
 
-        The subset is sorted, so the first i with ``subset[i-1] != i`` is the
-        gap; with no such i the subset is 1..k and n is missing.
+        ``bj`` omits k + 2 - j, since the aliases follow lexicographic order.
         """
-        params.require_square()
-        if len(self.subset) != params.k or self.subset[-1] > params.n:
-            raise ValueError(f"letter {self} is not a k-subset of 1..n for k={params.k}")
-        for i, element in enumerate(self.subset, 1):
-            if element != i:
-                return i
-        return params.n
+        return params.k + 2 - self.b_index(params)
 
     def b_index(self, params: GroupParams) -> int:
-        """Position of this letter in the b-alias order (n = k + 1 only)."""
-        return params.k + 2 - self.omitted_index(params)
+        """Position of this letter in the b-alias order (n = k + 1 only): code j - 1 is ``bj``."""
+        params.require_square()
+        code = _letter_table(params).codes.get(self)
+        if code is None:
+            raise ValueError(f"letter {self} is not a k-subset of 1..n for k={params.k}")
+        return code + 1
 
     def __str__(self) -> str:
         return "a{" + ",".join(str(i) for i in self.subset) + "}"

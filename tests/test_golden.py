@@ -67,6 +67,7 @@ RUNS = {
     "parity-k4": ["--k", "4", "parity", "b5 b1 b2 b5"],
     "parity-nonsquare": ["--k", "2", "--n", "4", "parity", "a{1,2} a{3,4} a{1,2}"],
     "sign-action-signs": ["sign-action", "--signs", "(-,+)", "b3 b4"],
+    "sign-action-k4": ["--k", "4", "sign-action", "--signs", "(+,-,+)", "b1 b3 b5 b2 b4"],
     # the bounded oracle, including a far-commutation swap outside the square case
     "oracle-swap": ["--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{3,4}", "a{3,4} a{1,2}"],
     "oracle-trace": ["oracle", "--trace", "b1 b2 b3 b4", "b4 b3 b2 b1"],
@@ -88,6 +89,8 @@ RUNS = {
     "oracle-unknown-k2": ["--k", "2", "--n", "5", "oracle", "a{1,2} a{3,4} a{1,3}", "a{1,3} a{3,4} a{1,2}"],
     # realization and certification
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
+    # k = 5: the b(k+1) shear has k - 1 = 4 entries
+    "realize-k5-signs": ["--k", "5", "realize", "--signs", "(+,-,+,-)", "b6 b1 b3 b6", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
     # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
     # order needs interval refinement

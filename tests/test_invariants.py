@@ -1,6 +1,7 @@
 """Occurrence indices, the obstruction map, parities, and the sign action."""
 
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,20 @@ class TestParity:
         assert vec[letters.index(Letter((3, 4)))] == 1
 
 
+def reference_sign_action(word: Word, signs) -> tuple[int, ...]:
+    """The sign action letter by letter: a letter omitting c <= k - 1 flips
+    sign c, and a letter omitting k or k + 1 flips every sign."""
+    k = word.params.k
+    current = list(signs)
+    for letter in word.letters:
+        (c,) = set(range(1, k + 2)) - set(letter.subset)
+        if c <= k - 1:
+            current[c - 1] = -current[c - 1]
+        else:
+            current = [-s for s in current]
+    return tuple(current)
+
+
 class TestSignAction:
     # single-letter table, k=3: omitting one of the first k-1 indices flips
     # that sign; omitting k or k+1 flips everything
@@ -126,11 +141,43 @@ class TestSignAction:
         s = reference_signs(P43)
         assert sign_action(inverse(w), sign_action(w, s)) == s
 
+    def test_matches_the_letter_walk_on_every_short_k3_word(self):
+        starts = sign_orbit(P43)
+        words = 0
+        for length in range(7):
+            for letters in product(P43.all_letters(), repeat=length):
+                word = Word(P43, letters)
+                for s in starts:
+                    assert sign_action(word, s) == reference_sign_action(word, s)
+                words += 1
+        assert words == sum(4 ** length for length in range(7))   # 5461
+
+    @pytest.mark.parametrize("k", range(4, 8))
+    def test_matches_the_letter_walk_on_seeded_words(self, k):
+        params = GroupParams(k + 1, k)
+        rng = random.Random(f"sign-action:{k}")
+        letters = params.all_letters()
+        for _ in range(300):
+            word = Word(params, tuple(rng.choice(letters) for _ in range(rng.randint(0, 24))))
+            s = tuple(rng.choice((-1, 1)) for _ in range(k - 1))
+            assert sign_action(word, s) == reference_sign_action(word, s)
+
     def test_rejects_bad_sign_string(self):
         with pytest.raises(ValueError):
             sign_action(w43("b1"), (1, 1, 1))
         with pytest.raises(ValueError):
             sign_action(w43("b1"), (1, 0))
+
+    @pytest.mark.parametrize("k", range(3, 8))
+    def test_orbit_is_the_breadth_first_letter_walk(self, k):
+        params = GroupParams(k + 1, k)
+        order = [reference_signs(params)]
+        for s in order:   # grows while it is read: breadth first
+            for letter in params.all_letters():
+                image = reference_sign_action(Word(params, (letter,)), s)
+                if image not in order:
+                    order.append(image)
+        assert sign_orbit(params) == order
 
     def test_orbit_sizes(self):
         assert len(sign_orbit(P43)) == 4

@@ -24,7 +24,7 @@ from projbraid.projective import (
     sign_string_of,
     singular_subsets,
 )
-from projbraid.realization import PLPath, _segment_rows, detect_events
+from projbraid.realization import PLPath, _segment_pencils, _segment_rows, detect_events
 from projbraid.words import GroupParams
 
 F = Fraction
@@ -401,19 +401,46 @@ class TestBaseAndSigns:
             sign_string_of(config43(E1, E2, E3, (0, 1, 1)))
 
 
+def shear_matrix(config: Configuration) -> ProjectiveTransform:
+    """The shear that ``shear_family`` documents, as a full matrix: the
+    identity with last column (-x_1/x_k, ..., -x_{k-1}/x_k, 1), x point k."""
+    k = config.params.k
+    xk = config.points[k - 1].coords
+    column = [-xk[j] / xk[k - 1] for j in range(k - 1)] + [F(1)]
+    return ProjectiveTransform(tuple(
+        tuple(F(int(i == j)) for j in range(k - 1)) + (column[i],) for i in range(k)
+    ))
+
+
+def marked_configurations(k: int, count: int = 10):
+    """Seeded configurations with points 1..k-1 at e_1..e_(k-1) and point k off x_k = 0."""
+    rng = random.Random(f"shear:{k}")
+    params = GroupParams(k + 1, k)
+    units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
+    for _ in range(count):
+        head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
+        point_k = pt(*head, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        while True:
+            point_n = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
+            if any(point_n):
+                break
+        yield Configuration(params, units + (point_k, pt(*point_n)))
+
+
 class TestShear:
     def test_frozen_example(self):
         config = config43(E1, E2, (-2, -2, -1), (1, 1, 1))
-        end, sheared = shear_family(config)
-        assert end.matrix == ((1, 0, -2), (0, 1, -2), (0, 0, 1))
+        sheared = shear_family(config)
         assert sheared.points[2].coords == (F(0), F(0), F(-1))
         assert sheared.points[3].coords == (F(-1), F(-1), F(1))
         assert sheared.points[0].coords == (F(1), F(0), F(0))
+        end = shear_matrix(config)
+        assert end.matrix == ((1, 0, -2), (0, 1, -2), (0, 0, 1))
         assert det(end.matrix) == 1
 
     def test_fixes_hyperplane_points(self):
         config = config43(E1, E2, (1, 2, 3), (0, 1, 2))
-        _, sheared = shear_family(config)
+        sheared = shear_family(config)
         assert sheared.points[0].coords == (F(1), F(0), F(0))
         assert sheared.points[1].coords == (F(0), F(1), F(0))
         assert sheared.points[2].same_point(pt(*E3))
@@ -427,38 +454,26 @@ class TestShear:
             shear_family(config43(E1, (1, 1, 0), E3, (1, 1, 1)))
 
     def test_family_has_unit_determinant(self):
-        # the symbolic counterpart of the structural check in shear_family
+        # the argument of the shear_family docstring, checked symbolically
         sympy = pytest.importorskip("sympy")
         t = sympy.Symbol("t")
-        rng = random.Random(11)
         for k in range(3, 7):
-            params = GroupParams(k + 1, k)
-            units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
-            for _ in range(5):
-                last_coordinate = rng.choice([-3, -2, -1, 1, 2, 3])
-                head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
-                point_k = pt(*head, last_coordinate)
-                point_n = pt(*[rng.randint(1, 5) for _ in range(k)])
-                end, _ = shear_family(Configuration(params, units + (point_k, point_n)))
-                a = sympy.Matrix(end.matrix)
+            for config in marked_configurations(k, 5):
+                a = sympy.Matrix(shear_matrix(config).matrix)
                 identity = sympy.eye(k)
                 assert sympy.expand((identity + t * (a - identity)).det()) == 1
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_configuration_is_the_end_transform_applied(self, k):
-        rng = random.Random(f"shear:{k}")
-        params = GroupParams(k + 1, k)
-        units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
-        for _ in range(10):
-            head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
-            point_k = pt(*head, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
-            while True:
-                point_n = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
-                if any(point_n):
-                    break
-            config = Configuration(params, units + (point_k, pt(*point_n)))
-            end, sheared = shear_family(config)
-            assert sheared == end.apply_to_configuration(config)
+        for config in marked_configurations(k):
+            assert shear_family(config) == shear_matrix(config).apply_to_configuration(config)
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_subset_determinants_are_constant_along_the_shear(self, k):
+        for config in marked_configurations(k):
+            pencils = _segment_pencils(*_segment_rows(config, shear_family(config)))
+            assert len(pencils) == k + 1
+            assert all(polys.degree(d) <= 0 for _, d in pencils)
 
 
 class TestSignSnap:
