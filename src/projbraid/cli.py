@@ -234,6 +234,7 @@ def _check_output(file: str) -> None:
 
 
 def _cmd_realize(args, word: Word) -> tuple[int, Record]:
+    word.params.require_path_k()
     start = _signs_or_reference(args, word.params)
     _check_output(args.out)
     path = path_from_word(word, start)

@@ -44,11 +44,6 @@ class ProjectivePoint:
         if not self.coords or all(c == 0 for c in self.coords):
             raise ValueError("representative must be a nonzero vector")
 
-    def scaled(self, factor: Fraction) -> "ProjectivePoint":
-        if factor == 0:
-            raise ValueError("scaling factor must be nonzero")
-        return ProjectivePoint(tuple(c * factor for c in self.coords))
-
     def same_point(self, other: "ProjectivePoint") -> bool:
         return len(self.coords) == len(other.coords) and self.ratio_to(other) is not None
 

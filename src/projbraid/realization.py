@@ -327,76 +327,60 @@ def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
 
 
 def letter_path(params: GroupParams, letter: Letter, signs: SignString) -> tuple[PLPath, SignString]:
-    """A certified path realizing one letter from the base configuration.
-
-    The path starts at ``base_configuration(signs)``, crosses the letter's
-    subset exactly once and nothing else, and ends at the base configuration
-    of the translated sign string.  Letters whose subset omits one of the
-    first k-1 indices move only the last point; the letter omitting k flips
-    the last point across the hyperplane x_k = 0; the letter omitting k+1
-    must move point k, which travels to the far side of the frame and is
-    then brought back to its coordinate position by a determinant-one shear
-    that creates no events.
-
-    Construction is certified by detection once per letter, from the
-    all-plus signs, and the path from signs s is derived from that one
-    exactly.  With D_s = diag(s_1, ..., s_(k-1), 1) and g = (s_1, ...,
-    s_(k-1), 1, 1), point j of every keyframe is g_j D_s times its
-    all-plus representative.  That sends e_i to s_i^2 e_i = e_i and
-    (1, ..., 1) to (s_1, ..., s_(k-1), 1), so the first keyframe is
-    ``base_configuration(signs)`` exactly.  Representatives still move
-    linearly along each segment, and each k-subset determinant is
-    multiplied by the constant det(D_s) times the product of g_j over the
-    subset, which is +-1: every determinant has the same roots on every
-    segment, and a representative passes through the origin on one path
-    exactly when it does on the other.  So the derived path has the same
-    events and passes the same stability checks, and it needs no second
-    detection; only its endpoint is checked against the base configuration
-    of the translated sign string.
-    """
-    certified = _certified_letter_path(params, letter)
-    end_signs = sign_action(Word(params, (letter,)), signs)
-    # coordinate i of point j is multiplied by f_i g_j, f = (s, 1), g = (s, 1, 1)
-    flips = [[f * g for f in (*signs, 1)] for g in (*signs, 1, 1)]
-    keyframes = tuple(
-        Configuration(params, tuple(
-            ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
-            for p, row in zip(config.points, flips)
-        ))
-        for config in certified.keyframes
-    )
-    if not keyframes[-1].same_configuration(base_configuration(params, end_signs)):
-        raise CertificationError(f"letter path for {letter} missed its endpoint")
-    return PLPath(params, keyframes), end_signs
+    """``path_from_word`` on the one-letter word, and the sign string it ends at."""
+    word = Word(params, (letter,))
+    return path_from_word(word, signs), sign_action(word, signs)
 
 
 def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
-    """Concatenate letter paths, reconciling representatives at the joints.
+    """The concatenated letter paths of the word, from ``base_configuration(signs)``.
 
-    Consecutive letter paths agree projectively where they meet, but the
-    stored representatives may differ by per-point nonzero scalars; the
-    incoming path is rescaled point by point so keyframes match exactly.
+    A letter path crosses the letter's subset exactly once and nothing else.
+    A letter omitting one of the first k-1 indices moves only the last
+    point; the letter omitting k flips the last point across x_k = 0; the
+    letter omitting k+1 sends point k to the far side of the frame and
+    brings it back by a determinant-one shear that creates no events.
+
+    Each letter's path is certified by detection once, from the all-plus
+    signs, and each piece is derived from it exactly.  With s the signs
+    where the piece starts, D_s = diag(s_1, ..., s_(k-1), 1), g = (s_1,
+    ..., s_(k-1), 1, 1) and sigma the running joint scale, point j of every
+    keyframe is sigma_j g_j D_s times its all-plus representative.  D_s
+    sends e_i to e_i and (1, ..., 1) to (s_1, ..., s_(k-1), 1), so the
+    first keyframe is sigma times ``base_configuration(s)``: the previous
+    piece's last keyframe.  Representatives still move linearly, and each
+    k-subset determinant is multiplied by the constant det(D_s) times the
+    product of sigma_j g_j over the subset, which is +-1.  So every
+    determinant has the same roots on every segment, a representative
+    passes through the origin on one path exactly when it does on the
+    other, and the derived piece has the same events and passes the same
+    stability checks with no second detection.
+
+    Only the endpoint is checked: the last keyframe must be the base
+    configuration of the translated signs with each point scaled by +1 or
+    -1, and those scales are the next sigma.  By construction they are: a
+    letter omitting c <= k-1 ends on the base, the letter omitting k
+    negates point k+1 and the letter omitting k+1 negates point k.
     """
     params = word.params
     params.require_square()
-    current_signs = tuple(signs) if signs is not None else reference_signs(params)
-    keyframes: list[Configuration] = [base_configuration(params, current_signs)]
+    signs = tuple(signs) if signs is not None else reference_signs(params)
+    keyframes: list[Configuration] = [base_configuration(params, signs)]
+    scales = (1,) * params.n
     for letter in word.letters:
-        piece, current_signs = letter_path(params, letter, current_signs)
-        scales = []
-        junction = keyframes[-1]
-        for have, want in zip(junction.points, piece.keyframes[0].points):
-            ratio = have.ratio_to(want)
-            if ratio is None or ratio == 0:
-                raise AssertionError("joint configurations must match projectively")
-            scales.append(ratio)
-        for config in piece.keyframes[1:]:
-            keyframes.append(
-                Configuration(
-                    params,
-                    tuple(p if s == 1 else p.scaled(s) for p, s in zip(config.points, scales)),
-                )
-            )
+        # coordinate i of point j is kept or negated by f_i g_j sigma_j, f = (s, 1), g = (s, 1, 1)
+        flips = [[f * g * sigma for f in (*signs, 1)] for g, sigma in zip((*signs, 1, 1), scales)]
+        for config in _certified_letter_path(params, letter).keyframes[1:]:
+            keyframes.append(Configuration(params, tuple(
+                ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
+                for p, row in zip(config.points, flips)
+            )))
+        signs = sign_action(Word(params, (letter,)), signs)
+        end = base_configuration(params, signs).points
+        ratios = [p.ratio_to(q) for p, q in zip(keyframes[-1].points, end)]
+        if any(r not in (1, -1) for r in ratios):
+            raise CertificationError(f"letter path for {letter} missed its endpoint")
+        scales = tuple(int(r) for r in ratios)
     if len(keyframes) == 1:
         keyframes.append(keyframes[0])
     return PLPath(params, tuple(keyframes))
@@ -514,6 +498,7 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
     check_subset_count(params)
+    params.require_path_k()
     keyframes = []
     for frame in raw_keyframes:
         points = tuple(

@@ -62,6 +62,10 @@ class GroupParams:
         if not self.is_square:
             raise ValueError(f"operation requires n = k + 1, got n={self.n}, k={self.k}")
 
+    def require_path_k(self) -> None:
+        if self.k > MAX_PATH_K:
+            raise ValueError(f"k={self.k} is beyond the cap of MAX_PATH_K = {MAX_PATH_K} for paths")
+
     def all_letters(self) -> tuple[Letter, ...]:
         return _letter_table(self).letters
 
@@ -79,6 +83,10 @@ class GroupParams:
 # C(45, 2) = 990 the oracle takes 0.07 s to build its move rules (once per
 # group), and a 1438-state search between six-letter words 0.02 s after that.
 MAX_SUBSETS = 1000
+
+# Largest k of path geometry, in realize and in path files: realize then
+# certify of b1, each a new process, take 0.9 s at k = 64 and 3.8 s at k = 128.
+MAX_PATH_K = 64
 
 
 def check_subset_count(params: GroupParams) -> None:

@@ -203,10 +203,11 @@ class TestUntrustedInput:
             ('{"k": true, "n": 4, "keyframes": []}', "k must be an integer"),
             (json.dumps({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, 1.5, 1]]]}), "1.5"),
             ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
+            ('{"k": 999, "n": 1000, "keyframes": []}', "k=999 is beyond the cap of MAX_PATH_K = 64"),
             ('{"k": 3, "n": 4, "keyframes": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
         ],
         ids=["zero-denominator", "huge-float-n", "exponent", "float-n", "bool-k", "float-coordinate",
-             "deep-nesting", "deep-nesting-in-keyframes"],
+             "deep-nesting", "deep-nesting-in-keyframes", "k-over-the-path-cap"],
     )
     def test_bad_path_file(self, tmp_path, capsys, text, message):
         file = tmp_path / "bad.json"
@@ -259,6 +260,23 @@ class TestUntrustedInput:
             code, stdout, err = run(capsys, "--k", "6", "realize", "b1 b7 b2 b7", out)
             assert (code, stdout, err) == (3, "", f"projbraid: error: {message}\n")
         assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+    def test_realize_over_the_path_cap(self, tmp_path, monkeypatch, capsys):
+        # C(1000, 999) = 1000 passes the subset cap; the path cap stops realize
+        # before any path geometry and before the output is written
+        from projbraid import cli
+
+        def fail(*args):
+            raise AssertionError("path_from_word ran above the path cap")
+
+        monkeypatch.setattr(cli, "path_from_word", fail)
+        monkeypatch.chdir(tmp_path)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--k", "999", "realize", "b1", "out.json")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "projbraid: error: k=999 is beyond the cap of MAX_PATH_K = 64 for paths\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
         # C(18, 9) = 48620 subsets from a file of about 1.5 KB

@@ -91,6 +91,10 @@ RUNS = {
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     # k = 5: the b(k+1) shear has k - 1 = 4 entries
     "realize-k5-signs": ["--k", "5", "realize", "--signs", "(+,-,+,-)", "b6 b1 b3 b6", "out.json"],
+    # b2 negates point 4's representative and b1 negates point 3's, so later
+    # pieces are derived with both joint scales at -1
+    "realize-joints-k3": ["--k", "3", "realize", "--signs", "(-,+)", "b2 b1 b2 b1", "out.json"],
+    "certify-joints-k3": ["certify", "out.json"],
     "certify-algebraic": ["certify", "algebraic.json"],
     # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
     # order needs interval refinement
@@ -111,6 +115,7 @@ RUNS = {
 # name -> file under tests/golden copied into the working directory as argv[-1]
 INPUTS = {
     "readme-certify": "readme-realize.path.json",
+    "certify-joints-k3": "realize-joints-k3.path.json",
     "certify-algebraic": "inputs/algebraic-event.json",
     "certify-k4-segments": "inputs/k4-segments.json",
     "certify-k3-n5": "inputs/k3n5-events.json",

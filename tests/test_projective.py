@@ -78,7 +78,7 @@ class TestPoints:
         p = pt(*coords)
         if data.draw(st.booleans()):
             scale = data.draw(st.fractions(-5, 5).filter(bool))
-            q = p.scaled(scale)
+            q = ProjectivePoint(tuple(c * scale for c in p.coords))
         else:
             size = len(coords)
             q = pt(*data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any)))

@@ -519,6 +519,34 @@ class TestPathFromWord:
         p = path_from_word(w, (-1, 1))
         assert p.keyframes[0].points == base_configuration(P43, (-1, 1)).points
 
+    @pytest.mark.parametrize("scale", [None, 2], ids=["not-proportional", "doubled"])
+    def test_endpoint_must_be_the_base_up_to_signs(self, monkeypatch, scale):
+        # b3 omits index 2 and ends on the base; its certified path is replaced
+        # by one whose last keyframe is off the base or 2x the base
+        from projbraid import realization
+
+        b3 = P43.b_letter(3)
+        end = base_configuration(P43, sign_action(Word(P43, (b3,)), (1, 1)))
+        if scale is None:
+            last = config(E1, E2, E3, (1, 2, 3))
+        else:
+            last = Configuration(P43, tuple(
+                ProjectivePoint(tuple(scale * c for c in p.coords)) for p in end.points
+            ))
+        original = realization._certified_letter_path
+
+        def certified(params, letter):
+            if letter == b3:
+                return PLPath(params, (base_configuration(params, (1, 1)), last))
+            return original(params, letter)
+
+        monkeypatch.setattr(realization, "_certified_letter_path", certified)
+        for signs in [(1, 1), (-1, 1)]:
+            with pytest.raises(CertificationError, match="missed its endpoint"):
+                path_from_word(parse_word("b4 b3", P43), signs)
+            with pytest.raises(CertificationError, match="missed its endpoint"):
+                letter_path(P43, b3, signs)
+
     def test_certify_roundtrip_report(self):
         report = certify_roundtrip(parse_word("b4 b1 b2 b3 b4 b2", P43))
         assert report.ok
