@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import GroupParams, Word, _letter_table, free_cancel
+from .words import GroupParams, Word, free_cancel
 
 IndexString = tuple[int, ...]     # k-1 bits naming a free-product generator
 ObstructionWord = tuple[IndexString, ...]
@@ -74,12 +74,10 @@ def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:
     params = word.params
     params.require_square()
     k = params.k
-    codes = _letter_table(params).codes     # code j - 1 is bj, so b(k+1) is k
     counts = [0] * k
     positions: list[int] = []
     indices: list[IndexString] = []
-    for pos, letter in enumerate(word.letters):
-        code = codes[letter]
+    for pos, code in enumerate(word.codes):     # code j - 1 is bj, so b(k+1) is k
         if code == k:
             positions.append(pos)
             indices.append(_normalize_index(counts, k))
@@ -107,10 +105,9 @@ def f_image(word: Word) -> ObstructionWord:
 
 def parity_vector(word: Word) -> ParityVector:
     """Letter counts mod 2, ordered by alias index (length k+1 when n = k+1)."""
-    codes = _letter_table(word.params).codes
-    counts = [0] * len(codes)
-    for letter in word.letters:
-        counts[codes[letter]] ^= 1
+    counts = [0] * len(word.params.all_letters())
+    for code in word.codes:
+        counts[code] ^= 1
     return tuple(counts)
 
 

@@ -34,7 +34,6 @@ from .projective import (
     ProjectiveTransform,
     base_configuration,
     det,
-    general_position_violation,
     singular_subsets,
 )
 from .realization import (
@@ -300,7 +299,7 @@ def _random_marked_configuration(params: GroupParams, rng: random.Random) -> Con
             continue
         tail = tuple(ProjectivePoint(tuple(row)) for row in coords)
         config = Configuration(params, units + tail)
-        if general_position_violation(config) is None and not singular_subsets(config):
+        if not singular_subsets(config):
             return config
 
 

@@ -124,7 +124,7 @@ class Letter:
     def b_index(self, params: GroupParams) -> int:
         """Position of this letter in the b-alias order (n = k + 1 only): code j - 1 is ``bj``."""
         params.require_square()
-        code = _letter_table(params).codes.get(self)
+        code = _letter_table(params).codes.get(self.subset)
         if code is None:
             raise ValueError(f"letter {self} is not a k-subset of 1..n for k={params.k}")
         return code + 1
@@ -150,17 +150,23 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
+    @property
+    def codes(self) -> tuple[int, ...]:
+        """The code of each letter, its position in ``params.all_letters()``."""
+        codes = _letter_table(self.params).codes
+        return tuple([codes[letter.subset] for letter in self.letters])
+
     def __str__(self) -> str:
         return format_word(self)
 
 
 class _LetterTable(NamedTuple):
     """Every letter of a group in ``all_letters`` order, the code of each
-    letter (its position in that order), and, when n = k + 1, the letter
-    of each token ``bj``: code j - 1 is ``bj``."""
+    letter (its position in that order) keyed by the letter's subset, and,
+    when n = k + 1, the letter of each token ``bj``: code j - 1 is ``bj``."""
 
     letters: tuple[Letter, ...]
-    codes: dict[Letter, int]
+    codes: dict[tuple[int, ...], int]
     aliases: dict[str, Letter]
 
 
@@ -169,35 +175,33 @@ def _letter_table(params: GroupParams) -> _LetterTable:
     check_subset_count(params)
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
     aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
-    return _LetterTable(letters, {letter: code for code, letter in enumerate(letters)}, aliases)
+    return _LetterTable(letters, {letter.subset: code for code, letter in enumerate(letters)}, aliases)
 
 
 @lru_cache(maxsize=64)
-def _relations(params: GroupParams) -> tuple[frozenset[frozenset[int]], tuple[int, ...]]:
+def _relations(
+    params: GroupParams,
+) -> tuple[frozenset[frozenset[int]], tuple[int, ...], dict[frozenset[int], int]]:
     """The move rules of a group on letter codes, read by the tape and the oracle.
 
-    Returns ``(windows, near)``: each palindrome window as the frozenset of
-    the codes of its k+1 letters, the k-subsets of one (k+1)-set; and in bit
-    b of ``near[a]`` whether letters a and b share k - 1 or k indices, i.e.
-    are equal or lie in a common window (they far-commute exactly when it is
-    clear).
+    Returns ``(windows, near, completions)``: each palindrome window as the
+    frozenset of the codes of its k+1 letters, the k-subsets of one (k+1)-set;
+    in bit b of ``near[a]`` whether letters a and b are equal or lie in a
+    common window (they far-commute exactly when it is clear); and any k
+    letters of a window, as a frozenset of codes, to the one completing them.
     """
-    codes = {letter.subset: code for letter, code in _letter_table(params).codes.items()}
+    codes = _letter_table(params).codes
     windows = []
     near = [0] * len(codes)
+    completions = {}
     for union in combinations(range(1, params.n + 1), params.k + 1):
-        window = [codes[subset] for subset in combinations(union, params.k)]
+        window = frozenset([codes[subset] for subset in combinations(union, params.k)])
         bits = sum(1 << code for code in window)
         for code in window:
             near[code] |= bits
-        windows.append(frozenset(window))
-    return frozenset(windows), tuple(near)
-
-
-@lru_cache(maxsize=64)
-def _completions(params: GroupParams) -> dict[frozenset[int], int]:
-    """Any k letters of a window, as a frozenset of codes, to the one completing them."""
-    return {window - {code}: code for window in _relations(params)[0] for code in window}
+            completions[window - {code}] = code
+        windows.append(window)
+    return frozenset(windows), tuple(near), completions
 
 
 _B_TOKEN = re.compile(r"b(\d+)\Z")
@@ -354,10 +358,9 @@ class _Tape:
     def __init__(self, word: Word):
         self.params = word.params
         self.k = word.params.k
-        table = _letter_table(word.params)
-        self.letters, self.codes = table.letters, table.codes
-        self.windows, self.near = _relations(word.params)
-        self.cells = [self.codes[letter] for letter in word.letters]
+        self.letters, self.codes, _ = _letter_table(word.params)
+        self.windows, self.near, _ = _relations(word.params)
+        self.cells = list(word.codes)
 
     def word(self) -> Word:
         return Word(self.params, tuple(self.letters[code] for code in self.cells))
@@ -379,7 +382,7 @@ class _Tape:
             pos = move.pos
             if not 0 <= pos <= len(cells):
                 raise IllegalMoveError(f"insert position {pos} out of bounds")
-            code = self.codes.get(move.letter)
+            code = self.codes.get(move.letter.subset)
             if code is None:
                 Word(self.params, (move.letter,))  # raises on a letter of another group
                 raise ValueError(f"letter {move.letter} is not a letter of the group")
@@ -479,8 +482,8 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
     An inserted copy must complete the k letters beside it to a window.
     Those k letters lie in at most one window (k >= 2 distinct k-subsets of
     a (k+1)-set have that set as their union), so each insertion point has
-    at most one candidate letter, read from ``_completions``.  Stored edges
-    read off as primitive moves, so every Equal answer is certified move by move.
+    at most one candidate letter, its completion in ``_relations``.  Stored
+    edges read off as primitive moves, so every Equal answer is certified move by move.
     """
     if w1.params != w2.params:
         raise ValueError("words live in different groups")
@@ -488,8 +491,8 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
         return OracleResult(True, (), 0)
 
     k = w1.params.k
-    table = _letter_table(w1.params)
-    (windows, near), completion = _relations(w1.params), _completions(w1.params)
+    letters = w1.params.all_letters()
+    windows, near, completion = _relations(w1.params)
 
     # yields (next_state, edge): a window edge is (insert_pos, insert_code,
     # window_pos, cancellations) with insert_pos = -1 when nothing is
@@ -519,8 +522,7 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
 
     reduce1, cancels1 = free_reduce_with_trace(w1)
     reduce2, cancels2 = free_reduce_with_trace(w2)
-    start = tuple(table.codes[letter] for letter in reduce1.letters)
-    end = tuple(table.codes[letter] for letter in reduce2.letters)
+    start, end = reduce1.codes, reduce2.codes
 
     def finish(fwd_moves: list[Move], bwd_moves: list[Move], states: int) -> OracleResult:
         trace = list(cancels1) + fwd_moves
@@ -549,8 +551,8 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
                 own[nxt] = (state, edge)
                 states += 1
                 if nxt in other:
-                    fwd_moves = _rebuild_moves(table.letters, parents[0], nxt)
-                    bwd_moves = _rebuild_moves(table.letters, parents[1], nxt)
+                    fwd_moves = _rebuild_moves(letters, parents[0], nxt)
+                    bwd_moves = _rebuild_moves(letters, parents[1], nxt)
                     return finish(fwd_moves, bwd_moves, states)
                 next_frontier.append(nxt)
                 if states >= max_states:

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from projbraid.invariants import parity_vector
 from projbraid.solver import EliminationTrace, check_trace
 from projbraid.words import (
     CancelPair,
@@ -198,3 +199,7 @@ def test_replay_refuses_a_group_beyond_the_subset_cap():
     word = Word(params, (Letter(tuple(range(1, 16))),))
     with pytest.raises(ValueError, match="exceeds the cap of 1000 subsets"):
         apply_move(word, CancelPair(0, word.letters[0]))
+    with pytest.raises(ValueError, match="exceeds the cap of 1000 subsets"):
+        word.codes
+    with pytest.raises(ValueError, match="exceeds the cap of 1000 subsets"):
+        parity_vector(word)

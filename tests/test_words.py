@@ -1,10 +1,13 @@
 """Words, parsing, primitive moves, relations, and the bounded oracle."""
 
-from itertools import product
+import dataclasses
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
+from projbraid.invariants import last_alias_occurrences, parity_vector
 from projbraid.words import (
     CancelPair,
     GroupParams,
@@ -24,6 +27,7 @@ from projbraid.words import (
     inverse,
     invert_move,
     parse_word,
+    _relations,
 )
 
 P43 = GroupParams(4, 3)
@@ -217,6 +221,63 @@ class TestMoves:
             forward = apply_move(w, move)
             back = apply_move(forward, invert_move(move))
             assert back.letters == w.letters, move
+
+
+def _random_words(rng: random.Random, params: GroupParams, count: int = 20):
+    letters = params.all_letters()
+    return [Word(params, tuple(rng.choice(letters) for _ in range(rng.randint(0, 30)))) for _ in range(count)]
+
+
+class TestCodes:
+    """``Word.codes`` is every letter's position in ``all_letters()``."""
+
+    def test_codes_are_positions_in_all_letters(self):
+        rng = random.Random(20)
+        for k in range(2, 6):
+            for n in range(k + 1, k + 4):
+                params = GroupParams(n, k)
+                for w in _random_words(rng, params):
+                    assert w.codes == tuple(params.all_letters().index(l) for l in w.letters)
+        assert Word(P43, ()).codes == ()
+
+    def test_codes_leave_the_word_as_it_was(self):
+        assert [f.name for f in dataclasses.fields(Word)] == ["params", "letters"]
+        w = word(1, 4, 2, 4)
+        before = (repr(w), hash(w))
+        assert w.codes == (0, 3, 1, 3)
+        assert (repr(w), hash(w)) == before
+        assert w == word(1, 4, 2, 4)
+
+    def test_completions_complete_each_window(self):
+        for k in range(2, 5):
+            for n in range(k + 1, k + 4):
+                params = GroupParams(n, k)
+                letters = params.all_letters()
+                expected = {}
+                for union in combinations(range(1, n + 1), k + 1):
+                    window = frozenset(letters.index(Letter(s)) for s in combinations(union, k))
+                    expected.update({window - {c}: c for c in window})
+                assert _relations(params)[2] == expected
+
+    def test_invariants_match_a_lookup_by_index(self):
+        rng = random.Random(21)
+        for k in range(3, 6):
+            params = GroupParams(k + 1, k)
+            letters = params.all_letters()
+            for w in _random_words(rng, params):
+                codes = [letters.index(l) for l in w.letters]
+                parity = [0] * (k + 1)
+                counts, positions, indices = [0] * k, [], []
+                for pos, code in enumerate(codes):
+                    parity[code] ^= 1
+                    if code == k:
+                        raw = counts[: k - 1]
+                        positions.append(pos)
+                        indices.append(tuple(1 - c for c in raw) if counts[k - 1] else tuple(raw))
+                    else:
+                        counts[code] ^= 1
+                assert parity_vector(w) == tuple(parity)
+                assert last_alias_occurrences(w) == (positions, indices)
 
 
 class TestRelations:

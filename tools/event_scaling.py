@@ -21,6 +21,12 @@ module at call time, so the count covers every elimination:
 augmented eliminations of ``pencil_minors``, one per evaluation point t of
 each block of k + 1 points.
 
+The times cannot rank two trees.  Each ``realize_ms`` and ``detect_ms``
+cell is the median of back-to-back calls on one tree, so one slow spell of
+a shared host moves a whole cell: on one tree one cell read 4.45 ms and
+then 7.14 ms.  ``bareiss_calls`` is an exact count and does compare trees.
+A speed claim needs the perfbench pairs that ``--compare`` runs:
+
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
         --workloads realize-highk certify-files --out BENCH_letterpaths.json
 
