@@ -364,6 +364,44 @@ class TestSelftest:
         assert "unknown suites" in err
 
 
+class TestSelftestFailures:
+    def test_failing_suite_is_reported(self, capsys, monkeypatch):
+        monkeypatch.setattr("projbraid.selftest.sign_orbit", lambda params: frozenset())
+        code, out, _ = run(capsys, "selftest", "quick", "--suite", "sign-orbit")
+        assert code == 1
+        assert out.splitlines()[-2:] == [
+            "FAIL sign-orbit: 2 of 2 checks failed "
+            "(k=3: orbit size 0, expected 4; k=4: orbit size 0, expected 8)",
+            "FAILURES present",
+        ]
+        code, out, _ = run(capsys, "--format", "structured", "selftest", "quick", "--suite", "sign-orbit")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["passed"] is False
+        assert doc["suites"] == [{
+            "name": "sign-orbit",
+            "passed": False,
+            "checked": 2,
+            "failures": ["k=3: orbit size 0, expected 4", "k=4: orbit size 0, expected 8"],
+        }]
+
+    def test_reported_failures_are_capped(self, capsys, monkeypatch):
+        from projbraid.selftest import MAX_REPORTED_FAILURES
+
+        monkeypatch.setattr("projbraid.selftest.detect_events", lambda path: [])
+        code, out, _ = run(capsys, "--format", "structured", "selftest", "quick", "--suite", "letter-paths")
+        assert code == 1
+        (suite,) = json.loads(out)["suites"]
+        assert (suite["passed"], suite["checked"]) == (False, 56)
+        assert MAX_REPORTED_FAILURES == 5
+        assert len(suite["failures"]) == MAX_REPORTED_FAILURES
+        assert suite["failures"][0] == "k=3 a{1,2,3} from (-1, -1): events []"
+        code, out, _ = run(capsys, "selftest", "quick", "--suite", "letter-paths")
+        assert code == 1
+        assert out.startswith("FAIL letter-paths: 56 of 56 checks failed (")
+        assert out.count("events []") == MAX_REPORTED_FAILURES
+
+
 class TestRepeatedCalls:
     # main parses with one parser per process; no call may see another's arguments
     SEQUENCE = [
