@@ -36,7 +36,7 @@ def _normalize_index(counts: list[int], k: int) -> IndexString:
     dropped, leaving k-1 bits.
     """
     if counts[k - 1]:
-        return tuple(1 - c for c in counts[: k - 1])
+        return tuple([1 - c for c in counts[: k - 1]])
     return tuple(counts[: k - 1])
 
 

@@ -401,6 +401,21 @@ class TestSelftestFailures:
         assert out.startswith("FAIL letter-paths: 56 of 56 checks failed (")
         assert out.count("events []") == MAX_REPORTED_FAILURES
 
+    def test_one_message_per_failed_check(self, capsys, monkeypatch):
+        # a wrong end sign and wrong events in the same check are one failure
+        monkeypatch.setattr("projbraid.selftest.sign_action", lambda word, signs: ())
+        monkeypatch.setattr("projbraid.selftest.detect_events", lambda path: [])
+        code, out, _ = run(capsys, "selftest", "quick", "--suite", "letter-paths")
+        assert code == 1
+        assert out.startswith(
+            "FAIL letter-paths: 56 of 56 checks failed "
+            "(k=3 a{1,2,3} from (-1, -1): ends at (1, 1), events []; "
+        )
+        code, out, _ = run(capsys, "--format", "structured", "selftest", "quick", "--suite", "letter-paths")
+        (suite,) = json.loads(out)["suites"]
+        assert suite["checked"] == 56
+        assert suite["failures"][1] == "k=3 a{1,2,3} from (-1, 1): ends at (1, -1), events []"
+
 
 class TestRepeatedCalls:
     # main parses with one parser per process; no call may see another's arguments
