@@ -431,6 +431,15 @@ class TestTimeComparison:
         assert time_cmp(golden, self.ROOT_HALF) == -1
         assert time_cmp(self.ROOT_HALF, golden) == 1
 
+    def test_algebraic_interval_collapsing_on_its_first_midpoint(self):
+        # 2t - 1 stored as an algebraic time, as a rational root is when its
+        # coefficients are too large for the divisor search: the first halving
+        # of (0, 1) lands on the root 1/2, on either side of the comparison
+        collapsing = AlgebraicTime((-1, 2), F(0), F(1))
+        assert time_cmp(collapsing, self.ROOT_HALF) == -1
+        assert time_cmp(self.ROOT_HALF, collapsing) == 1
+        assert time_cmp(collapsing, F(3, 4)) == -1
+
 
 class TestLetterPaths:
     def test_every_letter_has_one_event(self):
