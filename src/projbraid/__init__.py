@@ -10,7 +10,6 @@ events spell the word back out, all in exact rational arithmetic.
 """
 
 from .invariants import (
-    MoveInvariants,
     f_image,
     format_obstruction,
     format_sign_string,

@@ -18,8 +18,6 @@ obstructions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .words import GroupParams, Word, free_cancel
 
 IndexString = tuple[int, ...]     # k-1 bits naming a free-product generator
@@ -210,15 +208,3 @@ def format_obstruction(obstruction: ObstructionWord) -> str:
         return "1"
     return " ".join("c(" + ",".join(str(b) for b in gen) + ")" for gen in obstruction)
 
-
-@dataclass(frozen=True)
-class MoveInvariants:
-    """Snapshot of all three invariants, for move-stability checks."""
-
-    obstruction: ObstructionWord
-    parity: ParityVector
-    action: SignString
-
-    @classmethod
-    def of(cls, word: Word, signs: SignString) -> "MoveInvariants":
-        return cls(f_image(word), parity_vector(word), sign_action(word, signs))

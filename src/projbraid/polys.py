@@ -177,10 +177,13 @@ def count_roots(f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None 
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _divisors(value: int, limit: int = 10**8) -> list[int] | None:
+_DIVISOR_LIMIT = 10**8
+
+
+def _divisors(value: int) -> list[int] | None:
     """All positive divisors, or None when the trial division would be too big."""
     value = abs(value)
-    if value == 0 or value > limit:
+    if value == 0 or value > _DIVISOR_LIMIT:
         return None
     divs = []
     d = 1
@@ -237,7 +240,8 @@ def _split_point(f: ZPoly, a: Fraction, b: Fraction) -> Fraction:
 
 
 def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals, each holding exactly one root of squarefree f.
+    """Disjoint open intervals, each holding exactly one root of squarefree f,
+    in ascending order: the bisection appends the left half's first.
 
     Requires f(lo) != 0 != f(hi).  Subdivision points are chosen off the
     roots, so every returned interval has nonzero endpoint values and, the
@@ -262,7 +266,7 @@ def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, 
         recurse(mid, b)
 
     recurse(lo, hi)
-    return sorted(out)
+    return out
 
 
 def refine_to_exclude(f: ZPoly, lo: Fraction, hi: Fraction, point: Fraction) -> tuple[Fraction, Fraction]:

@@ -137,27 +137,22 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
 
 
 def time_cmp(a: EventTime, b: EventTime) -> int:
-    """Order two event times exactly (-1, 0 or 1), refining intervals as needed."""
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return (a > b) - (a < b)
-    if isinstance(a, Fraction):
-        return -time_cmp(b, a)
+    """Order two event times exactly (-1, 0 or 1), refining intervals as needed.
+
+    A rational r is the zero-width interval [r, r], an algebraic time its
+    isolating (lo, hi); the wider of two overlapping intervals is halved
+    until they are apart.  A halving that lands on the root leaves a
+    zero-width interval, which is never halved again.
+    """
     if time_eq(a, b):
         # the refinement below separates distinct times only
         return 0
-    if isinstance(b, Fraction):
-        lo, _ = polys.refine_to_exclude(a.poly, a.lo, a.hi, b)
-        return 1 if b <= lo else -1
-    ia, ib = (a.lo, a.hi), (b.lo, b.hi)
+    ia, ib = ((t, t) if isinstance(t, Fraction) else (t.lo, t.hi) for t in (a, b))
     while not (ia[1] <= ib[0] or ib[1] <= ia[0]):
         if ia[1] - ia[0] >= ib[1] - ib[0]:
             ia = polys.refine_once(a.poly, *ia)
-            if ia[0] == ia[1]:
-                return time_cmp(ia[0], b)
         else:
             ib = polys.refine_once(b.poly, *ib)
-            if ib[0] == ib[1]:
-                return time_cmp(a, ib[0])
     return -1 if ia[1] <= ib[0] else 1
 
 

@@ -461,9 +461,11 @@ class TestUsageErrors:
             ("solve", "b9"),
             ("solve", "b1 xx"),
             ("--k", "3", "--n", "6", "solve", "b1"),
+            ("sign-action", "--signs", "+x", "b4"),
         ],
     )
     def test_exit_three(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code == 3
+        assert err.startswith("usage: projbraid")
         assert "error:" in err

@@ -170,6 +170,14 @@ class TestErrors:
         with pytest.raises(SimultaneousEvents):
             detect_events(p)
 
+    def test_tangential_event_at_an_irrational_root(self):
+        # (2t^2 - 1)^2: no rational root, so the double root 1/sqrt(2) is
+        # caught by its isolating interval, not by the rational-root check
+        with pytest.raises(
+            TangentialEvent, match=r"^segment 0: subset \(1, 2, 3\) has a multiple root in \(0, 1\)$"
+        ):
+            _segment_events(0, [((1, 2, 3), (1, 0, -4, 0, 4))])
+
     def test_identically_singular_segment(self):
         # only reachable below the keyframe checks: e1, p3, p4 stay collinear
         start = config(E1, E2, (0, 1, 1), (2, 1, 1))

@@ -91,6 +91,14 @@ class TestParams:
         with pytest.raises(ValueError):
             Letter((1, 2)).omitted_index(P52)
 
+    @pytest.mark.parametrize(
+        "subset, message",
+        [((1, 1, 2), "repeated indices"), ((2, 1, 3), "must be sorted"), ((0, 1, 2), "1-based")],
+    )
+    def test_letter_rejects_malformed_subsets(self, subset, message):
+        with pytest.raises(ValueError, match=message):
+            Letter(subset)
+
 
 class TestParsing:
     def test_b_tokens(self):
