@@ -50,7 +50,6 @@ from .words import (
     Word,
     WordSyntaxError,
     bfs_equal_oracle,
-    check_subset_count,
     format_word,
     parse_word,
 )
@@ -327,7 +326,7 @@ def build_parser() -> _Parser:
         if trace:
             p.add_argument("--trace", action="store_true", help="print the move trace")
         if signs:
-            p.add_argument("--signs", default=None, help="starting sign string, e.g. '(+,-)'")
+            p.add_argument("--signs", default=None, help="starting sign string, '(+,-)' or '+-'")
         return p
 
     cmd("solve", _cmd_solve, "decide whether a word is trivial", "word", min_k=3, trace=True)
@@ -359,7 +358,6 @@ def _inputs(args) -> list:
     if args.group is None:
         return []
     params = GroupParams(args.n if args.n is not None else args.k + 1, args.k)
-    check_subset_count(params)
     if args.group == "square" and not params.is_square:
         raise _UsageError(f"this command needs n = k + 1, got n = {params.n}, k = {params.k}")
     try:

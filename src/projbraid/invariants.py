@@ -184,13 +184,19 @@ def format_sign_string(signs: SignString) -> str:
 
 
 def parse_sign_string(text: str, params: GroupParams) -> SignString:
-    """Accept ``(+,-)`` or the compact ``+-`` form."""
+    """Accept ``(+,-)``, one sign between each pair of commas, or the
+    compact ``+-``, one sign per character."""
     params.require_square()
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
-        body = body[1:-1].replace(",", "")
+        entries = body[1:-1].split(",")
+        for entry in entries:
+            if len(entry) != 1:
+                raise ValueError(f"sign string entry {entry!r} is not a single + or -")
+    else:
+        entries = list(body)
     signs: list[int] = []
-    for ch in body:
+    for ch in entries:
         if ch == "+":
             signs.append(1)
         elif ch == "-":

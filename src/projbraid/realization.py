@@ -44,7 +44,7 @@ from .projective import (
     sign_string_of,
     singular_subsets,
 )
-from .words import GroupParams, Letter, Word, check_subset_count
+from .words import GroupParams, Letter, Word
 
 
 class PathError(ValueError):
@@ -492,7 +492,6 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
         raw_keyframes = doc["keyframes"]
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
-    check_subset_count(params)
     params.require_path_k()
     keyframes = []
     for frame in raw_keyframes:

@@ -52,6 +52,11 @@ class GroupParams:
             raise ValueError(f"k must be at least 2, got {self.k}")
         if self.n <= self.k:
             raise ValueError(f"n must exceed k, got n={self.n}, k={self.k}")
+        # C(n, k) >= n for 0 < k < n, so a large n is rejected before comb runs
+        if self.n > MAX_SUBSETS or comb(self.n, self.k) > MAX_SUBSETS:
+            raise ValueError(
+                f"C(n, k) for n={self.n}, k={self.k} exceeds the cap of {MAX_SUBSETS} subsets"
+            )
 
     @property
     def is_square(self) -> bool:
@@ -77,9 +82,10 @@ class GroupParams:
         return _letter_table(self).letters[j - 1]
 
 
-# Largest C(n, k) accepted from a command line or a path file, and the
-# largest group whose letter table is built.  The letter table, the
-# general-position check and event detection enumerate every k-subset; at
+# Largest C(n, k) of any group: GroupParams refuses more, so the command
+# line, path files and library calls all stop before a letter table or a
+# subset list is built.  The letter table, the move rules, the
+# singular-subset check and event detection enumerate every k-subset; at
 # C(45, 2) = 990 the oracle takes 0.07 s to build its move rules (once per
 # group), and a 1438-state search between six-letter words 0.02 s after that.
 MAX_SUBSETS = 1000
@@ -87,17 +93,6 @@ MAX_SUBSETS = 1000
 # Largest k of path geometry, in realize and in path files: realize then
 # certify of b1, each a new process, take 0.9 s at k = 64 and 3.8 s at k = 128.
 MAX_PATH_K = 64
-
-
-def check_subset_count(params: GroupParams) -> None:
-    """Raise ValueError when C(n, k) exceeds ``MAX_SUBSETS``.
-
-    C(n, k) >= n for 0 < k < n, so a large n is rejected before ``comb`` runs.
-    """
-    if params.n > MAX_SUBSETS or comb(params.n, params.k) > MAX_SUBSETS:
-        raise ValueError(
-            f"C(n, k) for n={params.n}, k={params.k} exceeds the cap of {MAX_SUBSETS} subsets"
-        )
 
 
 @dataclass(frozen=True, order=True)
@@ -172,7 +167,6 @@ class _LetterTable(NamedTuple):
 
 @lru_cache(maxsize=64)
 def _letter_table(params: GroupParams) -> _LetterTable:
-    check_subset_count(params)
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
     aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
     return _LetterTable(letters, {letter.subset: code for code, letter in enumerate(letters)}, aliases)

@@ -178,6 +178,14 @@ class TestRealizeCertify:
         assert (code, out) == (3, "")
         assert "bad path file: unexpected character 'x'" in err
 
+    def test_certify_rejects_malformed_base_sign(self, tmp_path, capsys):
+        file = tmp_path / "signs.json"
+        frame = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        file.write_text(json.dumps({"k": 3, "n": 4, "keyframes": [frame, frame], "base_sign": "(+-)"}))
+        code, out, err = run(capsys, "certify", str(file))
+        assert (code, out) == (3, "")
+        assert "bad path file: sign string entry '+-' is not a single + or -" in err
+
     def test_certify_malformed_json(self, tmp_path, capsys):
         file = tmp_path / "junk.json"
         file.write_text("{not json")
@@ -462,6 +470,10 @@ class TestUsageErrors:
             ("solve", "b1 xx"),
             ("--k", "3", "--n", "6", "solve", "b1"),
             ("sign-action", "--signs", "+x", "b4"),
+            ("sign-action", "--signs", "(+,,-)", "b4"),
+            ("sign-action", "--signs", "(,+-)", "b4"),
+            ("sign-action", "--signs", "(+-)", "b4"),
+            ("sign-action", "--signs", "(+,-,)", "b4"),
         ],
     )
     def test_exit_three(self, capsys, argv):

@@ -191,8 +191,15 @@ class TestSignAction:
         assert format_sign_string((1, -1)) == "(+,-)"
         assert parse_sign_string("(+,-)", P43) == (1, -1)
         assert parse_sign_string("-+", P43) == (-1, 1)
+        assert parse_sign_string(" +- ", P43) == (1, -1)
         with pytest.raises(ValueError):
             parse_sign_string("+", P43)
+
+    # two signs in all, but some entry between the parentheses is empty or holds both
+    @pytest.mark.parametrize("text", ["(+,,-)", "(,+-)", "(+-)", "(+,-,)"])
+    def test_malformed_sign_strings_are_refused(self, text):
+        with pytest.raises(ValueError, match="is not a single"):
+            parse_sign_string(text, P43)
 
 
 def move_invariants(w, s):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import time
 from itertools import combinations, product
 
 import pytest
@@ -56,6 +57,19 @@ class TestParams:
             GroupParams(3, 3)
         with pytest.raises(ValueError):
             GroupParams(4, 1)
+
+    def test_subset_cap_boundary(self):
+        assert len(GroupParams(45, 2).all_letters()) == 990
+        with pytest.raises(ValueError, match=r"C\(n, k\) for n=46, k=2 exceeds the cap of 1000 subsets"):
+            GroupParams(46, 2)
+
+    # without the n > MAX_SUBSETS short-circuit, comb(10**6, 5 * 10**5) alone takes seconds
+    @pytest.mark.parametrize("n, k", [(10**9, 2), (10**6, 5 * 10**5)])
+    def test_huge_n_is_refused_before_comb_runs(self, n, k):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="exceeds the cap of 1000 subsets"):
+            GroupParams(n, k)
+        assert time.perf_counter() - start < 1.0
 
     def test_square_detection(self):
         assert P43.is_square
