@@ -165,27 +165,27 @@ def det(rows) -> Fraction:
     return Fraction(sign * m[-1][-1], scale) if rank == len(m) else Fraction(0)
 
 
-def _subset_ranks(config: Configuration, size: int):
-    """Each ascending ``size``-subset of points (1-based) with the rank of its representatives.
+def _subset_ranks(config: Configuration, subsets):
+    """Each of ``subsets``, sets of points (1-based), with the rank of its representatives.
 
     The representatives are cleared of denominators once; scaling a row
     changes no rank.
     """
     rows, _ = _integer_rows([p.coords for p in config.points])
-    for subset in combinations(range(1, config.params.n + 1), size):
+    for subset in subsets:
         yield subset, _bareiss([rows[i - 1][:] for i in subset])[0]
 
 
 def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     """First (k-1)-subset of points failing to span a (k-1)-dim subspace."""
-    k = config.params.k
-    return next((subset for subset, rank in _subset_ranks(config, k - 1) if rank < k - 1), None)
+    subsets = combinations(range(1, config.params.n + 1), config.params.k - 1)
+    return next((s for s, rank in _subset_ranks(config, subsets) if rank < len(s)), None)
 
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     """All k-subsets of points with vanishing determinant, ascending order."""
-    k = config.params.k
-    return [subset for subset, rank in _subset_ranks(config, k) if rank < k]
+    subsets = combinations(range(1, config.params.n + 1), config.params.k)
+    return [s for s, rank in _subset_ranks(config, subsets) if rank < len(s)]
 
 
 @lru_cache(maxsize=None)

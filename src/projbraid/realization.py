@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -36,8 +37,8 @@ from .projective import (
     ProjectivePoint,
     ProjectiveTransform,
     _integer_rows,
+    _subset_ranks,
     base_configuration,
-    general_position_violation,
     pencil_minors,
     shear_family,
     sign_snap,
@@ -171,10 +172,13 @@ def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], wher
     """Raise DegenerateKeyframe unless ``singular``, the configuration's
     singular k-subsets in order, is empty; ``where`` prefixes the message."""
     if not singular:
-        # n > k, so a (k-1)-subset of deficient rank lies in some k-subset,
-        # which is then singular: a valid keyframe needs no rank-(k-1) scan
         return
-    violation = general_position_violation(config)
+    # a (k-1)-subset of deficient rank makes all n - k + 1 of its supersets
+    # singular, so only one that lies in that many singular subsets needs a rank
+    n, k = config.params.n, config.params.k
+    shared = Counter(s[:i] + s[i + 1 :] for s in singular for i in range(k))
+    faces = sorted(face for face, count in shared.items() if count == n - k + 1)
+    violation = next((face for face, rank in _subset_ranks(config, faces) if rank < k - 1), None)
     if violation is not None:
         raise DegenerateKeyframe(f"{where}points {violation} are not in general position")
     raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")

@@ -97,17 +97,10 @@ MAX_PATH_K = 64
 
 @dataclass(frozen=True, order=True)
 class Letter:
-    """A single generator, identified by its sorted index subset."""
+    """A single generator, identified by its sorted index subset: a letter of a group
+    exactly when the group's letter table holds that subset (see ``_encode``)."""
 
     subset: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(set(self.subset)) != len(self.subset):
-            raise ValueError(f"subset has repeated indices: {self.subset}")
-        if tuple(sorted(self.subset)) != self.subset:
-            raise ValueError(f"subset must be sorted: {self.subset}")
-        if self.subset and self.subset[0] < 1:
-            raise ValueError(f"indices are 1-based: {self.subset}")
 
     def omitted_index(self, params: GroupParams) -> int:
         """The unique element of {1, ..., n} missing from the subset (n = k+1 only).
@@ -119,10 +112,7 @@ class Letter:
     def b_index(self, params: GroupParams) -> int:
         """Position of this letter in the b-alias order (n = k + 1 only): code j - 1 is ``bj``."""
         params.require_square()
-        code = _letter_table(params).codes.get(self.subset)
-        if code is None:
-            raise ValueError(f"letter {self} is not a k-subset of 1..n for k={params.k}")
-        return code + 1
+        return _encode(params, (self,))[0] + 1
 
     def __str__(self) -> str:
         return "a{" + ",".join(str(i) for i in self.subset) + "}"
@@ -130,26 +120,19 @@ class Letter:
 
 @dataclass(frozen=True)
 class Word:
-    """An immutable word in the generators of the group given by ``params``."""
+    """An immutable word in the generators of the group given by ``params``.
+
+    ``codes``, each letter's position in ``params.all_letters()``, is set once
+    and is not a field: equality, hashing and the repr ignore it."""
 
     params: GroupParams
     letters: tuple[Letter, ...]
 
     def __post_init__(self) -> None:
-        for letter in self.letters:
-            if len(letter.subset) != self.params.k:
-                raise ValueError(f"letter {letter} has wrong cardinality for k={self.params.k}")
-            if letter.subset[-1] > self.params.n:
-                raise ValueError(f"letter {letter} out of range for n={self.params.n}")
+        object.__setattr__(self, "codes", _encode(self.params, self.letters))
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    @property
-    def codes(self) -> tuple[int, ...]:
-        """The code of each letter, its position in ``params.all_letters()``."""
-        codes = _letter_table(self.params).codes
-        return tuple([codes[letter.subset] for letter in self.letters])
 
     def __str__(self) -> str:
         return format_word(self)
@@ -170,6 +153,16 @@ def _letter_table(params: GroupParams) -> _LetterTable:
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
     aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
     return _LetterTable(letters, {letter.subset: code for code, letter in enumerate(letters)}, aliases)
+
+
+def _encode(params: GroupParams, letters: Iterable[Letter]) -> tuple[int, ...]:
+    """The code of each letter; the one test that a letter belongs to the group."""
+    codes = _letter_table(params).codes
+    try:
+        return tuple([codes[letter.subset] for letter in letters])
+    except KeyError as exc:
+        letter = Letter(exc.args[0])
+        raise ValueError(f"letter {letter} is not a k-subset of 1..{params.n} for k={params.k}") from None
 
 
 @lru_cache(maxsize=64)
@@ -198,8 +191,8 @@ def _relations(
     return frozenset(windows), tuple(near), completions
 
 
-_B_TOKEN = re.compile(r"b(\d+)\Z")
-_A_TOKEN = re.compile(r"a\{(\d+(?:,\d+)*)\}\Z")
+_B_TOKEN = re.compile(r"b([0-9]+)\Z")
+_A_TOKEN = re.compile(r"a\{([0-9]+(?:,[0-9]+)*)\}\Z")
 
 
 def parse_word(text: str, params: GroupParams) -> Word:
@@ -251,7 +244,8 @@ def format_word(word: Word, style: str = "subset") -> str:
     if style == "subset":
         return " ".join(str(letter) for letter in word.letters)
     if style == "b-index":
-        return " ".join(f"b{letter.b_index(word.params)}" for letter in word.letters)
+        word.params.require_square()
+        return " ".join(f"b{code + 1}" for code in word.codes)
     raise ValueError(f"unknown style: {style!r}")
 
 
@@ -352,7 +346,7 @@ class _Tape:
     def __init__(self, word: Word):
         self.params = word.params
         self.k = word.params.k
-        self.letters, self.codes, _ = _letter_table(word.params)
+        self.letters = _letter_table(word.params).letters
         self.windows, self.near, _ = _relations(word.params)
         self.cells = list(word.codes)
 
@@ -376,11 +370,7 @@ class _Tape:
             pos = move.pos
             if not 0 <= pos <= len(cells):
                 raise IllegalMoveError(f"insert position {pos} out of bounds")
-            code = self.codes.get(move.letter.subset)
-            if code is None:
-                Word(self.params, (move.letter,))  # raises on a letter of another group
-                raise ValueError(f"letter {move.letter} is not a letter of the group")
-            cells[pos:pos] = (code, code)
+            cells[pos:pos] = _encode(self.params, (move.letter,)) * 2
         elif isinstance(move, ReverseWindow):
             start, end = move.pos, move.pos + self.k + 1
             if start < 0 or end > len(cells):

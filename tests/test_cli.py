@@ -298,6 +298,20 @@ class TestUntrustedInput:
         assert (code, out) == (3, "")
         assert "exceeds the cap of 1000 subsets" in err
 
+    def test_singular_keyframe_at_the_path_cap(self, tmp_path, capsys):
+        # the unit frame with last point (1, ..., 1, 0): one singular subset,
+        # and general position holds, so no (k-1)-subset needs a rank
+        k = 64
+        frame = [[int(i == j) for j in range(k)] for i in range(k)] + [[1] * (k - 1) + [0]]
+        file = tmp_path / "k64.json"
+        file.write_text(json.dumps({"k": k, "n": k + 1, "keyframes": [frame, frame]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "certify", str(file))
+        assert time.perf_counter() - start < 2.0
+        subset = tuple(range(1, k)) + (k + 1,)
+        assert code == 1
+        assert out == f"certification failed: DegenerateKeyframe: keyframe 0: singular subset {subset}\n"
+
     def test_oracle_over_the_subset_cap(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "--k", "10", "--n", "24", "oracle", "a{1,2,3,4,5,6,7,8,9,10}", "")
@@ -474,6 +488,9 @@ class TestUsageErrors:
             ("sign-action", "--signs", "(,+-)", "b4"),
             ("sign-action", "--signs", "(+-)", "b4"),
             ("sign-action", "--signs", "(+,-,)", "b4"),
+            # indices are ASCII digits; other Unicode digits are not read as numbers
+            ("solve", "b\u0664 b\u0664"),
+            ("f-image", "a{\u0662,3,4} b1"),
         ],
     )
     def test_exit_three(self, capsys, argv):

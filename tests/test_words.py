@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import time
 from itertools import combinations, product
 
@@ -105,13 +106,69 @@ class TestParams:
         with pytest.raises(ValueError):
             Letter((1, 2)).omitted_index(P52)
 
+    # a malformed subset is no key of the letter table, so a word refuses it
+    # with the message of any other foreign letter
     @pytest.mark.parametrize(
-        "subset, message",
+        "subset, flaw",
         [((1, 1, 2), "repeated indices"), ((2, 1, 3), "must be sorted"), ((0, 1, 2), "1-based")],
     )
-    def test_letter_rejects_malformed_subsets(self, subset, message):
-        with pytest.raises(ValueError, match=message):
-            Letter(subset)
+    def test_letter_rejects_malformed_subsets(self, subset, flaw):
+        message = f"letter {Letter(subset)} is not a k-subset of 1..4 for k=3"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Word(P43, (Letter(subset),))
+
+
+class TestLetterRule:
+    """A letter of a group is exactly a k-subset of 1..n: one that its letter table holds."""
+
+    @staticmethod
+    def _verdicts(check, params):
+        """The tuples over 0..n+1 of length 0..k+1 that ``check`` accepts, and
+        each refused tuple's message (None when ``Letter`` itself refuses it)."""
+        accepted, refused = set(), {}
+        for length in range(params.k + 2):
+            for t in product(range(params.n + 2), repeat=length):
+                try:
+                    letter = Letter(t)
+                except ValueError:
+                    refused[t] = None
+                    continue
+                try:
+                    check(letter)
+                except ValueError as exc:
+                    refused[t] = str(exc)
+                else:
+                    accepted.add(t)
+        return accepted, refused
+
+    @pytest.mark.parametrize("n, k", [(4, 3), (5, 2), (5, 3)])
+    def test_exactly_the_k_subsets_are_letters(self, n, k):
+        params = GroupParams(n, k)
+        checks = [
+            lambda letter: Word(params, (letter,)),
+            lambda letter: apply_move(Word(params, ()), InsertPair(0, letter)),
+        ]
+        if params.is_square:
+            checks.append(lambda letter: letter.b_index(params))
+        for check in checks:
+            accepted, refused = self._verdicts(check, params)
+            assert accepted == set(combinations(range(1, n + 1), k))
+            for t, message in refused.items():
+                assert message is None or message.startswith(f"letter {Letter(t)} "), message
+
+    @pytest.mark.parametrize("subset", [(1, 2), (1, 2, 3, 4), (1, 2, 5), (3, 2, 1), (0, 1, 2)])
+    def test_one_message_from_every_lookup(self, subset):
+        letter = Letter(subset)
+        message = f"letter {letter} is not a k-subset of 1..4 for k=3"
+        for refuse in (
+            lambda: Word(P43, (letter,)),
+            lambda: apply_move(word(1), InsertPair(0, letter)),
+            lambda: letter.b_index(P43),
+            lambda: letter.omitted_index(P43),
+        ):
+            with pytest.raises(ValueError) as err:
+                refuse()
+            assert str(err.value) == message
 
 
 class TestParsing:
