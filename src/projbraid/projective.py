@@ -73,6 +73,7 @@ class Configuration:
     points: tuple[ProjectivePoint, ...]
 
     def __post_init__(self) -> None:
+        self.params.require_path_k()
         if len(self.points) != self.params.n:
             raise ValueError(f"expected {self.params.n} points, got {len(self.points)}")
         for p in self.points:
@@ -165,27 +166,32 @@ def det(rows) -> Fraction:
     return Fraction(sign * m[-1][-1], scale) if rank == len(m) else Fraction(0)
 
 
-def _subset_ranks(config: Configuration, subsets):
-    """Each of ``subsets``, sets of points (1-based), with the rank of its representatives.
-
-    The representatives are cleared of denominators once; scaling a row
-    changes no rank.
-    """
-    rows, _ = _integer_rows([p.coords for p in config.points])
-    for subset in subsets:
-        yield subset, _bareiss([rows[i - 1][:] for i in subset])[0]
-
-
 def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
-    """First (k-1)-subset of points failing to span a (k-1)-dim subspace."""
-    subsets = combinations(range(1, config.params.n + 1), config.params.k - 1)
-    return next((s for s, rank in _subset_ranks(config, subsets) if rank < len(s)), None)
+    """First (k-1)-subset of points, in lexicographic order, that is linearly dependent.
+
+    One elimination of [P | I_n], P the points as integer rows, over the
+    first k columns leaves in the identity part of the rows below its rank r
+    a basis K of the relations sum c_i p_i = 0 (n > k, so K is not empty).
+    A subset F is dependent exactly when some nonzero relation vanishes off
+    F, that is when the columns of K outside F have rank below n - r.
+    """
+    n, k = config.params.n, config.params.k
+    rows, _ = _integer_rows([p.coords for p in config.points])
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    rank, _ = _bareiss(m, k)
+    relations = [row[k:] for row in m[rank:]]
+    for subset in combinations(range(n), k - 1):
+        outside = [j for j in range(n) if j not in subset]
+        if _bareiss([[c[j] for j in outside] for c in relations])[0] < len(relations):
+            return tuple(i + 1 for i in subset)
+    return None
 
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     """All k-subsets of points with vanishing determinant, ascending order."""
+    rows, _ = _integer_rows([p.coords for p in config.points])
     subsets = combinations(range(1, config.params.n + 1), config.params.k)
-    return [s for s, rank in _subset_ranks(config, subsets) if rank < len(s)]
+    return [s for s in subsets if _bareiss([rows[i - 1][:] for i in s])[0] < len(s)]
 
 
 @lru_cache(maxsize=None)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key, lru_cache
@@ -37,8 +36,8 @@ from .projective import (
     ProjectivePoint,
     ProjectiveTransform,
     _integer_rows,
-    _subset_ranks,
     base_configuration,
+    general_position_violation,
     pencil_minors,
     shear_family,
     sign_snap,
@@ -173,12 +172,7 @@ def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], wher
     singular k-subsets in order, is empty; ``where`` prefixes the message."""
     if not singular:
         return
-    # a (k-1)-subset of deficient rank makes all n - k + 1 of its supersets
-    # singular, so only one that lies in that many singular subsets needs a rank
-    n, k = config.params.n, config.params.k
-    shared = Counter(s[:i] + s[i + 1 :] for s in singular for i in range(k))
-    faces = sorted(face for face, count in shared.items() if count == n - k + 1)
-    violation = next((face for face, rank in _subset_ranks(config, faces) if rank < k - 1), None)
+    violation = general_position_violation(config)
     if violation is not None:
         raise DegenerateKeyframe(f"{where}points {violation} are not in general position")
     raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")

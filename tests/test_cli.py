@@ -312,6 +312,21 @@ class TestUntrustedInput:
         assert code == 1
         assert out == f"certification failed: DegenerateKeyframe: keyframe 0: singular subset {subset}\n"
 
+    def test_hyperplane_keyframe_at_the_path_cap(self, tmp_path, capsys):
+        # every point on x_64 = 0, every 63 of them independent: all 65
+        # k-subsets are singular and general position holds
+        k = 64
+        frame = [[int(i == j) for j in range(k)] for i in range(k - 1)]
+        frame += [[1] * (k - 1) + [0], list(range(1, k)) + [0]]
+        file = tmp_path / "hyperplane.json"
+        file.write_text(json.dumps({"k": k, "n": k + 1, "keyframes": [frame, frame]}))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "certify", str(file))
+        assert time.perf_counter() - start < 2.0
+        subset = tuple(range(1, k + 1))
+        assert code == 1
+        assert out == f"certification failed: DegenerateKeyframe: keyframe 0: singular subset {subset}\n"
+
     def test_oracle_over_the_subset_cap(self, capsys):
         start = time.perf_counter()
         code, out, err = run(capsys, "--k", "10", "--n", "24", "oracle", "a{1,2,3,4,5,6,7,8,9,10}", "")

@@ -1,6 +1,7 @@
 """Exact projective geometry: points, determinants, frames, shears, snaps."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -362,6 +363,89 @@ class TestGeneralPosition:
         )
         config = Configuration(P54, points)
         assert general_position_violation(config) == (1, 2, 3)
+
+
+def subspace_points(rng: random.Random, k: int, n: int, dim: int) -> list[list[Fraction]]:
+    """n points drawn from a random subspace of Q^k spanned by ``dim`` nonzero
+    rows, some of them replaced by a multiple of an earlier point."""
+    basis = []
+    while len(basis) < dim:
+        row = [rng.randint(-2, 2) for _ in range(k)]
+        if any(row):
+            basis.append(row)
+    points: list[list[Fraction]] = []
+    while len(points) < n:
+        if points and rng.random() < 0.2:
+            scale = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+            points.append([scale * c for c in rng.choice(points)])
+            continue
+        weights = [rng.randint(-2, 2) for _ in basis]
+        point = [F(sum(w * row[j] for w, row in zip(weights, basis)), rng.randint(1, 2)) for j in range(k)]
+        if any(point):
+            points.append(point)
+    return points
+
+
+class TestGeneralPositionReference:
+    """``general_position_violation`` against sympy ranks of every (k-1)-subset,
+    on points that span k, k - 1 or k - 2 dimensions, so that several
+    independent relations among the points are common."""
+
+    GROUPS = [GroupParams(k + 1, k) for k in range(3, 9)] + [
+        GroupParams(5, 3), GroupParams(6, 2), GroupParams(7, 3), GroupParams(9, 4), GroupParams(10, 5)
+    ]
+
+    @pytest.mark.parametrize("params", GROUPS, ids=lambda p: f"n{p.n}-k{p.k}")
+    def test_first_dependent_subset_matches_sympy(self, params):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(f"general-position:{params.n}:{params.k}")
+        n, k = params.n, params.k
+        violations = 0
+        for dim in (k, k - 1, k - 2):
+            if dim < 1:
+                continue
+            for _ in range(4):
+                points = subspace_points(rng, k, n, dim)
+                config = Configuration(params, tuple(ProjectivePoint(tuple(p)) for p in points))
+                expected = next(
+                    (
+                        tuple(i + 1 for i in subset)
+                        for subset in combinations(range(n), k - 1)
+                        if sympy.Matrix([points[i] for i in subset]).rank() < k - 1
+                    ),
+                    None,
+                )
+                assert general_position_violation(config) == expected
+                violations += expected is not None
+        # at k = 2 the subsets are single points, and no nonzero point is dependent
+        assert violations >= 2 or k == 2
+
+
+class TestGeneralPositionTime:
+    """Dependence is read off one elimination, not off one rank per subset."""
+
+    def test_unit_frame_at_the_path_cap(self):
+        # C(65, 63) = 2080 subsets, none of them dependent
+        k = 64
+        units = tuple(pt(*[int(i == j) for j in range(k)]) for i in range(k))
+        config = Configuration(GroupParams(k + 1, k), units + (pt(*[1] * k),))
+        start = time.perf_counter()
+        assert general_position_violation(config) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_one_point_repeated_at_k2(self):
+        # the widest relation basis under the caps: 44 relations among 45 points
+        config = Configuration(GroupParams(45, 2), tuple(pt(i, 2 * i) for i in range(1, 46)))
+        start = time.perf_counter()
+        assert general_position_violation(config) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_configuration_over_the_path_cap(self):
+        # C(1000, 999) is inside the subset cap; C(1000, 998) subsets are never enumerated
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="k=999 is beyond the cap of MAX_PATH_K = 64 for paths"):
+            Configuration(GroupParams(1000, 999), ())
+        assert time.perf_counter() - start < 1.0
 
 
 class TestTransforms:
