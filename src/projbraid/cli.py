@@ -46,7 +46,6 @@ from .words import (
     InsertPair,
     Letter,
     ReverseWindow,
-    SwapAdjacent,
     Word,
     WordSyntaxError,
     bfs_equal_oracle,
@@ -76,11 +75,7 @@ Record = list[tuple[str, object, str | None]]
 
 
 def _word_text(word: Word) -> str:
-    if not word.letters:
-        return '""'
-    if word.params.is_square:
-        return format_word(word, "b-index")
-    return format_word(word, "subset")
+    return format_word(word, "b-index") if word.letters else '""'
 
 
 # move type -> (structured kind, text template over the move's fields)
@@ -88,7 +83,6 @@ _MOVE_FORMS = {
     InsertPair: ("insert", "insert {letter}{letter} at {pos}"),
     CancelPair: ("cancel", "cancel {letter}{letter} at {pos}"),
     ReverseWindow: ("reverse", "reverse window at {pos}"),
-    SwapAdjacent: ("swap", "swap at {pos}"),
 }
 
 
@@ -306,7 +300,6 @@ def build_parser() -> _Parser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(prog="projbraid", description=__doc__)
     parser.add_argument("--k", type=int, default=3, help="subset size (default 3)")
-    parser.add_argument("--n", type=int, default=None, help="number of indices (default k + 1)")
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text", help="output style"
     )
@@ -315,10 +308,10 @@ def build_parser() -> _Parser:
     parser.add_argument("--max-states", type=int, default=100_000, help="oracle state bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def cmd(name: str, handler, help_text: str, *words, group="square", min_k=2, trace=False, signs=False):
+    def cmd(name: str, handler, help_text: str, *words, group=True, min_k=2, trace=False, signs=False):
         """A subcommand with positional ``words``.  ``main`` rejects k < ``min_k``,
-        builds the group of ``--k`` and ``--n`` unless ``group`` is None, requires
-        n = k + 1 when it is "square", and parses the words in that group."""
+        builds the group of ``--k`` when ``group`` is true, and parses the
+        words in that group."""
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler, word_args=words, group=group, min_k=min_k)
         for word in words:
@@ -326,27 +319,27 @@ def build_parser() -> _Parser:
         if trace:
             p.add_argument("--trace", action="store_true", help="print the move trace")
         if signs:
-            p.add_argument("--signs", default=None, help="starting sign string, '(+,-)' or '+-'")
+            p.add_argument(
+                "--signs", default=None,
+                help="starting sign string, '(+,-)' or '+-'; write '-+' as --signs=-+ or '(-,+)'",
+            )
         return p
 
     cmd("solve", _cmd_solve, "decide whether a word is trivial", "word", min_k=3, trace=True)
     cmd("equal", _cmd_equal, "decide whether two words are equal", "word1", "word2", min_k=3, trace=True)
     cmd("f-image", _cmd_f_image, "obstruction image of a word", "word")
-    cmd("parity", _cmd_parity, "per-letter occurrence parities", "word", group="any")
+    cmd("parity", _cmd_parity, "per-letter occurrence parities", "word")
     cmd("sign-action", _cmd_sign_action, "action of a word on a sign string", "word", signs=True)
     cmd("eliminate", _cmd_eliminate, "rewrite away the last letter, with trace", "word", trace=True)
     cmd("in-h", _cmd_in_h, "membership in the last-letter-free subgroup", "word")
     cmd("in-tilde", _cmd_in_tilde, "membership in the sign-preserving subgroup", "word")
     realize = cmd("realize", _cmd_realize, "write a path file realizing a word", "word", min_k=3, signs=True)
     realize.add_argument("out", help="output path file")
-    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events", group=None)
+    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events", group=False)
     certify.add_argument("file", help="input path file")
     cmd("orbit", _cmd_orbit, "orbit of the reference sign string")
-    cmd(
-        "oracle", _cmd_oracle, "bounded search for a rewrite between two words", "word1", "word2",
-        group="any", trace=True,
-    )
-    st = cmd("selftest", _cmd_selftest, "run the verification suites", group=None)
+    cmd("oracle", _cmd_oracle, "bounded search for a rewrite between two words", "word1", "word2", trace=True)
+    st = cmd("selftest", _cmd_selftest, "run the verification suites", group=False)
     st.add_argument("scale", nargs="?", choices=("quick", "full"), default="quick")
     st.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     return parser
@@ -355,11 +348,9 @@ def build_parser() -> _Parser:
 def _inputs(args) -> list:
     """What the handler takes after ``args``: the parsed words, or the group
     for a command without words; nothing for a command without a group."""
-    if args.group is None:
+    if not args.group:
         return []
-    params = GroupParams(args.n if args.n is not None else args.k + 1, args.k)
-    if args.group == "square" and not params.is_square:
-        raise _UsageError(f"this command needs n = k + 1, got n = {params.n}, k = {params.k}")
+    params = GroupParams(args.k + 1, args.k)
     try:
         words = [parse_word(getattr(args, name), params) for name in args.word_args]
     except WordSyntaxError as exc:

@@ -54,7 +54,6 @@ def occurrence_index(word: Word, pos: int) -> IndexString:
     pass.
     """
     params = word.params
-    params.require_square()
     if not 0 <= pos < len(word):
         raise ValueError(f"position {pos} out of bounds")
     if word.letters[pos] != params.b_letter(params.k + 1):
@@ -70,7 +69,6 @@ def last_alias_occurrences(word: Word) -> tuple[list[int], list[IndexString]]:
     read in order, the strings are the unreduced image in the free product.
     """
     params = word.params
-    params.require_square()
     k = params.k
     counts = [0] * k
     positions: list[int] = []
@@ -102,7 +100,7 @@ def f_image(word: Word) -> ObstructionWord:
 
 
 def parity_vector(word: Word) -> ParityVector:
-    """Letter counts mod 2, ordered by alias index (length k+1 when n = k+1)."""
+    """Letter counts mod 2, ordered by alias index (length k+1)."""
     counts = [0] * len(word.params.all_letters())
     for code in word.codes:
         counts[code] ^= 1
@@ -119,7 +117,6 @@ def sign_action(word: Word, signs: SignString) -> SignString:
     ``b2`` occur an odd number of times in total.
     """
     params = word.params
-    params.require_square()
     check_sign_string(signs, params)
     parity = parity_vector(word)
     flip_all = parity[0] ^ parity[1]
@@ -134,7 +131,6 @@ def check_sign_string(signs: SignString, params: GroupParams) -> None:
 
 
 def reference_signs(params: GroupParams) -> SignString:
-    params.require_square()
     return (1,) * (params.k - 1)
 
 
@@ -155,7 +151,6 @@ def sign_orbit(params: GroupParams) -> list[SignString]:
 
     Raises ValueError, before enumerating, when k exceeds ``MAX_ORBIT_K``.
     """
-    params.require_square()
     if params.k > MAX_ORBIT_K:
         raise ValueError(
             f"the sign orbit for k={params.k} has 2^{params.k - 1} strings, "
@@ -186,7 +181,6 @@ def format_sign_string(signs: SignString) -> str:
 def parse_sign_string(text: str, params: GroupParams) -> SignString:
     """Accept ``(+,-)``, one sign between each pair of commas, or the
     compact ``+-``, one sign per character."""
-    params.require_square()
     body = text.strip()
     if body.startswith("(") and body.endswith(")"):
         entries = body[1:-1].split(",")

@@ -209,7 +209,6 @@ def _require_unit_points(config: Configuration, count: int) -> None:
 
 def base_configuration(params: GroupParams, signs: SignString) -> Configuration:
     """The marked configuration e_1, ..., e_k, (s_1, ..., s_{k-1}, 1)."""
-    params.require_square()
     check_sign_string(signs, params)
     last = ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(1),))
     return Configuration(params, _unit_points(params.k) + (last,))
@@ -223,7 +222,6 @@ def sign_string_of(config: Configuration) -> SignString:
     coordinates are returned.
     """
     params = config.params
-    params.require_square()
     k = params.k
     _require_unit_points(config, k)
     coords = config.points[k].coords
@@ -262,7 +260,6 @@ def shear_family(config: Configuration) -> Configuration:
     every point, A1 p = p + p_k (c - e_k), computed from the column alone.
     """
     params = config.params
-    params.require_square()
     k = params.k
     _require_unit_points(config, k - 1)
     xk = config.points[k - 1].coords

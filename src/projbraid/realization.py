@@ -5,11 +5,11 @@ keyframes every point's representative moves linearly in Q^k.  Along a
 segment each k-subset of points has a determinant that is a polynomial of
 degree at most k in the segment parameter.  Each point's pair of
 representatives is cleared of denominators by one positive factor, so these
-are integer pencils, computed k + 1 at a time as the maximal minors of a
-block of k + 1 points.  A *singular event* is a simple interior root of one
-of these polynomials: the moment the subset's points become projectively
-degenerate.  Reading off the subsets in time order turns a path into a
-word; building a path letter by letter inverts that map on base
+are integer pencils, all k + 1 of a segment computed at once as the maximal
+minors of its k + 1 points.  A *singular event* is a simple interior root of
+one of these polynomials: the moment the subset's points become
+projectively degenerate.  Reading off the subsets in time order turns a
+path into a word; building a path letter by letter inverts that map on base
 configurations.
 
 Event parameters are exact: rational when the root is found by the divisor
@@ -195,20 +195,12 @@ def _segment_pencils(starts: list[list[int]], ends: list[list[int]]) -> list[tup
     """Each k-subset S, ascending, with its determinant along the segment
     whose integer rows ``_segment_rows`` gave.
 
-    S is read off the (k+1)-block S + {m}, m the smallest index not in S, as
-    the minor without point m; ``pencil_minors`` gives each block's k + 1
-    minors at once, so a square segment (n = k + 1) is one block.
+    One ``pencil_minors`` call gives every subset: the subset without point
+    m is minor m - 1, and the subsets in ascending order leave out n,
+    n - 1, ..., 1.
     """
-    n = len(starts)
-    minors: dict[tuple[int, ...], list[polys.ZPoly]] = {}
-    pencils = []
-    for subset in combinations(range(1, n + 1), len(starts[0])):
-        extra = next(i for i in range(1, n + 1) if i not in subset)
-        block = tuple(sorted((*subset, extra)))
-        if block not in minors:
-            minors[block] = pencil_minors([starts[i - 1] for i in block], [ends[i - 1] for i in block])
-        pencils.append((subset, minors[block][block.index(extra)]))
-    return pencils
+    subsets = combinations(range(1, len(starts) + 1), len(starts[0]))
+    return list(zip(subsets, reversed(pencil_minors(starts, ends))))
 
 
 def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPoly]]):
@@ -356,7 +348,6 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
     negates point k+1 and the letter omitting k+1 negates point k.
     """
     params = word.params
-    params.require_square()
     signs = tuple(signs) if signs is not None else reference_signs(params)
     keyframes: list[Configuration] = [base_configuration(params, signs)]
     scales = (1,) * params.n
@@ -414,7 +405,6 @@ def void_path_to_base(config: Configuration) -> tuple[PLPath, SignString]:
     sign.  Certified event-free by detection before returning.
     """
     params = config.params
-    params.require_square()
     _check_keyframe(config, singular_subsets(config))
 
     keyframes = [config]

@@ -122,7 +122,6 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     b(k+1) . block . b(k+1), plus a trace transforming that word into V.
     """
     params = block.params
-    params.require_square()
     last = Word(params, (params.b_letter(params.k + 1),))
     tape = _Tape(concat(last, block, last))
     moves: list[Move] = []
@@ -257,7 +256,6 @@ def solve(word: Word) -> Verdict:
     and otherwise its residue decides only at k = 3, as NONTRIVIAL under
     the flagged presentation assumption; at k >= 4 it is UNKNOWN.
     """
-    word.params.require_square()
     parity = parity_vector(word)
     if any(parity):
         obstruction = f_image(word)

@@ -1,17 +1,14 @@
 """Words over subset-indexed involutive generators, and the moves that rewrite them.
 
-A group in this family is parametrized by ``(n, k)`` with ``n > k >= 2``.  Its
-generators are indexed by the k-element subsets of ``{1, ..., n}`` and every
-generator squares to the identity.  Two generators commute when their index
-subsets share fewer than ``k - 1`` elements, and any ``k + 1`` generators whose
-subsets are exactly the k-subsets of a common (k+1)-set satisfy a palindrome
-relation: the product read left to right equals the product read right to left.
+The group G_{k+1}^k, parametrized by ``(n, k)`` with ``n = k + 1`` and
+``k >= 2``, has one generator for each k-element subset of ``{1, ..., n}``,
+and every generator squares to the identity.  The k + 1 generators together
+satisfy a palindrome relation: any product of all of them, each once, read
+left to right equals the same product read right to left.
 
-For the square case ``n = k + 1`` (the only case the rest of the package
-decides anything about) the generators carry short aliases ``b1 .. b(k+1)``,
-assigned in lexicographic order of the subsets: ``b1 = a{1..k}`` up to
-``b(k+1) = a{2..k+1}``.  In that case the commutation relation is void, since
-any two distinct k-subsets of a (k+1)-set share exactly k - 1 elements.
+The generators carry short aliases ``b1 .. b(k+1)``, assigned in
+lexicographic order of the subsets: ``b1 = a{1..k}`` up to
+``b(k+1) = a{2..k+1}``.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
 from typing import NamedTuple, TypeVar
 
 T = TypeVar("T")
@@ -42,7 +38,7 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class GroupParams:
-    """Group parameters: generators are the k-subsets of {1, ..., n}."""
+    """Group parameters: generators are the k-subsets of {1, ..., n}, n = k + 1."""
 
     n: int
     k: int
@@ -50,22 +46,13 @@ class GroupParams:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise ValueError(f"k must be at least 2, got {self.k}")
-        if self.n <= self.k:
-            raise ValueError(f"n must exceed k, got n={self.n}, k={self.k}")
-        # C(n, k) >= n for 0 < k < n, so a large n is rejected before comb runs
-        if self.n > MAX_SUBSETS or comb(self.n, self.k) > MAX_SUBSETS:
+        # the cap first, so a huge n is refused with the reason it cannot be built
+        if self.n > MAX_SUBSETS:
             raise ValueError(
                 f"C(n, k) for n={self.n}, k={self.k} exceeds the cap of {MAX_SUBSETS} subsets"
             )
-
-    @property
-    def is_square(self) -> bool:
-        """True when n = k + 1, the case with b-aliases and the sign action."""
-        return self.n == self.k + 1
-
-    def require_square(self) -> None:
-        if not self.is_square:
-            raise ValueError(f"operation requires n = k + 1, got n={self.n}, k={self.k}")
+        if self.n != self.k + 1:
+            raise ValueError(f"only square groups n = k + 1 are supported, got n={self.n}, k={self.k}")
 
     def require_path_k(self) -> None:
         if self.k > MAX_PATH_K:
@@ -75,19 +62,16 @@ class GroupParams:
         return _letter_table(self).letters
 
     def b_letter(self, j: int) -> Letter:
-        """The j-th aliased generator (1-based), defined only when n = k + 1."""
-        self.require_square()
+        """The j-th aliased generator (1-based)."""
         if not 1 <= j <= self.k + 1:
             raise ValueError(f"b-index out of range: {j}")
         return _letter_table(self).letters[j - 1]
 
 
-# Largest C(n, k) of any group: GroupParams refuses more, so the command
-# line, path files and library calls all stop before a letter table or a
-# subset list is built.  The letter table, the move rules, the
-# singular-subset check and event detection enumerate every k-subset; at
-# C(45, 2) = 990 the oracle takes 0.07 s to build its move rules (once per
-# group), and a 1438-state search between six-letter words 0.02 s after that.
+# Largest C(n, k) = k + 1 of any group: GroupParams refuses more, so the
+# command line, path files and library calls all stop before a letter table
+# or a subset list is built.  The letter table, the singular-subset check
+# and event detection enumerate every k-subset.
 MAX_SUBSETS = 1000
 
 # Largest k of path geometry, in realize and in path files: realize then
@@ -103,15 +87,14 @@ class Letter:
     subset: tuple[int, ...]
 
     def omitted_index(self, params: GroupParams) -> int:
-        """The unique element of {1, ..., n} missing from the subset (n = k+1 only).
+        """The unique element of {1, ..., n} missing from the subset.
 
         ``bj`` omits k + 2 - j, since the aliases follow lexicographic order.
         """
         return params.k + 2 - self.b_index(params)
 
     def b_index(self, params: GroupParams) -> int:
-        """Position of this letter in the b-alias order (n = k + 1 only): code j - 1 is ``bj``."""
-        params.require_square()
+        """Position of this letter in the b-alias order: code j - 1 is ``bj``."""
         return _encode(params, (self,))[0] + 1
 
     def __str__(self) -> str:
@@ -140,8 +123,8 @@ class Word:
 
 class _LetterTable(NamedTuple):
     """Every letter of a group in ``all_letters`` order, the code of each
-    letter (its position in that order) keyed by the letter's subset, and,
-    when n = k + 1, the letter of each token ``bj``: code j - 1 is ``bj``."""
+    letter (its position in that order) keyed by the letter's subset, and
+    the letter of each token ``bj``: code j - 1 is ``bj``."""
 
     letters: tuple[Letter, ...]
     codes: dict[tuple[int, ...], int]
@@ -151,7 +134,7 @@ class _LetterTable(NamedTuple):
 @lru_cache(maxsize=64)
 def _letter_table(params: GroupParams) -> _LetterTable:
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
-    aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)} if params.is_square else {}
+    aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)}
     return _LetterTable(letters, {letter.subset: code for code, letter in enumerate(letters)}, aliases)
 
 
@@ -165,32 +148,6 @@ def _encode(params: GroupParams, letters: Iterable[Letter]) -> tuple[int, ...]:
         raise ValueError(f"letter {letter} is not a k-subset of 1..{params.n} for k={params.k}") from None
 
 
-@lru_cache(maxsize=64)
-def _relations(
-    params: GroupParams,
-) -> tuple[frozenset[frozenset[int]], tuple[int, ...], dict[frozenset[int], int]]:
-    """The move rules of a group on letter codes, read by the tape and the oracle.
-
-    Returns ``(windows, near, completions)``: each palindrome window as the
-    frozenset of the codes of its k+1 letters, the k-subsets of one (k+1)-set;
-    in bit b of ``near[a]`` whether letters a and b are equal or lie in a
-    common window (they far-commute exactly when it is clear); and any k
-    letters of a window, as a frozenset of codes, to the one completing them.
-    """
-    codes = _letter_table(params).codes
-    windows = []
-    near = [0] * len(codes)
-    completions = {}
-    for union in combinations(range(1, params.n + 1), params.k + 1):
-        window = frozenset([codes[subset] for subset in combinations(union, params.k)])
-        bits = sum(1 << code for code in window)
-        for code in window:
-            near[code] |= bits
-            completions[window - {code}] = code
-        windows.append(window)
-    return frozenset(windows), tuple(near), completions
-
-
 _B_TOKEN = re.compile(r"b([0-9]+)\Z")
 _A_TOKEN = re.compile(r"a\{([0-9]+(?:,[0-9]+)*)\}\Z")
 
@@ -198,12 +155,11 @@ _A_TOKEN = re.compile(r"a\{([0-9]+(?:,[0-9]+)*)\}\Z")
 def parse_word(text: str, params: GroupParams) -> Word:
     """Parse a word from whitespace-separated tokens.
 
-    Tokens are either ``bJ`` (only when n = k + 1) or ``a{i1,...,ik}`` with no
-    spaces inside the braces.  The empty string denotes the empty word.
+    Tokens are either ``bJ`` or ``a{i1,...,ik}`` with no spaces inside the
+    braces.  The empty string denotes the empty word.
     """
     letters: list[Letter] = []
-    # only b-tokens need the table, and only a square group has them
-    aliases = _letter_table(params).aliases if params.is_square else {}
+    aliases = _letter_table(params).aliases
     for index, token in enumerate(text.split()):
         letter = aliases.get(token)
         if letter is not None:
@@ -211,8 +167,6 @@ def parse_word(text: str, params: GroupParams) -> Word:
             continue
         m = _B_TOKEN.match(token)
         if m:
-            if not params.is_square:
-                raise WordSyntaxError("b-aliases require n = k + 1", index, token)
             try:
                 j = int(m.group(1))
             except ValueError:  # more digits than int() converts
@@ -244,7 +198,6 @@ def format_word(word: Word, style: str = "subset") -> str:
     if style == "subset":
         return " ".join(str(letter) for letter in word.letters)
     if style == "b-index":
-        word.params.require_square()
         return " ".join(f"b{code + 1}" for code in word.codes)
     raise ValueError(f"unknown style: {style!r}")
 
@@ -315,14 +268,7 @@ class ReverseWindow:
     pos: int
 
 
-@dataclass(frozen=True)
-class SwapAdjacent:
-    """Swap the far-commuting letters at positions pos, pos+1."""
-
-    pos: int
-
-
-Move = CancelPair | InsertPair | ReverseWindow | SwapAdjacent
+Move = CancelPair | InsertPair | ReverseWindow
 
 
 class IllegalMoveError(ValueError):
@@ -347,7 +293,6 @@ class _Tape:
         self.params = word.params
         self.k = word.params.k
         self.letters = _letter_table(word.params).letters
-        self.windows, self.near, _ = _relations(word.params)
         self.cells = list(word.codes)
 
     def word(self) -> Word:
@@ -376,19 +321,11 @@ class _Tape:
             if start < 0 or end > len(cells):
                 raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(cells)}")
             window = cells[start:end]
-            if frozenset(window) not in self.windows:
+            if len(set(window)) != self.k + 1:
                 raise IllegalMoveError(
                     f"letters at [{start}, {end}) do not cover a common (k+1)-set once each"
                 )
             cells[start:end] = window[::-1]
-        elif isinstance(move, SwapAdjacent):
-            pos = move.pos
-            if not 0 <= pos <= len(cells) - 2:
-                raise IllegalMoveError(f"position {pos} out of bounds for length {len(cells)}")
-            a, b = cells[pos], cells[pos + 1]
-            if self.near[a] >> b & 1:
-                raise IllegalMoveError(f"{self.letters[a]} and {self.letters[b]} do not far-commute")
-            cells[pos], cells[pos + 1] = b, a
         else:
             raise IllegalMoveError(f"unknown move {move!r}")
 
@@ -405,7 +342,7 @@ def invert_move(move: Move) -> Move:
         return InsertPair(move.pos, move.letter)
     if isinstance(move, InsertPair):
         return CancelPair(move.pos, move.letter)
-    return move  # window reversal and far-commutation swaps are involutions
+    return move  # a window reversal is an involution
 
 
 def free_reduce_with_trace(word: Word) -> tuple[Word, list[Move]]:
@@ -437,9 +374,6 @@ def _rebuild_moves(letters: tuple[Letter, ...], parents, state) -> list[Move]:
         edges.append(edge)
     moves: list[Move] = []
     for edge in reversed(edges):
-        if edge[0] == "swap":
-            moves.append(SwapAdjacent(edge[1]))
-            continue
         ins, ins_code, wpos, cancels = edge
         if ins >= 0:
             moves.append(InsertPair(ins, letters[ins_code]))
@@ -454,20 +388,17 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
     Returns Equal together with a primitive-move trace that replays under
     ``check_trace``, or Unknown when the state or length bound is exhausted.
 
-    States are words as tuples of letter codes.  An edge applies one
-    palindrome reversal, optionally preceded by one pair insertion
-    overlapping the window (an insertion elsewhere cancels straight back on
-    a reduced word), then cancels freely and keeps the cancellations it
-    made; or it applies one far-commutation swap and cancels nothing.  So
-    the roots and the ends of window edges are freely reduced, but a swap
-    may bring equal letters together: at (n, k) = (4, 2) a swap at 0 turns
-    ``a{3,4} a{1,2} a{3,4}`` into the state ``a{1,2} a{3,4} a{3,4}``.
+    States are words as tuples of letter codes, each freely reduced.  An
+    edge applies one palindrome reversal, optionally preceded by one pair
+    insertion overlapping the window (an insertion elsewhere cancels
+    straight back on a reduced word), then cancels freely and keeps the
+    cancellations it made.
 
-    An inserted copy must complete the k letters beside it to a window.
-    Those k letters lie in at most one window (k >= 2 distinct k-subsets of
-    a (k+1)-set have that set as their union), so each insertion point has
-    at most one candidate letter, its completion in ``_relations``.  Stored
-    edges read off as primitive moves, so every Equal answer is certified move by move.
+    A window is k + 1 distinct codes, all k + 1 letters of the group.  An
+    inserted copy must complete the k letters beside it to a window, so
+    each insertion point has at most one candidate letter: when those k
+    codes are distinct, the one code they miss.  Stored edges read off as
+    primitive moves, so every Equal answer is certified move by move.
     """
     if w1.params != w2.params:
         raise ValueError("words live in different groups")
@@ -476,16 +407,15 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
 
     k = w1.params.k
     letters = w1.params.all_letters()
-    windows, near, completion = _relations(w1.params)
+    code_sum = k * (k + 1) // 2     # of all k + 1 codes
 
-    # yields (next_state, edge): a window edge is (insert_pos, insert_code,
-    # window_pos, cancellations) with insert_pos = -1 when nothing is
-    # inserted; a swap edge is ('swap', pos)
+    # yields (next_state, edge), an edge being (insert_pos, insert_code,
+    # window_pos, cancellations) with insert_pos = -1 when nothing is inserted
     def successors(state: tuple[int, ...]):
         length = len(state)
         for pos in range(length - k):
             window = state[pos : pos + k + 1]
-            if frozenset(window) in windows:
+            if len(set(window)) == k + 1:
                 nxt, cancels = free_cancel(state[:pos] + window[::-1] + state[pos + k + 1 :])
                 yield nxt, (-1, -1, pos, cancels)
         if length + 2 <= max_len:
@@ -494,15 +424,10 @@ def bfs_equal_oracle(w1: Word, w2: Word, max_len: int = 12, max_states: int = 10
                 # reversing the window c run (or run c) leaves c rev(run) c
                 for wpos, lo in [(ins + 1, ins)] + ([(ins - k, ins - k)] if ins >= k else []):
                     run = state[lo : lo + k]
-                    code = completion.get(frozenset(run))
-                    if code is not None:
+                    if len(set(run)) == k:
+                        code = code_sum - sum(run)
                         nxt, cancels = free_cancel(state[:lo] + (code, *run[::-1], code) + state[lo + k :])
                         yield nxt, (ins, code, wpos, cancels)
-        # far commutation (void when n = k + 1)
-        if not w1.params.is_square:
-            for pos in range(length - 1):
-                if not near[state[pos]] >> state[pos + 1] & 1:
-                    yield state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :], ("swap", pos)
 
     reduce1, cancels1 = free_reduce_with_trace(w1)
     reduce2, cancels2 = free_reduce_with_trace(w2)

@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +57,11 @@ class TestInvariantCommands:
 
     def test_sign_action_custom_start(self, capsys):
         code, out, _ = run(capsys, "sign-action", "--signs", "(-,+)", "b3")
+        assert (code, out) == (0, "(-,+) -> (-,-)\n")
+
+    def test_compact_signs_with_a_leading_minus(self, capsys):
+        # argparse reads a separate "-+" as an option, so it is written --signs=-+
+        code, out, _ = run(capsys, "sign-action", "--signs=-+", "b3")
         assert (code, out) == (0, "(-,+) -> (-,-)\n")
 
     def test_parity(self, capsys):
@@ -287,11 +293,10 @@ class TestUntrustedInput:
         assert list(tmp_path.iterdir()) == []
 
     def test_path_file_over_the_subset_cap(self, tmp_path, capsys):
-        # C(18, 9) = 48620 subsets from a file of about 1.5 KB
-        frame = [[int(i == j) for j in range(9)] for i in range(9)] + [[1] * 9 for _ in range(9)]
+        # C(1001, 1000) = 1001 subsets from a file of under 100 bytes
         file = tmp_path / "big.json"
-        file.write_text(json.dumps({"k": 9, "n": 18, "keyframes": [frame] * 3}))
-        assert 1400 < file.stat().st_size < 1700
+        file.write_text(json.dumps({"k": 1000, "n": 1001, "keyframes": []}))
+        assert file.stat().st_size < 100
         start = time.perf_counter()
         code, out, err = run(capsys, "certify", str(file))
         assert time.perf_counter() - start < 1.0
@@ -329,21 +334,34 @@ class TestUntrustedInput:
 
     def test_oracle_over_the_subset_cap(self, capsys):
         start = time.perf_counter()
-        code, out, err = run(capsys, "--k", "10", "--n", "24", "oracle", "a{1,2,3,4,5,6,7,8,9,10}", "")
+        code, out, err = run(capsys, "--k", "1000", "oracle", "b1", "")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert "exceeds the cap of 1000 subsets" in err
 
     def test_huge_n_over_the_subset_cap(self, capsys):
-        code, _, err = run(capsys, "--k", "3", "--n", str(10**9), "parity", "")
+        code, _, err = run(capsys, "--k", str(10**9), "parity", "")
         assert code == 3
         assert "exceeds the cap" in err
+
+    def test_first_k_over_the_subset_cap(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "--k", "1000", "parity", "")
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == "projbraid: error: C(n, k) for n=1001, k=1000 exceeds the cap of 1000 subsets\n"
+
+    def test_non_square_path_file(self, capsys):
+        events = Path(__file__).resolve().parent / "golden" / "inputs" / "k3n5-events.json"
+        code, out, err = run(capsys, "certify", str(events))
+        assert (code, out) == (3, "")
+        assert "error: bad path file: only square groups n = k + 1 are supported, got n=5, k=3" in err
 
     @pytest.mark.parametrize("k", ["14", "30", "999"])
     def test_orbit_over_the_orbit_cap(self, capsys, k):
         # C(k + 1, k) = k + 1 passes the subset cap up to k = 999; 2^(k-1) strings do not
         start = time.perf_counter()
-        code, out, err = run(capsys, "--k", k, "--n", str(int(k) + 1), "orbit")
+        code, out, err = run(capsys, "--k", k, "orbit")
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (3, "")
         assert f"the sign orbit for k={k} has 2^{int(k) - 1} strings" in err
@@ -497,7 +515,8 @@ class TestUsageErrors:
             ("--k", "2", "solve", "b1 b1"),
             ("solve", "b9"),
             ("solve", "b1 xx"),
-            ("--k", "3", "--n", "6", "solve", "b1"),
+            # square groups only: the number of points is k + 1, and no flag sets it
+            ("--k", "3", "--n", "5", "solve", "b1"),
             ("sign-action", "--signs", "+x", "b4"),
             ("sign-action", "--signs", "(+,,-)", "b4"),
             ("sign-action", "--signs", "(,+-)", "b4"),

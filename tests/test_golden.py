@@ -65,28 +65,17 @@ RUNS = {
     "in-tilde-no": ["in-tilde", "b4"],
     "parity": ["parity", "b4 b1 b4"],
     "parity-k4": ["--k", "4", "parity", "b5 b1 b2 b5"],
-    "parity-nonsquare": ["--k", "2", "--n", "4", "parity", "a{1,2} a{3,4} a{1,2}"],
     "sign-action-signs": ["sign-action", "--signs", "(-,+)", "b3 b4"],
     "sign-action-k4": ["--k", "4", "sign-action", "--signs", "(+,-,+)", "b1 b3 b5 b2 b4"],
-    # the bounded oracle, including a far-commutation swap outside the square case
-    "oracle-swap": ["--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{3,4}", "a{3,4} a{1,2}"],
+    # the bounded oracle
     "oracle-trace": ["oracle", "--trace", "b1 b2 b3 b4", "b4 b3 b2 b1"],
     "oracle-insert": ["oracle", "--trace", "b4 b1 b2 b1 b2 b4", "b3 b2 b1 b2 b1 b3"],
     "oracle-cancel": ["oracle", "--trace", "b1 b1 b2 b3 b4 b4", "b2 b3 b2 b2"],
     "oracle-unknown": ["oracle", "b1 b2", "b2 b1"],
-    # outside the square case: a window needs its letters to cover one
-    # (k+1)-set, an insertion feeds a window, a swap makes a window appear,
-    # and an Unknown whose state count every kind of edge feeds
-    "oracle-window-k2": [
-        "--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{1,3} a{2,3}", "a{2,3} a{1,3} a{1,2}",
-    ],
-    "oracle-insert-k2": [
-        "--k", "2", "--n", "4", "oracle", "--trace", "a{1,2} a{1,3}", "a{2,3} a{1,3} a{1,2} a{2,3}",
-    ],
-    "oracle-swap-window-k2": [
-        "--k", "2", "--n", "5", "oracle", "--trace", "a{1,2} a{1,3} a{4,5} a{2,3}", "a{2,3} a{1,3} a{1,2} a{4,5}",
-    ],
-    "oracle-unknown-k2": ["--k", "2", "--n", "5", "oracle", "a{1,2} a{3,4} a{1,3}", "a{1,3} a{3,4} a{1,2}"],
+    # k = 2 in subset tokens: a window reversal, and an insertion that feeds
+    # a window
+    "oracle-window-k2": ["--k", "2", "oracle", "--trace", "a{1,2} a{1,3} a{2,3}", "a{2,3} a{1,3} a{1,2}"],
+    "oracle-insert-k2": ["--k", "2", "oracle", "--trace", "a{1,2} a{1,3}", "a{2,3} a{1,3} a{1,2} a{2,3}"],
     # realization and certification
     "realize-k4-signs": ["--k", "4", "realize", "--signs", "(+,-,+)", "b5 b2 b4", "out.json"],
     # k = 5: the b(k+1) shear has k - 1 = 4 entries
@@ -99,8 +88,7 @@ RUNS = {
     # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
     # order needs interval refinement
     "certify-k4-segments": ["certify", "segments.json"],
-    # k = 3, n = 5: not square, so each subset is read off a block of four
-    # points; one rational event and one algebraic event
+    # k = 3, n = 5: not a square group, so refused as a bad path file
     "certify-k3-n5": ["certify", "events.json"],
     "certify-fails": ["certify", "singular.json"],
     # k = 4, three keyframes: segment 0 sends point 5 through the origin, but

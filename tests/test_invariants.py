@@ -24,7 +24,6 @@ from projbraid.words import GroupParams, Letter, Word, apply_move, concat, inver
 
 P43 = GroupParams(4, 3)
 P54 = GroupParams(5, 4)
-P52 = GroupParams(5, 2)
 
 
 def w43(text: str) -> Word:
@@ -89,12 +88,12 @@ class TestParity:
         assert parity_vector(Word(P43, ())) == (0, 0, 0, 0)
 
     def test_wide_params(self):
-        w = Word(P52, (Letter((1, 2)), Letter((1, 2)), Letter((3, 4))))
+        w = Word(P54, (Letter((1, 2, 3, 5)), Letter((1, 2, 3, 5)), Letter((2, 3, 4, 5))))
         vec = parity_vector(w)
-        letters = P52.all_letters()
-        assert len(vec) == len(letters) == 10
-        assert vec[letters.index(Letter((1, 2)))] == 0
-        assert vec[letters.index(Letter((3, 4)))] == 1
+        letters = P54.all_letters()
+        assert len(vec) == len(letters) == 5
+        assert vec[letters.index(Letter((1, 2, 3, 5)))] == 0
+        assert vec[letters.index(Letter((2, 3, 4, 5)))] == 1
 
 
 def reference_sign_action(word: Word, signs) -> tuple[int, ...]:

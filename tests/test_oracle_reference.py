@@ -1,14 +1,14 @@
 """``bfs_equal_oracle`` against the search it replaced.
 
-The replaced search kept its own copies of the move rules: a table of
-far-commuting letter pairs, the set of palindrome windows as frozensets of
-letter ids, and a window test of its own.  Each edge recorded only where it
-inserted and reversed, and rebuilding a path redid that surgery to recover
-the cancellations.  ``reference_oracle`` below keeps that search, written
-against the public letter order only, and ``bfs_equal_oracle`` must return
-an identical ``OracleResult`` (verdict, trace and state count) on seeded
-pairs in square and non-square groups.  Every Equal trace must also replay
-under ``check_trace``.
+The replaced search kept its own copy of the move rules: the palindrome
+windows as frozensets of letter ids, built from the k-subsets of each
+(k+1)-set, and it tried every letter at an insertion point.  Each edge
+recorded only where it inserted and reversed, and rebuilding a path redid
+that surgery to recover the cancellations.  ``reference_oracle`` below
+keeps that search, written against the public letter order only, and
+``bfs_equal_oracle`` must return an identical ``OracleResult`` (verdict,
+trace and state count) on seeded pairs.  Every Equal trace must also
+replay under ``check_trace``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from projbraid.words import (
     Move,
     OracleResult,
     ReverseWindow,
-    SwapAdjacent,
     Word,
     apply_move,
     bfs_equal_oracle,
@@ -42,40 +41,30 @@ from projbraid.words import (
 
 @lru_cache(maxsize=None)
 def reference_relations(params: GroupParams):
-    """The far-commutation table and the palindrome windows as frozensets of
-    letter ids, built as the replaced searcher built them on every call."""
-    table = params.all_letters()
-    ids = {letter: i for i, letter in enumerate(table)}
+    """The palindrome windows as frozensets of letter ids, built from the
+    k-subsets of each (k+1)-set as the replaced searcher built them."""
+    ids = {letter: i for i, letter in enumerate(params.all_letters())}
     k = params.k
-    commutes = [
-        [len(set(table[i].subset) & set(table[j].subset)) < k - 1 for j in range(len(table))]
-        for i in range(len(table))
-    ]
-    window_sets = {
+    return {
         frozenset(ids[Letter(s)] for s in combinations(u, k))
         for u in combinations(range(1, params.n + 1), k + 1)
     }
-    return commutes, window_sets
 
 
 class ReferenceSearcher:
-    """The replaced searcher: its own commutation table, window sets and surgery."""
+    """The replaced searcher: its own window sets and surgery."""
 
     def __init__(self, params: GroupParams, max_len: int):
         self.k = params.k
         self.max_len = max_len
         self.table = params.all_letters()
         self.ids = {letter: i for i, letter in enumerate(self.table)}
-        self.square = params.is_square
-        if not self.square:
-            self.commutes, self.window_sets = reference_relations(params)
+        self.window_sets = reference_relations(params)
 
     def encode(self, word: Word) -> tuple[int, ...]:
         return tuple(self.ids[letter] for letter in word.letters)
 
     def window_ok(self, window: tuple[int, ...]) -> bool:
-        if self.square:
-            return len(set(window)) == self.k + 1
         return frozenset(window) in self.window_sets and len(set(window)) == self.k + 1
 
     def successors(self, state: tuple[int, ...]):
@@ -100,14 +89,8 @@ class ReferenceSearcher:
                         if len(window) == k + 1 and self.window_ok(window):
                             nxt, _ = free_cancel(grown[:wpos] + tuple(reversed(window)) + grown[wpos + k + 1 :])
                             yield nxt, (ins, ins_id, wpos)
-        if not self.square:
-            for pos in range(length - 1):
-                if self.commutes[state[pos]][state[pos + 1]]:
-                    yield state[:pos] + (state[pos + 1], state[pos]) + state[pos + 2 :], ("swap", pos)
 
     def edge_moves(self, state: tuple[int, ...], edge) -> list[Move]:
-        if edge[0] == "swap":
-            return [SwapAdjacent(edge[1])]
         ins, ins_id, wpos = edge
         moves: list[Move] = []
         current = state
@@ -180,10 +163,10 @@ def reference_oracle(w1: Word, w2: Word, max_len: int, max_states: int) -> Oracl
 
 
 def legal_moves(word: Word) -> list[Move]:
-    """Every window reversal, swap and cancellation that ``apply_move`` accepts on ``word``."""
+    """Every window reversal and cancellation that ``apply_move`` accepts on ``word``."""
     moves: list[Move] = []
     for pos in range(len(word)):
-        for move in (ReverseWindow(pos), SwapAdjacent(pos), CancelPair(pos, word.letters[pos])):
+        for move in (ReverseWindow(pos), CancelPair(pos, word.letters[pos])):
             try:
                 apply_move(word, move)
             except IllegalMoveError:
@@ -222,13 +205,9 @@ def pairs(params: GroupParams, seed: int, count: int, max_len: int):
 GROUPS = [
     ((4, 3), 41, 300, 10, 400),
     ((5, 4), 51, 300, 10, 400),
-    ((4, 2), 42, 300, 8, 400),
-    ((5, 2), 52, 160, 8, 150),
-    ((5, 3), 53, 200, 8, 300),
-    ((6, 3), 63, 100, 8, 100),
-    ((6, 2), 62, 100, 8, 100),
-    ((18, 3), 183, 12, 8, 40),
-    ((45, 2), 452, 12, 8, 40),
+    ((3, 2), 32, 300, 8, 400),
+    ((6, 5), 65, 200, 10, 300),
+    ((7, 6), 76, 100, 12, 200),
 ]
 
 

@@ -226,7 +226,7 @@ def planted_path(rng: random.Random, k: int) -> PLPath:
     """Random keyframes at k = 3..5, with a singular or non-general-position
     keyframe planted first, in the middle or last, and sometimes an earlier
     segment whose representative crosses the origin."""
-    params = GroupParams(k + 1 + (k == 3 and rng.random() < 0.3), k)
+    params = GroupParams(k + 1, k)
     count = rng.randint(2, 4)
 
     def vector():
@@ -335,12 +335,13 @@ def reference_pencil(starts, ends) -> polys.ZPoly:
     return tuple(int(c) for c in coeffs)
 
 
-def random_segment(rng: random.Random, k: int, n: int) -> tuple[Configuration, Configuration]:
-    """Start and end of a seeded segment of n points at k, with one of: zero
-    leading entries that make the eliminations swap rows, two proportional
-    points, or a point that stays in the span of k - 1 others (the last two
-    leave some subset singular throughout)."""
-    params = GroupParams(n, k)
+def random_segment(rng: random.Random, k: int) -> tuple[Configuration, Configuration]:
+    """Start and end of a seeded segment of k + 1 points at k, with one of:
+    zero leading entries that make the eliminations swap rows, two
+    proportional points, or a point that stays in the span of k - 1 others
+    (the last two leave some subset singular throughout)."""
+    params = GroupParams(k + 1, k)
+    n = params.n
     while True:
         begin = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)] for _ in range(n)]
         finish = [p[:] if rng.random() < 0.3 else [F(rng.randint(-4, 4)) for _ in range(k)] for p in begin]
@@ -369,16 +370,15 @@ class TestSegmentPencils:
     def test_block_minors_match_per_subset_determinants(self, k):
         rng = random.Random(f"segment-pencils:{k}")
         singular = 0
-        for n in range(k + 1, k + 4):
-            for _ in range(4 if k < 6 else 2):
-                start, end = random_segment(rng, k, n)
-                starts, ends = _segment_rows(start, end)
-                expected = [
-                    (s, reference_pencil([starts[i - 1] for i in s], [ends[i - 1] for i in s]))
-                    for s in combinations(range(1, n + 1), k)
-                ]
-                assert _segment_pencils(starts, ends) == expected
-                singular += any(not d for _, d in expected)
+        for _ in range(12 if k < 6 else 6):
+            start, end = random_segment(rng, k)
+            starts, ends = _segment_rows(start, end)
+            expected = [
+                (s, reference_pencil([starts[i - 1] for i in s], [ends[i - 1] for i in s]))
+                for s in combinations(range(1, k + 2), k)
+            ]
+            assert _segment_pencils(starts, ends) == expected
+            singular += any(not d for _, d in expected)
         assert singular >= 2
 
 
