@@ -18,15 +18,24 @@ coefficients:
 
 Everything is exact: the root isolation returns either rational roots or
 open intervals with certified sign changes, established through Sturm chains.
+
+Bisection and refinement run on integer endpoints.  An ``Interval`` is
+(a, b, q, s): the open interval (a/q, b/q) with q > 0, not necessarily in
+lowest terms, and s the sign of f at a/q.  Halving it doubles q and
+evaluates f once, at the midpoint (a + b)/2q, since s is carried.  A
+halving that lands on the root m/r returns the zero-width (m, m, r, 0):
+s = 0 marks an interval collapsed onto its root, never halved again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd
+from math import lcm
 
 Poly = tuple[Fraction, ...]
 ZPoly = tuple[int, ...]
+Interval = tuple[int, int, int, int]
 
 ZERO: Poly = ()
 
@@ -161,12 +170,9 @@ def sturm_chain(f: ZPoly) -> list[ZPoly]:
     return [p for p in chain if p]
 
 
-def _variations(chain: list[ZPoly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = evaluate(p, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
+def _variations(chain: list[ZPoly], p: int, q: int) -> int:
+    """Sign variations of the chain at p/q, q > 0."""
+    signs = [v > 0 for v in (_homogeneous(g, p, q) for g in chain) if v]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -174,7 +180,7 @@ def count_roots(f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None 
     """Number of distinct real roots in (lo, hi]; f must not vanish at lo."""
     if chain is None:
         chain = sturm_chain(f)
-    return _variations(chain, lo) - _variations(chain, hi)
+    return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 
 _DIVISOR_LIMIT = 10**8
@@ -200,9 +206,11 @@ def rational_roots_in_unit_interval(f: ZPoly) -> tuple[list[Fraction], ZPoly] | 
     """Rational roots of f inside (0, 1), plus the cofactor with them removed.
 
     A root p/q in lowest terms has p dividing the lowest nonzero coefficient
-    and q the leading one.  Returns None when those coefficients are too
-    large for the divisor search; callers then fall back to isolating
-    intervals, which stay exact.
+    and q the leading one.  By Gauss's lemma f = (qt - p) g with g in Z[t],
+    so q - p divides f(1) and q + p divides f(-1): a candidate is evaluated
+    only when both hold.  Returns None when those coefficients are too large
+    for the divisor search; callers then fall back to isolating intervals,
+    which stay exact.
     """
     if degree(f) < 1:
         return [], f
@@ -213,11 +221,17 @@ def rational_roots_in_unit_interval(f: ZPoly) -> tuple[list[Fraction], ZPoly] | 
     den_divs = _divisors(f[-1])
     if num_divs is None or den_divs is None:
         return None
+    at_one = sum(f)
+    at_minus_one = sum(c if i % 2 == 0 else -c for i, c in enumerate(f))
     roots = sorted(
         Fraction(p, q)
         for p in num_divs
         for q in den_divs
-        if p < q and igcd(p, q) == 1 and _homogeneous(f, p, q) == 0
+        if p < q
+        and at_one % (q - p) == 0
+        and at_minus_one % (q + p) == 0
+        and igcd(p, q) == 1
+        and _homogeneous(f, p, q) == 0
     )
     remaining = f
     for r in roots:
@@ -225,17 +239,25 @@ def rational_roots_in_unit_interval(f: ZPoly) -> tuple[list[Fraction], ZPoly] | 
     return roots, remaining
 
 
-def _split_point(f: ZPoly, a: Fraction, b: Fraction) -> Fraction:
-    """An interior point of (a, b) where f does not vanish.
+def interval(f: ZPoly, lo: Fraction, hi: Fraction) -> Interval:
+    """The ``Interval`` form of the isolating interval (lo, hi) of f."""
+    q = lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (q // lo.denominator)
+    at_a = _homogeneous(f, a, q)
+    return a, hi.numerator * (q // hi.denominator), q, (at_a > 0) - (at_a < 0)
+
+
+def _split_point(f: ZPoly, a: int, b: int, q: int) -> tuple[int, int]:
+    """An interior point m/r of (a/q, b/q) where f does not vanish, as (m, r).
 
     f has at most deg(f) roots, so among deg(f) + 1 equally spaced interior
     points at least one is free.
     """
-    d = max(degree(f), 1)
-    for j in range(1, d + 2):
-        x = a + (b - a) * Fraction(j, d + 2)
-        if evaluate(f, x) != 0:
-            return x
+    parts = max(degree(f), 1) + 2
+    for j in range(1, parts):
+        m = a * parts + (b - a) * j
+        if _homogeneous(f, m, q * parts) != 0:
+            return m, q * parts
     raise AssertionError("unreachable: more candidate points than roots")
 
 
@@ -245,27 +267,32 @@ def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, 
 
     Requires f(lo) != 0 != f(hi).  Subdivision points are chosen off the
     roots, so every returned interval has nonzero endpoint values and, the
-    enclosed root being simple, a certified sign change across it.
+    enclosed root being simple, a certified sign change across it.  The
+    bisection runs on integer endpoints over a common denominator, and each
+    point's Sturm variations are computed once, for both halves it bounds.
     """
-    if evaluate(f, lo) == 0 or evaluate(f, hi) == 0:
+    a, b, q, at_lo = interval(f, lo, hi)
+    if at_lo == 0 or _homogeneous(f, b, q) == 0:
         raise ValueError("isolation endpoints must not be roots")
     chain = sturm_chain(f)
     out: list[tuple[Fraction, Fraction]] = []
 
-    def recurse(a: Fraction, b: Fraction) -> None:
-        count = count_roots(f, a, b, chain)
+    def recurse(a: int, b: int, q: int, at_a: int, at_b: int) -> None:
+        count = at_a - at_b
         if count == 0:
             return
         if count == 1:
-            if evaluate(f, a) * evaluate(f, b) >= 0:
-                raise AssertionError(f"a simple root in ({a}, {b}) must change the sign of f")
-            out.append((a, b))
+            if _homogeneous(f, a, q) * _homogeneous(f, b, q) >= 0:
+                raise AssertionError(f"a simple root in ({a}/{q}, {b}/{q}) must change the sign of f")
+            out.append((Fraction(a, q), Fraction(b, q)))
             return
-        mid = _split_point(f, a, b)
-        recurse(a, mid)
-        recurse(mid, b)
+        mid, r = _split_point(f, a, b, q)
+        at_mid = _variations(chain, mid, r)
+        scale = r // q
+        recurse(a * scale, mid, r, at_a, at_mid)
+        recurse(mid, b * scale, r, at_mid, at_b)
 
-    recurse(lo, hi)
+    recurse(a, b, q, _variations(chain, a, q), _variations(chain, b, q))
     return out
 
 
@@ -275,20 +302,25 @@ def refine_to_exclude(f: ZPoly, lo: Fraction, hi: Fraction, point: Fraction) -> 
     Preserves the sign-change certificate; requires f(point) != 0.  Returns
     a collapsed interval (r, r) when a halving lands on the root r.
     """
-    while lo < point < hi:
-        lo, hi = refine_once(f, lo, hi)
-    return lo, hi
+    iv = interval(f, lo, hi)
+    p, r = point.numerator, point.denominator
+    while iv[0] * r < p * iv[2] < iv[1] * r:
+        iv = refine_once(f, iv)
+    return Fraction(iv[0], iv[2]), Fraction(iv[1], iv[2])
 
 
-def refine_once(f: ZPoly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Halve an isolating interval of squarefree f (sign change preserved).
+def refine_once(f: ZPoly, iv: Interval) -> Interval:
+    """Halve an isolating ``Interval`` of squarefree f (sign change preserved)
+    with one evaluation of f, at the midpoint; iv must not be collapsed.
 
-    Returns (mid, mid) when the midpoint is the root: it is rational after all.
+    Returns the collapsed (m, m, 2q, 0) when the midpoint m/2q is the root:
+    it is rational after all.
     """
-    mid = (lo + hi) / 2
-    at_mid = evaluate(f, mid)
+    a, b, q, s = iv
+    mid = a + b
+    at_mid = _homogeneous(f, mid, 2 * q)
     if at_mid == 0:
-        return mid, mid
-    if evaluate(f, lo) * at_mid < 0:
-        return lo, mid
-    return mid, hi
+        return mid, mid, 2 * q, 0
+    if (at_mid > 0) == (s > 0):
+        return mid, 2 * b, 2 * q, s
+    return 2 * a, mid, 2 * q, s

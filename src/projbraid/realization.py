@@ -136,24 +136,52 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
     return polys.count_roots(common, lo, hi) > 0
 
 
-def time_cmp(a: EventTime, b: EventTime) -> int:
+def _interval(t: EventTime, kept: dict[int, polys.Interval]) -> polys.Interval:
+    """The interval ``kept`` holds for t, else its starting one: [r, r] for a
+    rational r, the isolating (lo, hi) for an algebraic time."""
+    found = kept.get(id(t))
+    if found is not None:
+        return found
+    if isinstance(t, Fraction):
+        return t.numerator, t.numerator, t.denominator, 0
+    return polys.interval(t.poly, t.lo, t.hi)
+
+
+def _gaps(ia: polys.Interval, ib: polys.Interval) -> tuple[int, int]:
+    """(lo(ib) - hi(ia), lo(ia) - hi(ib)), each times the positive qa * qb."""
+    a0, a1, qa, _ = ia
+    b0, b1, qb, _ = ib
+    return b0 * qa - a1 * qb, a0 * qb - b1 * qa
+
+
+def time_cmp(a: EventTime, b: EventTime, kept: dict[int, polys.Interval] | None = None) -> int:
     """Order two event times exactly (-1, 0 or 1), refining intervals as needed.
 
-    A rational r is the zero-width interval [r, r], an algebraic time its
-    isolating (lo, hi); the wider of two overlapping intervals is halved
-    until they are apart.  A halving that lands on the root leaves a
-    zero-width interval, which is never halved again.
+    Each time is read as a ``polys.Interval``: a rational r as the zero-width
+    [r, r], an algebraic time as the interval ``kept[id(t)]`` holds from an
+    earlier comparison, else its isolating (lo, hi).  Closed intervals
+    strictly apart decide at once.  Otherwise ``time_eq`` rules out equal
+    times, which no refinement separates (two zero-width intervals that
+    touch are one point), and the wider of two overlapping intervals is
+    halved until they are apart; a halving that lands on the root leaves a
+    zero-width interval, which is never halved again.  Both intervals are
+    then kept, so a caller that passes one ``kept`` to every comparison of
+    a sort resumes each time where its last comparison left it.
     """
-    if time_eq(a, b):
-        # the refinement below separates distinct times only
-        return 0
-    ia, ib = ((t, t) if isinstance(t, Fraction) else (t.lo, t.hi) for t in (a, b))
-    while not (ia[1] <= ib[0] or ib[1] <= ia[0]):
-        if ia[1] - ia[0] >= ib[1] - ib[0]:
-            ia = polys.refine_once(a.poly, *ia)
-        else:
-            ib = polys.refine_once(b.poly, *ib)
-    return -1 if ia[1] <= ib[0] else 1
+    kept = {} if kept is None else kept
+    ia, ib = _interval(a, kept), _interval(b, kept)
+    up, down = _gaps(ia, ib)
+    if up <= 0 and down <= 0:
+        if time_eq(a, b):
+            return 0
+        while up < 0 and down < 0:
+            if (ia[1] - ia[0]) * ib[2] >= (ib[1] - ib[0]) * ia[2]:
+                ia = polys.refine_once(a.poly, ia)
+            else:
+                ib = polys.refine_once(b.poly, ib)
+            up, down = _gaps(ia, ib)
+        kept[id(a)], kept[id(b)] = ia, ib
+    return -1 if up >= 0 else 1
 
 
 # --- event detection --------------------------------------------------------
@@ -232,8 +260,10 @@ def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPo
                     )
                 found.append((AlgebraicTime(remaining, lo, hi), subset))
 
+    kept: dict[int, polys.Interval] = {}
+
     def order(x, y) -> int:
-        sign = time_cmp(x[0], y[0])
+        sign = time_cmp(x[0], y[0], kept)
         if sign == 0:
             first, second = sorted((x[1], y[1]))
             raise SimultaneousEvents(

@@ -88,6 +88,9 @@ RUNS = {
     # k = 4, two segments, fifteen events (one rational at t = 1/2) whose
     # order needs interval refinement
     "certify-k4-segments": ["certify", "segments.json"],
+    # k = 3, every determinant past the divisor search: each event is isolated,
+    # and ordering them halves onto the rational root 1/2 of subset {1,2,3}
+    "certify-past-divisor-limit": ["certify", "large.json"],
     # k = 3, n = 5: not a square group, so refused as a bad path file
     "certify-k3-n5": ["certify", "events.json"],
     "certify-fails": ["certify", "singular.json"],
@@ -107,6 +110,7 @@ INPUTS = {
     "certify-algebraic": "inputs/algebraic-event.json",
     "certify-k4-segments": "inputs/k4-segments.json",
     "certify-k3-n5": "inputs/k3n5-events.json",
+    "certify-past-divisor-limit": "inputs/past-divisor-limit.json",
     "certify-fails": "inputs/singular-keyframe.json",
     "certify-k4-last-keyframe-singular": "inputs/k4-last-keyframe-singular.json",
     "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from math import gcd as igcd
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from projbraid import polys
 from projbraid.polys import (
@@ -211,6 +213,71 @@ class TestRationalRoots:
         assert cofactor == (6, 7, 2)
 
 
+def unpruned_rational_roots(f):
+    """The divisor search evaluating every candidate p/q in lowest terms,
+    without the f(1) and f(-1) divisibility filter (test-local reference)."""
+    if degree(f) < 1:
+        return [], f
+    low = next(c for c in f if c)
+    num_divs, den_divs = polys._divisors(low), polys._divisors(f[-1])
+    if num_divs is None or den_divs is None:
+        return None
+    roots = sorted(
+        F(p, q) for p in num_divs for q in den_divs if p < q and igcd(p, q) == 1 and evaluate(f, F(p, q)) == 0
+    )
+    remaining = f
+    for r in roots:
+        remaining = polys._exact_quotient(remaining, (-r.numerator, r.denominator))
+    return roots, remaining
+
+
+LIMIT = polys._DIVISOR_LIMIT
+# (p, q) for a factor qt - p: roots in (0, 1), at 0, +-1 and outside
+linear_factors = st.tuples(st.integers(-12, 12), st.integers(1, 12))
+coefficients = st.integers(-9, 9) | st.sampled_from((LIMIT, -LIMIT, LIMIT + 1))
+
+
+@st.composite
+def rational_root_inputs(draw):
+    """A product of linear factors and a cofactor whose coefficients may sit at
+    the divisor limit, with a leading coefficient of either sign."""
+    f = tuple(draw(st.lists(coefficients, min_size=1, max_size=4)))
+    for p, q in draw(st.lists(linear_factors, max_size=4)):
+        f = mul(f, (-p, q))
+    f = polys._trim(f)
+    if draw(st.booleans()):
+        f = tuple(-c for c in f)
+    return f
+
+
+class TestRationalRootsAgainstReferences:
+    @settings(max_examples=300, deadline=None)
+    @given(rational_root_inputs())
+    @example(mul((0, 0, 1), (-1, 3)))  # t^2 (3t - 1): f(0) = 0, searched past the t^2
+    @example(mul(mul((0, 1), (-1, 3)), (-1, 1)))  # f(0) = 0 and f(1) = 0, root 1/3
+    @example(mul(mul((-1, 1), (1, 1)), (-2, 3)))  # f(1) = 0 = f(-1), root 2/3
+    @example(mul((-1, 2), (LIMIT, 1)))  # constant term -LIMIT: searched, root 1/2
+    @example(mul((-1, LIMIT), (1, 1)))  # leading coefficient LIMIT, root 1/LIMIT, f(-1) = 0
+    @example(mul((-1, 2), (LIMIT + 1, 1)))  # constant term past the limit: None
+    @example(tuple(-c for c in mul((-1, 2), (-3, 4))))  # negative leading coefficient
+    def test_matches_unpruned_search_and_sympy(self, f):
+        sympy = pytest.importorskip("sympy")
+        found = rational_roots_in_unit_interval(f)
+        assert found == unpruned_rational_roots(f)
+        if found is None:
+            assert max(abs(next(c for c in f if c)), abs(f[-1])) > LIMIT
+            return
+        roots, cofactor = found
+        if degree(f) >= 1:
+            factors = sympy.Poly([int(c) for c in reversed(f)], sympy.Symbol("t")).factor_list()[1]
+            linear = {F(-int(g.nth(0)), int(g.nth(1))) for g, _ in factors if g.degree() == 1}
+            assert roots == sorted(r for r in linear if 0 < r < 1)
+        restored = cofactor
+        for r in roots:
+            restored = mul(restored, (-r.numerator, r.denominator))
+        assert restored == f
+
+
 class TestIsolation:
     def test_single_irrational_root(self):
         f = Z(F(-1, 2), 0, 1)
@@ -245,18 +312,37 @@ class TestIsolation:
         lo, hi = refine_to_exclude(f, F(0), F(1), F(1, 4))
         assert lo == hi == F(1, 2)
 
-    def test_refine_once_shrinks(self):
+    def test_interval_form(self):
+        # (1/3, 1/2) over the common denominator 6, with the sign of f at 1/3
         f = Z(F(-1, 2), 0, 1)
-        lo, hi = refine_once(f, F(0), F(1))
-        assert hi - lo < 1
-        assert count_roots(f, lo, hi) == 1
+        assert polys.interval(f, F(1, 3), F(1, 2)) == (2, 3, 6, -1)
+        assert polys.interval(tuple(-c for c in f), F(0), F(1)) == (0, 1, 1, 1)
+
+    def test_refine_once_shrinks(self, monkeypatch):
+        f = Z(F(-1, 2), 0, 1)  # 2t^2 - 1, root 0.7071...
+        iv = polys.interval(f, F(0), F(1))
+        assert iv == (0, 1, 1, -1)
+        evaluations = []
+        homogeneous = polys._homogeneous
+        monkeypatch.setattr(polys, "_homogeneous", lambda *args: evaluations.append(args) or homogeneous(*args))
+        a, b, q, s = refine_once(f, iv)
+        # one evaluation, at the midpoint; the sign at the lower end is carried
+        assert evaluations == [(f, 1, 2)]
+        assert (a, b, q, s) == (1, 2, 2, -1)
+        assert count_roots(f, F(a, q), F(b, q)) == 1
+
+    def test_refine_once_collapses_on_exact_root(self):
+        f = integer_form(from_roots(F(1, 2)))
+        assert refine_once(f, polys.interval(f, F(0), F(1))) == (1, 1, 2, 0)
 
     def test_refine_with_negative_leading_coefficient(self):
         f = Z(F(1, 2), 0, -1)  # root 1/sqrt(2) = 0.7071...
-        lo, hi = F(0), F(1)
+        iv = polys.interval(f, F(0), F(1))
         for _ in range(6):
-            lo, hi = refine_once(f, lo, hi)
-            assert lo < F(7071, 10000) < hi
+            iv = refine_once(f, iv)
+            a, b, q, s = iv
+            assert F(a, q) < F(7071, 10000) < F(b, q)
+            assert s == 1 and evaluate(f, F(a, q)) > 0
 
 
 def segment_determinants(seed: int, per_k: int):
@@ -326,8 +412,12 @@ class TestAgainstSympy:
             for lo, hi in intervals:
                 assert reference.eval(lo) != 0 and reference.eval(hi) != 0
                 assert reference.count_roots(lo, hi) == 1
-                lo, hi = refine_once(squarefree, lo, hi)
-                assert lo == hi or reference.count_roots(lo, hi) == 1
+                a, b, q, s = refine_once(squarefree, polys.interval(squarefree, lo, hi))
+                if a == b:
+                    assert s == 0 and reference.eval(F(a, q)) == 0
+                else:
+                    assert s == sympy.sign(reference.eval(F(a, q)))
+                    assert reference.count_roots(F(a, q), F(b, q)) == 1
 
     def test_rational_roots_are_the_linear_factors_in_unit_interval(self, sympy, dets):
         rng = random.Random(12)
