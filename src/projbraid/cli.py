@@ -78,11 +78,11 @@ def _word_text(word: Word) -> str:
     return format_word(word, "b-index") if word.letters else '""'
 
 
-# move type -> (structured kind, text template over the move's fields)
+# move type -> (structured kind, text line up to the move's position, over its letter)
 _MOVE_FORMS = {
-    InsertPair: ("insert", "insert {letter}{letter} at {pos}"),
-    CancelPair: ("cancel", "cancel {letter}{letter} at {pos}"),
-    ReverseWindow: ("reverse", "reverse window at {pos}"),
+    InsertPair: ("insert", "  insert {letter}{letter} at "),
+    CancelPair: ("cancel", "  cancel {letter}{letter} at "),
+    ReverseWindow: ("reverse", "  reverse window at "),
 }
 
 
@@ -96,15 +96,22 @@ def _lines(lines) -> str | None:
 
 
 def _trace_entry(moves) -> tuple:
-    """The ``trace`` entry: one indented text line and one document per move."""
-    docs, lines, names = [], [], {}
+    """The ``trace`` entry: one indented text line and one document per move.
+
+    The kind, letter name and text prefix are built once per move type and
+    letter; a letter prints as ``a{...}``, so it is a format argument only."""
+    docs, lines, forms = [], [], {}
     for move in moves:
-        kind, template = _MOVE_FORMS[type(move)]
-        fields = {"pos": move.pos}
-        if hasattr(move, "letter"):
-            fields["letter"] = names.get(move.letter) or names.setdefault(move.letter, str(move.letter))
-        lines.append("  " + template.format(**fields))
-        docs.append({"kind": kind, **fields})
+        letter = getattr(move, "letter", None)
+        form = forms.get((type(move), letter))
+        if form is None:
+            kind, template = _MOVE_FORMS[type(move)]
+            name = None if letter is None else str(letter)
+            form = forms[type(move), letter] = (kind, name, template.format(letter=name))
+        kind, name, prefix = form
+        pos = move.pos
+        lines.append(prefix + str(pos))
+        docs.append({"kind": kind, "pos": pos, "letter": name} if name else {"kind": kind, "pos": pos})
     return ("trace", docs, _lines(lines))
 
 

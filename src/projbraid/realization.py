@@ -24,8 +24,8 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key, lru_cache
-from itertools import combinations
+from functools import cache, cmp_to_key, lru_cache
+from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
 from pathlib import Path as FilePath
 
@@ -533,28 +533,140 @@ def check_base_sign(path: PLPath, base_sign: SignString) -> None:
         )
 
 
-def indented_json(value, sort_keys: bool = False, margin: str = "") -> str:
-    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte, for str-keyed dicts.
+# A flat container holds values of these exact types only (see ``indented_json``).
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_SEQUENCES = frozenset({list, tuple})
+_DICTS = frozenset({dict})
+_CONTAINERS = _SEQUENCES | _DICTS
 
-    ``indent`` makes ``json`` give up its C encoder for a pure-Python one; this
-    walks the containers itself and leaves strings to the C escaper.
+
+def indented_json(value, sort_keys: bool = False) -> str:
+    r"""``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    ``indent`` makes ``json`` give up its C encoder for a pure-Python one on
+    CPython 3.10-3.13.  This writer gives two shapes to the C encoder,
+    ``json.encoder.c_make_encoder``, built once per margin and ``sort_keys``
+    with item separator ``",\n"`` plus the margin of the items:
+
+    * a *flat* container, a nonempty list, tuple or dict whose values all have
+      the exact type ``str``, ``int``, ``float``, ``bool`` or ``NoneType``, is
+      one call; indenting it only adds a newline and a margin inside each
+      bracket;
+    * a list or tuple of flat dicts, or of flat lists and tuples, is one call
+      with the separator of the items' items, and one ``str.replace`` moves
+      each boundary ``"},\n<deeper>{"`` (or ``"],\n<deeper>["``) between two
+      items out to the list's own margin.
+
+    Why that is exact: ``ensure_ascii`` escapes every newline and quote inside
+    a string, so each raw newline in the C output belongs to a separator; and
+    the scalars of a flat item never end in ``}`` or ``]`` nor begin with
+    ``{`` or ``[``, so such a boundary occurs only between two items.
+
+    Everything else (nested or mixed containers, subclasses, empty containers,
+    and a Python without ``c_make_encoder``) is written by one walk that
+    appends to a list, with strings left to the C escaper.  Both paths convert
+    and sort dict keys as ``json`` does, so they give the same bytes, or raise
+    the same ``TypeError``, for the same value.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    inner = margin + "  "
-    if isinstance(value, (list, tuple)):
-        parts, brackets = [indented_json(v, sort_keys, inner) for v in value], "[]"
+    chunks: list[str] = []
+    _write(value, sort_keys, "", chunks)
+    return "".join(chunks)
+
+
+def _write(value, sort_keys: bool, margin: str, out: list[str]) -> None:
+    """Append the indented JSON of ``value``, whose last line is at ``margin``, to ``out``."""
+    kind = type(value)
+    if kind is str:
+        out.append(encode_basestring_ascii(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind in _CONTAINERS and value:
+        if json.encoder.c_make_encoder and _SCALARS.issuperset(
+            map(type, value.values() if kind is dict else value)
+        ):
+            inner = margin + "  "
+            text = "".join(_c_encoder(inner, sort_keys)(value, 0))
+            out.append(f"{text[0]}\n{inner}{text[1:-1]}\n{margin}{text[-1]}")
+        elif kind is dict:
+            _walk_dict(value, sort_keys, margin, out)
+        elif not _write_flat_items(value, sort_keys, margin, out):
+            _walk_list(value, sort_keys, margin, out)
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple, dict)) and not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, dict):
-        items = sorted(value.items()) if sort_keys else value.items()
-        parts = [f"{encode_basestring_ascii(k)}: {indented_json(v, sort_keys, inner)}" for k, v in items]
-        brackets = "{}"
+        _walk_dict(value, sort_keys, margin, out)
+    elif isinstance(value, (list, tuple)):
+        _walk_list(value, sort_keys, margin, out)
     else:
-        return json.dumps(value)   # None, booleans and floats; anything else raises TypeError as json does
-    if not parts:
-        return brackets
-    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(parts) + f"\n{margin}{brackets[1]}"
+        out.append(json.dumps(value))   # None, booleans and floats; anything else raises TypeError as json does
+
+
+def _walk_list(value, sort_keys: bool, margin: str, out: list[str]) -> None:
+    inner = margin + "  "
+    sep, comma = "[\n" + inner, ",\n" + inner
+    for item in value:
+        out.append(sep)
+        _write(item, sort_keys, inner, out)
+        sep = comma
+    out.append("\n" + margin + "]")
+
+
+def _walk_dict(value, sort_keys: bool, margin: str, out: list[str]) -> None:
+    inner = margin + "  "
+    sep, comma = "{\n" + inner, ",\n" + inner
+    for key, item in sorted(value.items()) if sort_keys else value.items():
+        out.append(sep + encode_basestring_ascii(key if isinstance(key, str) else _key(key)) + ": ")
+        _write(item, sort_keys, inner, out)
+        sep = comma
+    out.append("\n" + margin + "}")
+
+
+def _key(key) -> str:
+    """A dict key that is not a str, converted as ``json`` converts it."""
+    if isinstance(key, float) or key is True or key is False or key is None:
+        return json.dumps(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _write_flat_items(value, sort_keys: bool, margin: str, out: list[str]) -> bool:
+    """Append the list or tuple ``value`` by one call of json's C encoder if its
+    items are all flat dicts, or all flat lists and tuples; return whether it was."""
+    if not json.encoder.c_make_encoder:
+        return False
+    if _DICTS.issuperset(map(type, value)):
+        values = chain.from_iterable(map(dict.values, value))
+    elif _SEQUENCES.issuperset(map(type, value)):
+        values = chain.from_iterable(value)
+    else:
+        return False
+    if not all(value) or not _SCALARS.issuperset(map(type, values)):
+        return False
+    inner = margin + "  "
+    deeper = inner + "  "
+    text = "".join(_c_encoder(deeper, sort_keys)(value, 0))
+    opening, closing = text[1], text[-2]
+    body = text[2:-2].replace(
+        f"{closing},\n{deeper}{opening}", f"\n{inner}{closing},\n{inner}{opening}\n{deeper}"
+    )
+    out.append(f"[\n{inner}{opening}\n{deeper}{body}\n{inner}{closing}\n{margin}]")
+    return True
+
+
+@cache
+def _c_encoder(margin: str, sort_keys: bool):
+    """json's C encoder with the separators of ``json.dumps(indent=2)``, its
+    items separated by a newline and ``margin``.  It runs only on flat items,
+    so it needs no check for cycles (``markers``) and never calls ``default``."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None, ": ", ",\n" + margin,
+        sort_keys, False, True,
+    )
 
 
 def save_path_file(path: PLPath, file_path: str | FilePath, base_sign: SignString | None = None) -> None:

@@ -15,7 +15,9 @@ milliseconds, the number of moves, and the growth factor per doubling of m.
 That word is NonTrivial, so its document has no trace; ``solve_trivial_cli``
 times the same command on the trivial word W . W^-1, W = b4 . B . b4 and
 W^-1 its reverse (every letter is an involution), whose Trivial verdict
-prints a trace of ``trivial_moves`` moves that grows with m.
+prints a trace of ``trivial_moves`` moves that grows with m, and
+``render_ms`` times the writer alone, ``realization.indented_json``, on that
+command's document (read back from its output) with sorted keys.
 
     python3 tools/replay_scaling.py --compare PARENT CHANGE --out BENCH_replay.json
 
@@ -63,6 +65,7 @@ def median_ms(call, repeats: int) -> float:
 
 def measure(sizes, repeats: int, seed: int) -> dict:
     from projbraid import cli
+    from projbraid.realization import indented_json
     from projbraid.solver import check_trace, eliminate_last
     from projbraid.words import GroupParams, parse_word
 
@@ -84,16 +87,18 @@ def measure(sizes, repeats: int, seed: int) -> dict:
             if code not in codes:
                 raise RuntimeError(f"solve exited with {code} at m = {m}")
             return out.getvalue()
+        document = json.loads(solve_cli(trivial, (0,)))
         rows.append({
             "m": m,
             "moves": len(trace),
-            "trivial_moves": json.loads(solve_cli(trivial, (0,)))["trace_moves"],
+            "trivial_moves": document["trace_moves"],
             "eliminate_last_ms": median_ms(lambda: eliminate_last(word), repeats),
             "check_trace_ms": median_ms(lambda: check_trace(word, trace, rewritten), repeats),
             "solve_cli_ms": median_ms(lambda: solve_cli(text), repeats),
             "solve_trivial_cli_ms": median_ms(lambda: solve_cli(trivial, (0,)), repeats),
+            "render_ms": median_ms(lambda: indented_json(document, sort_keys=True), repeats),
         })
-    for stage in ("eliminate_last", "check_trace", "solve_cli", "solve_trivial_cli"):
+    for stage in ("eliminate_last", "check_trace", "solve_cli", "solve_trivial_cli", "render"):
         for before, after in zip(rows, rows[1:]):
             after[f"{stage}_growth"] = round(after[f"{stage}_ms"] / before[f"{stage}_ms"], 2)
     return {"k": 3, "seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows}
