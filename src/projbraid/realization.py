@@ -536,8 +536,7 @@ def check_base_sign(path: PLPath, base_sign: SignString) -> None:
 # A flat container holds values of these exact types only (see ``indented_json``).
 _SCALARS = frozenset({str, int, float, bool, type(None)})
 _SEQUENCES = frozenset({list, tuple})
-_DICTS = frozenset({dict})
-_CONTAINERS = _SEQUENCES | _DICTS
+_CONTAINERS = _SEQUENCES | {dict}
 
 
 def indented_json(value, sort_keys: bool = False) -> str:
@@ -576,11 +575,7 @@ def indented_json(value, sort_keys: bool = False) -> str:
 def _write(value, sort_keys: bool, margin: str, out: list[str]) -> None:
     """Append the indented JSON of ``value``, whose last line is at ``margin``, to ``out``."""
     kind = type(value)
-    if kind is str:
-        out.append(encode_basestring_ascii(value))
-    elif kind is int:
-        out.append(int.__repr__(value))
-    elif kind in _CONTAINERS and value:
+    if kind in _CONTAINERS and value:
         if json.encoder.c_make_encoder and _SCALARS.issuperset(
             map(type, value.values() if kind is dict else value)
         ):
@@ -639,7 +634,7 @@ def _write_flat_items(value, sort_keys: bool, margin: str, out: list[str]) -> bo
     items are all flat dicts, or all flat lists and tuples; return whether it was."""
     if not json.encoder.c_make_encoder:
         return False
-    if _DICTS.issuperset(map(type, value)):
+    if all(type(item) is dict for item in value):
         values = chain.from_iterable(map(dict.values, value))
     elif _SEQUENCES.issuperset(map(type, value)):
         values = chain.from_iterable(value)

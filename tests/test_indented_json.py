@@ -35,7 +35,7 @@ INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 strings = st.one_of(
     st.text(),
     st.text(st.characters(codec=None, categories=None)),   # lone surrogates too
-    st.sampled_from(['"', "\\", "\x00", "\x1f", "\t\n\r", " ", "\ud800", "é", "日本", "😀", "a\"b\\c"]),
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\t\n\r", "\u2028", "\ud800", "é", "日本", "😀", "a\"b\\c"]),
 )
 scalars = st.one_of(
     st.none(),
@@ -72,7 +72,7 @@ class Name(str):
 
 # Strings holding what the C encoder's output holds at item boundaries.
 TRICKY = [
-    '"},\n    {"', "},\n    {", "],\n[", "],\n      [", '"', "\\", "\n", "\ud800", "\udfff", "a\"b\\c", "",
+    '"},\n    {"', "},\n    {", "],\n[", "],\n      [", '"', "\\", "\n", "\ud800", "\udfff", "\u2028", "\u2029", "a\"b\\c", "",
 ]
 flat_values = st.one_of(
     st.none(),
