@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as igcd
-from math import lcm
+from math import isqrt, lcm
 
 Poly = tuple[Fraction, ...]
 ZPoly = tuple[int, ...]
@@ -61,7 +61,7 @@ def monic(f) -> Poly:
     if not f:
         return ZERO
     lead = f[-1]
-    return tuple(Fraction(c) / lead for c in f)
+    return tuple(Fraction(c, lead) for c in f)
 
 
 def _homogeneous(f: ZPoly, p: int, q: int) -> int:
@@ -133,7 +133,7 @@ def _exact_quotient(a: ZPoly, b: ZPoly) -> ZPoly:
     return _trim(tuple(quot))
 
 
-def _normal(f: ZPoly) -> ZPoly:
+def normal(f: ZPoly) -> ZPoly:
     """The primitive form of f with a positive leading coefficient."""
     f = _primitive(f)
     return tuple(-c for c in f) if f and f[-1] < 0 else f
@@ -141,22 +141,25 @@ def _normal(f: ZPoly) -> ZPoly:
 
 def gcd(f: ZPoly, g: ZPoly) -> ZPoly:
     """Greatest common divisor over Z: primitive, positive leading coefficient."""
-    a, b = _normal(f), _normal(g)
+    a, b = normal(f), normal(g)
     while b:
         a, b = b, _pseudo_remainder(a, b)
-    return _normal(a)
+    return normal(a)
 
 
-def squarefree_split(f: ZPoly) -> tuple[ZPoly, ZPoly]:
+def squarefree_split(f: ZPoly, chain: list[ZPoly] | None = None) -> tuple[ZPoly, ZPoly]:
     """The squarefree part f / gcd(f, f'), and gcd(f, f'), both normal.
 
     The first shares exactly the distinct roots of f; the second vanishes
     exactly at its multiple roots.  Both are zero for the zero polynomial.
+    gcd(f, f') is read off the last entry of the Sturm chain of f, whose
+    remainder sequence is Euclid on (f, f'); ``chain``, when given, is that
+    chain for f or any nonzero multiple of it, and is not computed again.
     """
-    multiple = gcd(f, derivative(f))
-    if not multiple:
+    if not f:
         return ZERO, ZERO
-    return _normal(_exact_quotient(f, multiple)), multiple
+    multiple = normal((chain or sturm_chain(f))[-1])
+    return normal(_exact_quotient(f, multiple)), multiple
 
 
 def sturm_chain(f: ZPoly) -> list[ZPoly]:
@@ -192,13 +195,11 @@ def _divisors(value: int) -> list[int] | None:
     if value == 0 or value > _DIVISOR_LIMIT:
         return None
     divs = []
-    d = 1
-    while d * d <= value:
+    for d in range(1, isqrt(value) + 1):
         if value % d == 0:
             divs.append(d)
             if d != value // d:
                 divs.append(value // d)
-        d += 1
     return divs
 
 
@@ -261,7 +262,9 @@ def _split_point(f: ZPoly, a: int, b: int, q: int) -> tuple[int, int]:
     raise AssertionError("unreachable: more candidate points than roots")
 
 
-def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots(
+    f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None = None
+) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals, each holding exactly one root of squarefree f,
     in ascending order: the bisection appends the left half's first.
 
@@ -270,11 +273,13 @@ def isolate_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, 
     enclosed root being simple, a certified sign change across it.  The
     bisection runs on integer endpoints over a common denominator, and each
     point's Sturm variations are computed once, for both halves it bounds.
+    ``chain`` is f's Sturm chain when the caller already has it.
     """
     a, b, q, at_lo = interval(f, lo, hi)
     if at_lo == 0 or _homogeneous(f, b, q) == 0:
         raise ValueError("isolation endpoints must not be roots")
-    chain = sturm_chain(f)
+    if chain is None:
+        chain = sturm_chain(f)
     out: list[tuple[Fraction, Fraction]] = []
 
     def recurse(a: int, b: int, q: int, at_a: int, at_b: int) -> None:

@@ -118,7 +118,10 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     scale = 1
     for row in rows:
         factor = lcm(*(c.denominator for c in row))
-        out.append([c.numerator * (factor // c.denominator) for c in row])
+        if factor == 1:
+            out.append([c.numerator for c in row])
+        else:
+            out.append([c.numerator * (factor // c.denominator) for c in row])
         scale *= factor
     return out, scale
 

@@ -6,6 +6,9 @@ last comparison left.  These tests hold it to a test-local copy of the
 earlier ``time_cmp``, which started every comparison from the isolating
 intervals and halved them in ``Fraction`` arithmetic: each segment must
 come out in the same order, or raise ``SimultaneousEvents`` on the same pair.
+``time_cmp`` halves overlapping intervals before it runs ``time_eq``'s gcd,
+so the last tests also count ``polys.gcd`` calls: one for a coincidence or
+for roots too close for the halving budget, none for a separable pair.
 """
 
 import importlib.util
@@ -201,3 +204,49 @@ def test_collapsed_interval_meets_an_equal_event_in_the_sort(monkeypatch):
     assert len(seen) > 1 and {a, b} == {F(1, 2), AlgebraicTime(HALF_BEYOND, F(0), F(1))}
     assert (1, 1, 2, 0) in (at_a, at_b)
     assert reference_outcome(0, pencils) == "segment 0: subsets (1, 2, 3) and (1, 3, 4) degenerate at the same parameter"
+
+
+@pytest.fixture
+def gcd_calls(monkeypatch):
+    """Every ``polys.gcd`` call made after the fixture is set up."""
+    calls = []
+    gcd = polys.gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return gcd(f, g)
+
+    monkeypatch.setattr(polys, "gcd", counting)
+    return calls
+
+
+def test_shared_irrational_root_runs_one_gcd(gcd_calls):
+    # (2t^2 - 1)(t + 2) shares 2t^2 - 1's root 0.7071... in (0, 1)
+    pencils = [((1, 2, 3), ROOT_HALF), ((1, 2, 4), (-1, 3)), ((1, 3, 4), mul(ROOT_HALF, (2, 1)))]
+    message = "segment 0: subsets (1, 2, 3) and (1, 3, 4) degenerate at the same parameter"
+    assert outcome(0, pencils) == message
+    assert len(gcd_calls) == 1
+    assert reference_outcome(0, pencils) == message
+
+
+def test_roots_closer_than_the_halving_budget_order_after_one_gcd(gcd_calls):
+    # b t^2 - (b + 2)/2 with b = 2 * 4^B: its root sqrt(1/2 + 4^-B / 2) is
+    # irrational (b is no square) and within 4^-B of 2t^2 - 1's, so B
+    # halvings of the two intervals leave them overlapping
+    b = 2 * 4 ** realization._HALVINGS_BEFORE_GCD
+    near = (-(b // 2 + 1), 0, b)
+    pencils = [((1, 2, 3), near), ((1, 2, 4), ROOT_HALF)]
+    got = outcome(0, pencils)
+    assert [subset for _, subset in got] == [(1, 2, 4), (1, 2, 3)]
+    assert len(gcd_calls) == 1
+    assert got == reference_outcome(0, pencils)
+
+
+def test_overlapping_separable_pair_orders_without_gcd(gcd_calls):
+    # 2t^2 - 1 and 3t^2 - 1 are both isolated in (0, 1); halvings part them
+    pencils = [((1, 2, 3), ROOT_HALF), ((1, 2, 4), (-1, 0, 3))]
+    got = outcome(0, pencils)
+    assert all(e.lo == 0 and e.hi == 1 for e, _ in got)
+    assert [subset for _, subset in got] == [(1, 2, 4), (1, 2, 3)]
+    assert gcd_calls == []
+    assert got == reference_outcome(0, pencils)

@@ -6,7 +6,7 @@ from math import gcd as igcd
 from math import lcm
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from projbraid import polys
 from projbraid.polys import (
@@ -159,6 +159,67 @@ class TestSturmChain:
                 ratio = F(got[-1]) / want[-1]
                 assert ratio > 0
                 assert tuple(ratio * c for c in want) == got
+
+
+
+def reference_squarefree_split(f):
+    """The split by its own Euclid, gcd(f, f') (test-local reference)."""
+    multiple = gcd(f, derivative(f))
+    if not multiple:
+        return ZERO, ZERO
+    return polys.normal(polys._exact_quotient(f, multiple)), multiple
+
+
+# (factor, exponent): qt - p and bt^2 - a with roots inside (0, 1) or
+# outside [0, 1], and t^2 + c with none; never a root at 0 or 1
+root_factors = st.tuples(
+    st.tuples(st.integers(1, 8), st.integers(2, 9)).filter(lambda pq: pq[0] < pq[1]).map(lambda pq: (-pq[0], pq[1]))
+    | st.tuples(st.integers(-9, 9), st.integers(1, 4)).filter(lambda pq: pq[0] * pq[1] < 0 or pq[0] > pq[1]).map(
+        lambda pq: (-pq[0], pq[1]))
+    | st.tuples(st.integers(1, 12), st.integers(1, 12)).filter(lambda ab: ab[0] != ab[1]).map(lambda ab: (-ab[0], 0, ab[1]))
+    | st.integers(1, 5).map(lambda c: (c, 0, 1)),
+    st.integers(1, 3),
+)
+
+
+@st.composite
+def multiple_root_polys(draw):
+    """A nonzero multiple of a product of powers of root factors, degree at most 12."""
+    f = (draw(st.integers(1, 6)) * draw(st.sampled_from((1, -1))),)
+    for factor, exponent in draw(st.lists(root_factors, max_size=3)):
+        for _ in range(exponent):
+            f = mul(f, factor)
+    assume(degree(f) <= 12)
+    return f
+
+
+class TestSquarefreeFromSturmChain:
+    @settings(max_examples=200, deadline=None)
+    @given(multiple_root_polys())
+    @example(mul(mul((-1, 2), (-1, 2)), (-1, 0, 2)))  # (2t - 1)^2 (2t^2 - 1): multiple root inside
+    @example(mul(mul((1, 1), (1, 1)), (-1, 0, 2)))  # (t + 1)^2 (2t^2 - 1): multiple root outside
+    @example((-4, 0, 8))  # a content and no multiple root
+    def test_split_matches_euclid_and_sympy(self, f):
+        sympy = pytest.importorskip("sympy")
+        from projbraid.realization import TangentialEvent, _segment_events
+
+        chain = sturm_chain(polys.normal(f))
+        split = squarefree_split(f, chain)
+        assert split == reference_squarefree_split(f) == squarefree_split(f) == squarefree_split(f, sturm_chain(f))
+        squarefree, multiple = split
+        reference = sympy.Poly([int(c) for c in reversed(f)], sympy.Symbol("t"))
+        sqf = reference.sqf_part()
+        assert monic(squarefree) == tuple(F(int(c.p), int(c.q)) for c in reversed(sqf.monic().all_coeffs()))
+        repeated = reference.quo(sqf).monic()
+        assert monic(multiple) == tuple(F(int(c.p), int(c.q)) for c in reversed(repeated.all_coeffs()))
+        # a multiple root is tangential inside (0, 1) only; none sits at 0 or 1
+        if degree(f) < 1:
+            return
+        if repeated.count_roots(0, 1) > 0:
+            with pytest.raises(TangentialEvent):
+                _segment_events(0, [((1, 2, 3), f)])
+        else:
+            assert len(_segment_events(0, [((1, 2, 3), f)])) == sqf.count_roots(0, 1)
 
 
 class TestRootCounting:

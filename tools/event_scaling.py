@@ -19,12 +19,23 @@ which passes on every argument.  Every caller looks ``_bareiss`` up in the
 module at call time, so the count covers every elimination:
 ``singular_subsets``, ``general_position_violation``, ``det``, and the
 augmented eliminations of ``pencil_minors``, one per evaluation point t of
-each block of k + 1 points.
+each block of k + 1 points.  ``polys.gcd``, ``polys.sturm_chain`` and
+``polys.refine_once`` are counted the same way (``gcd_calls``,
+``sturm_chain_calls``, ``refine_once_calls``): the polynomial gcds, the
+Sturm chains (one per segment minor, and one more for each minor that
+loses a rational root or a repeated factor and still has roots to
+isolate) and the interval halvings of event ordering.
+
+The same counts, with ``detect_ms``, are reported under ``files`` for
+``FILES`` seeded random path files per k = 3 and 4, each of ``KEYFRAMES``
+keyframes with coordinates p/q, |p| <= 6, 1 <= q <= 3, as in the
+benchmark's ``certify-files`` workload; a file ``detect_events`` rejects
+is redrawn, and ``redrawn`` counts them.
 
 The times cannot rank two trees.  Each ``realize_ms`` and ``detect_ms``
 cell is the median of back-to-back calls on one tree, so one slow spell of
 a shared host moves a whole cell: on one tree one cell read 4.45 ms and
-then 7.14 ms.  ``bareiss_calls`` is an exact count and does compare trees.
+then 7.14 ms.  The call counts are exact and do compare trees.
 A speed claim needs the perfbench pairs that ``--compare`` runs:
 
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
@@ -38,24 +49,74 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
+from fractions import Fraction
 
 from replay_scaling import main, median_ms
 
 SIZES = (8, 16, 32, 64)
 KS = (5, 6)
+FILE_KS = (3, 4)
+FILES = 12
+KEYFRAMES = 6
+COUNTED = (("projective", "_bareiss"), ("polys", "gcd"), ("polys", "sturm_chain"), ("polys", "refine_once"))
+
+
+@contextmanager
+def counting():
+    """Count each call of a ``COUNTED`` function while the block runs, into
+    the dict it yields, keyed ``<name>_calls``."""
+    import projbraid
+
+    counts, installed = {}, []
+    for module_name, name in COUNTED:
+        module = getattr(projbraid, module_name)
+        original = getattr(module, name)
+        key = f"{name.lstrip('_')}_calls"
+        counts[key] = 0
+
+        def counted(*args, _key=key, _original=original):
+            counts[_key] += 1
+            return _original(*args)
+
+        installed.append((module, name, original))
+        setattr(module, name, counted)
+    try:
+        yield counts
+    finally:
+        for module, name, original in installed:
+            setattr(module, name, original)
+
+
+def random_files(k: int, seed: int):
+    """``FILES`` random paths at k that ``detect_events`` accepts, and how
+    many drawn files it rejected."""
+    from projbraid import realization
+    from projbraid.projective import Configuration, ProjectivePoint
+    from projbraid.words import GroupParams
+
+    params = GroupParams(k + 1, k)
+    rng = random.Random(f"event-scaling:files:{k}:{seed}")
+    paths, redrawn = [], 0
+    while len(paths) < FILES:
+        try:
+            frames = tuple(
+                Configuration(params, tuple(
+                    ProjectivePoint(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)))
+                    for _ in range(k + 1)))
+                for _ in range(KEYFRAMES))
+            path = realization.PLPath(params, frames)
+            realization.detect_events(path)
+        except ValueError:  # a zero point, or any PathError
+            redrawn += 1
+            continue
+        paths.append(path)
+    return paths, redrawn
 
 
 def measure(sizes, repeats: int, seed: int) -> dict:
     from projbraid import projective, realization
     from projbraid.words import GroupParams, parse_word
-
-    eliminations = 0
-    bareiss = projective._bareiss
-
-    def counted(*args):
-        nonlocal eliminations
-        eliminations += 1
-        return bareiss(*args)
 
     caches = [value for module in (projective, realization) for value in vars(module).values()
               if callable(getattr(value, "cache_clear", None))]
@@ -72,16 +133,12 @@ def measure(sizes, repeats: int, seed: int) -> dict:
         for m in sizes:
             rng = random.Random(f"event-scaling:{k}:{m}:{seed}")
             word = parse_word(" ".join(f"b{rng.randint(1, k + 1)}" for _ in range(m)), params)
-            eliminations = 0
-            projective._bareiss = counted
-            try:
+            with counting() as counts:
                 path = realize(word)
                 events = realization.detect_events(path)
-            finally:
-                projective._bareiss = bareiss
             if len(events) != m:
                 raise RuntimeError(f"k = {k}, m = {m}: {len(events)} events for {m} letters")
-            row = {"k": k, "m": m, "events": len(events), "bareiss_calls": eliminations,
+            row = {"k": k, "m": m, "events": len(events), **counts,
                    "realize_ms": median_ms(lambda: realize(word), repeats),
                    "detect_ms": median_ms(lambda: realization.detect_events(path), repeats)}
             if previous is not None:
@@ -89,7 +146,15 @@ def measure(sizes, repeats: int, seed: int) -> dict:
                     row[f"{stage}_growth"] = round(row[f"{stage}_ms"] / previous[f"{stage}_ms"], 2)
             rows.append(row)
             previous = row
-    return {"seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows}
+    files = []
+    for k in FILE_KS:
+        paths, redrawn = random_files(k, seed)
+        with counting() as counts:
+            events = sum(len(realization.detect_events(path)) for path in paths)
+        files.append({"k": k, "files": FILES, "keyframes": KEYFRAMES, "redrawn": redrawn, "events": events,
+                      **counts,
+                      "detect_ms": median_ms(lambda: [realization.detect_events(path) for path in paths], repeats)})
+    return {"seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows, "files": files}
 
 
 if __name__ == "__main__":
