@@ -126,27 +126,44 @@ def _integer_rows(rows) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _bareiss(m: list[list[int]], columns: int | None = None) -> tuple[int, int]:
+def _bareiss(m: list[list[int]], columns: int | None = None, limit: int | None = None,
+             rank: int = 0, sign: int = 1) -> tuple[int, int]:
     """Fraction-free elimination of an integer matrix, in place (Bareiss 1968).
 
     Pivots are sought in the first ``columns`` columns (all by default),
     left to right, and a column without a nonzero entry below the pivots
-    found so far is skipped; each step still clears whole rows.  Returns the
-    rank of those columns and the sign of the row permutation, -1 per swap.
-    After each step every entry below the pivot rows is a minor of the
-    row-permuted input, so the division by the previous pivot is exact; for
-    a square matrix of full rank the last entry, times that sign, is the
-    determinant.
+    found so far is skipped; each step still clears whole rows, and a row
+    whose entry in the pivot column is 0 is only rescaled by p / prev (left
+    as it is when p == prev).  Returns the rank of those columns and the
+    sign of the row permutation, -1 per swap.  After each step every entry
+    below the pivot rows is a minor of the row-permuted input, so the
+    division by the previous pivot is exact; for a square matrix of full
+    rank the last entry, times that sign, is the determinant.
+
+    Pivots come only from the first ``limit`` rows (all by default), and
+    elimination stops at the first column that only a later row could pivot.
+    A call with ``rank`` and ``sign`` that an earlier call returned on the
+    same matrix resumes where it stopped: its last pivot is the first
+    nonzero entry of row ``rank`` - 1.
     """
     rows = len(m)
     if columns is None:
         columns = len(m[0]) if m else 0
-    rank, prev, sign = 0, 1, 1
-    for col in range(columns):
-        if rank == rows:
+    if limit is None:
+        limit = rows
+    prev, first = 1, 0
+    if rank:
+        top = m[rank - 1]
+        first = next(col for col, v in enumerate(top) if v)
+        prev = top[first]
+        first += 1
+    for col in range(first, columns):
+        if rank == limit:
             break
-        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        pivot = next((r for r in range(rank, limit) if m[r][col]), None)
         if pivot is None:
+            if any(m[r][col] for r in range(limit, rows)):
+                break
             continue
         if pivot != rank:
             m[rank], m[pivot] = m[pivot], m[rank]
@@ -156,7 +173,10 @@ def _bareiss(m: list[list[int]], columns: int | None = None) -> tuple[int, int]:
         for r in range(rank + 1, rows):
             row = m[r]
             a = row[col]
-            row[col:] = [0] + [(p * v - a * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])]
+            if a:
+                row[col:] = [0] + [(p * v - a * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])]
+            elif p != prev:
+                row[col + 1 :] = [p * v // prev for v in row[col + 1 :]]
         prev = p
         rank += 1
     return rank, sign
@@ -191,10 +211,15 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
 
 
 def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
-    """All k-subsets of points with vanishing determinant, ascending order."""
+    """All k-subsets of points with vanishing determinant, ascending order.
+
+    One static ``pencil_minors`` call gives every determinant: the subset
+    without point m is minor m - 1, and the subsets in ascending order
+    leave out n, n - 1, ..., 1.
+    """
     rows, _ = _integer_rows([p.coords for p in config.points])
     subsets = combinations(range(1, config.params.n + 1), config.params.k)
-    return [s for s in subsets if _bareiss([rows[i - 1][:] for i in s])[0] < len(s)]
+    return [s for s, d in zip(subsets, reversed(pencil_minors(rows, rows))) if not d]
 
 
 @lru_cache(maxsize=None)
@@ -276,60 +301,83 @@ def shear_family(config: Configuration) -> Configuration:
     return Configuration(params, sheared)
 
 
-def _interpolate(values: list[int]) -> polys.ZPoly:
-    """The integer polynomial of degree at most D taking ``values`` at t = 0..D.
+def _interpolate(values: list[list[int]]) -> list[polys.ZPoly]:
+    """The integer polynomials of degree at most D, one per column of
+    ``values``, whose values at t = 0..D are its rows.
 
-    Newton forward differences turn the D + 1 values into the coefficients
-    times D!, and the division by D! is checked to be exact.
+    Newton forward differences, run once over the rows, turn the D + 1
+    value vectors into the coefficients times D!, and each division by D!
+    is checked to be exact.
     """
     top = len(values) - 1
     differences = []
     while values:
         differences.append(values[0])
-        values = [b - a for a, b in zip(values, values[1:])]
+        values = [[b - a for a, b in zip(u, v)] for u, v in zip(values, values[1:])]
 
     # D! p(t) = sum_j differences[j] (D!/j!) t(t-1)...(t-j+1), in nested form
     scale = factorial(top)
-    coeffs: list[int] = []
+    coeffs: list[list[int]] = []
     for j in range(top, -1, -1):
-        shifted = [0] + coeffs
+        weight = scale // factorial(j)
+        shifted = [[d * weight for d in differences[j]]] + coeffs
         for i, c in enumerate(coeffs):
-            shifted[i] -= j * c
-        shifted[0] += differences[j] * (scale // factorial(j))
+            shifted[i] = [x - j * y for x, y in zip(shifted[i], c)]
         coeffs = shifted
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if any(c % scale for c in coeffs):
-        raise AssertionError("inexact division by D! in a pencil determinant")
-    return tuple(c // scale for c in coeffs)
+    minors = []
+    for column in zip(*coeffs):
+        if any(c % scale for c in column):
+            raise AssertionError("inexact division by D! in a pencil determinant")
+        minors.append(polys._trim(tuple(c // scale for c in column)))
+    return minors
 
 
 def pencil_minors(starts, ends) -> list[polys.ZPoly]:
     """The k + 1 maximal minors of the (k + 1) x k integer pencil with rows a + t (b - a).
 
     ``starts`` and ``ends`` hold the rows a and b; entry i is the
-    determinant of the pencil without row i.  Only a row that moves
-    (b != a) depends on t, so every minor has degree at most D, the number
-    of moving rows, and is interpolated from t = 0..D.  At each t one
-    elimination of [M(t) | I] over the first k columns gives all k + 1
-    values: det [M | e_i] = (-1)^(i + k) times the minor without row i, and
-    after k pivot steps the last row's identity part holds these
-    determinants of the row-permuted matrix, so the swap sign restores
-    them.  A rank below k makes every minor 0.
+    determinant of the pencil without row i, and det [M | e_i] = (-1)^(i + k)
+    times it.  One elimination of [M | I] over the first k columns leaves
+    these determinants, of the row-permuted matrix, in the identity part of
+    its last row, and the swap sign restores them.  A rank below k makes
+    every minor 0.
+
+    Only a row that moves (s = b - a nonzero) depends on t, so every minor
+    has degree at most D, the number of moving rows.  The fixed rows go
+    first and are eliminated once, pivots taken from them alone; a Bareiss
+    step is linear in each row below its pivot, so a moving row is reduced
+    as the two rows [a | e_i] and [s | 0].  When the fixed rows have rank k
+    (then D <= 1), the last row's two parts are the minors' coefficients.
+    Otherwise the elimination goes on from there at each t = 0..D, on the
+    moving rows [a + t s | e_i], and the minors are interpolated.
     """
     k = len(starts) - 1
-    steps = [[q - p for p, q in zip(a, b)] for a, b in zip(starts, ends)]
-    top = sum(1 for step in steps if any(step))
-    unit = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+    fixed, moving, sign = [], [], 1
+    for i, (a, b) in enumerate(zip(starts, ends)):
+        unit = [int(i == j) for j in range(k + 1)]
+        step = [q - p for p, q in zip(a, b)]
+        if any(step):
+            moving += [[*a, *unit], step + [0] * (k + 1)]
+        else:
+            # moved up past every moving row before it
+            sign *= (-1) ** (len(moving) // 2)
+            fixed.append([*a, *unit])
+    m = fixed + moving
+    rank, sign = _bareiss(m, k, len(fixed), sign=sign)
     cofactor_signs = [(-1) ** (i + k) for i in range(k + 1)]
+    if rank == k:
+        parts = zip(*(row[k:] for row in m[k:]))
+        return [polys._trim(tuple(sign * c * v for v in part)) for c, part in zip(cofactor_signs, parts)]
 
+    pivots, below, reduced = m[:rank], m[rank : len(fixed)], m[len(fixed) :]
+    pairs = list(zip(reduced[::2], reduced[1::2]))
     values = []
-    for t in range(top + 1):
-        m = [[p + t * s for p, s in zip(a, step)] + e for a, step, e in zip(starts, steps, unit)]
-        rank, sign = _bareiss(m, k)
-        last = m[k][k:] if rank == k else [0] * (k + 1)
-        values.append([sign * c * v for c, v in zip(cofactor_signs, last)])
-    return [_interpolate(list(column)) for column in zip(*values)]
+    for t in range(len(pairs) + 1):
+        rows = pivots + [row[:] for row in below] + [[v + t * w for v, w in zip(a, s)] for a, s in pairs]
+        full, swaps = _bareiss(rows, k, rank=rank, sign=sign)
+        last = rows[k][k:] if full == k else [0] * (k + 1)
+        values.append([swaps * c * v for c, v in zip(cofactor_signs, last)])
+    return _interpolate(values)
 
 
 def poly_det(starts, ends) -> polys.ZPoly:

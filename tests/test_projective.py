@@ -4,11 +4,12 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projbraid import polys
+from projbraid import polys, projective
 from projbraid.projective import (
     Configuration,
     DegenerateFrameError,
@@ -324,6 +325,212 @@ class TestPencilMinors:
                     assert got[i] == cofactor_det(entries)
 
 
+def reference_bareiss(m: list[list[int]], columns: int | None = None, rescaled: list[int] | None = None):
+    """``_bareiss`` without its zero-entry shortcut, limit or resume: every
+    row below a pivot is recomputed in full, zero entry or not.  ``rescaled``, when given, gets
+    one count per row whose entry under the pivot is 0 while p != prev and
+    some later entry is nonzero, so that the rescale by p / prev shows."""
+    rows = len(m)
+    if columns is None:
+        columns = len(m[0]) if m else 0
+    rank, prev, sign = 0, 1, 1
+    for col in range(columns):
+        if rank == rows:
+            break
+        pivot = next((r for r in range(rank, rows) if m[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[col]
+        for r in range(rank + 1, rows):
+            row = m[r]
+            a = row[col]
+            if rescaled is not None and not a and p != prev and any(row[col + 1 :]):
+                rescaled[0] += 1
+            row[col:] = [0] + [(p * v - a * w) // prev for v, w in zip(row[col + 1 :], top[col + 1 :])]
+        prev = p
+        rank += 1
+    return rank, sign
+
+
+def reference_interpolate(values: list[int]) -> polys.ZPoly:
+    """One column's integer polynomial through ``values`` at t = 0..D, by
+    Newton forward differences and an exact division by D!."""
+    top = len(values) - 1
+    differences = []
+    while values:
+        differences.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    scale = factorial(top)
+    coeffs: list[int] = []
+    for j in range(top, -1, -1):
+        shifted = [0] + coeffs
+        for i, c in enumerate(coeffs):
+            shifted[i] -= j * c
+        shifted[0] += differences[j] * (scale // factorial(j))
+        coeffs = shifted
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    if any(c % scale for c in coeffs):
+        raise AssertionError("inexact division by D!")
+    return tuple(c // scale for c in coeffs)
+
+
+def reference_pencil_minors(starts, ends) -> list[polys.ZPoly]:
+    """``pencil_minors`` done densely: [M(t) | I] eliminated in full at every
+    t = 0..D, then each minor interpolated on its own."""
+    k = len(starts) - 1
+    steps = [[q - p for p, q in zip(a, b)] for a, b in zip(starts, ends)]
+    top = sum(1 for step in steps if any(step))
+    unit = [[int(i == j) for j in range(k + 1)] for i in range(k + 1)]
+    values = []
+    for t in range(top + 1):
+        m = [[p + t * s for p, s in zip(a, step)] + e for a, step, e in zip(starts, steps, unit)]
+        rank, sign = reference_bareiss(m, k)
+        last = m[k][k:] if rank == k else [0] * (k + 1)
+        values.append([sign * (-1) ** (i + k) * v for i, v in enumerate(last)])
+    return [reference_interpolate(list(column)) for column in zip(*values)]
+
+
+PENCIL_KINDS = ("dense", "sparse", "unit-frame", "fixed-rank-below-k", "vanishing-row")
+
+
+def drawn_pencils(seed: int, per_cell: int = 3):
+    """(kind, k, D, starts, ends) for every kind of ``PENCIL_KINDS``, k = 2..7
+    and D = 0..k + 1 moving rows, ``per_cell`` pencils each.
+
+    dense: entries in -9..9; sparse: entries in {0, +-1, +-2}; unit-frame:
+    the rows +-e_1, ..., +-e_k and a +-1 row, with the last point or point k
+    among the moving rows, as on realized paths; fixed-rank-below-k: the
+    fixed rows span fewer than k dimensions; vanishing-row: one moving row
+    is zero at t = 0, 1 or 2, or at an interior t."""
+    rng = random.Random(seed)
+    for kind in PENCIL_KINDS:
+        for k in range(2, 8):
+            for moves in range(k + 2):
+                for _ in range(per_cell):
+                    yield (kind, k, moves, *_drawn_pencil(rng, kind, k, moves))
+
+
+def _drawn_pencil(rng: random.Random, kind: str, k: int, moves: int):
+    def dense() -> list[int]:
+        return [rng.randint(-9, 9) for _ in range(k)]
+
+    def sparse() -> list[int]:
+        return [rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(k)]
+
+    draw = dense if kind == "dense" else sparse
+    if kind == "unit-frame":
+        starts = [[rng.choice((1, -1)) * int(i == j) for j in range(k)] for i in range(k)]
+        starts.append([rng.choice((1, -1)) for _ in range(k)])
+        moving = [rng.choice((k - 1, k))] if moves else []
+        moving += rng.sample([i for i in range(k + 1) if i not in moving], moves - len(moving))
+    else:
+        starts = [draw() for _ in range(k + 1)]
+        moving = rng.sample(range(k + 1), moves)
+    if kind == "fixed-rank-below-k":
+        fixed = [i for i in range(k + 1) if i not in moving]
+        basis = [draw() for _ in range(rng.randint(0, min(k - 1, len(fixed))))]
+        for i in fixed:
+            weights = [rng.randint(-2, 2) for _ in basis]
+            starts[i] = [sum(w * row[j] for w, row in zip(weights, basis)) for j in range(k)]
+    ends = [a[:] for a in starts]
+    for i in moving:
+        if kind == "unit-frame" and i == k:
+            # the last point flips some of its signs, as a letter path moves it
+            ends[i] = [-x if rng.random() < 0.5 else x for x in starts[i]]
+        if ends[i] == starts[i]:
+            ends[i] = [x + d for x, d in zip(starts[i], draw())]
+        while ends[i] == starts[i]:
+            ends[i] = dense()
+    if kind == "vanishing-row" and moving:
+        i = moving[0]
+        base = [x or 1 for x in draw()]
+        when = rng.choice(("t=0", "t=1", "t=2", "interior"))
+        if when == "t=0":
+            starts[i], ends[i] = [0] * k, base
+        elif when == "t=1":
+            starts[i], ends[i] = base, [0] * k
+        elif when == "t=2":
+            starts[i], ends[i] = [2 * x for x in base], base
+        else:
+            c = rng.randint(1, 4)
+            starts[i], ends[i] = base, [-c * x for x in base]
+    return starts, ends
+
+
+class TestPencilMinorsReference:
+    """``pencil_minors`` against the dense reference that evaluates [M(t) | I]
+    at every t and interpolates each minor on its own."""
+
+    @pytest.mark.parametrize("kind", PENCIL_KINDS)
+    def test_matches_the_dense_reference(self, kind):
+        drawn = zero = 0
+        for _, k, moves, starts, ends in (p for p in drawn_pencils(41) if p[0] == kind):
+            expected = reference_pencil_minors(starts, ends)
+            assert pencil_minors(starts, ends) == expected, (k, moves, starts, ends)
+            drawn += 1
+            zero += not any(expected)
+        assert drawn == 3 * sum(k + 2 for k in range(2, 8))
+        if kind == "fixed-rank-below-k":
+            assert zero >= 30
+
+    def test_fixed_rows_of_rank_k_take_one_elimination(self, monkeypatch):
+        """The fixed rows are eliminated once and, at rank k, the minors are
+        read off without evaluating at any t; otherwise the elimination goes
+        on once per t = 0..D."""
+        calls = []
+        original = projective._bareiss
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(projective, "_bareiss", counted)
+        read_off = resumed = 0
+        for kind, k, moves, starts, ends in drawn_pencils(42, per_cell=1):
+            fixed = [a for a, b in zip(starts, ends) if a == b]
+            calls.clear()
+            assert pencil_minors(starts, ends) == reference_pencil_minors(starts, ends)
+            if fixed and reference_bareiss([row[:] for row in fixed], k)[0] == k:
+                assert len(calls) == 1
+                read_off += 1
+            else:
+                assert len(calls) == 2 + moves
+                resumed += 1
+        assert read_off >= 20 and resumed >= 100
+
+    def test_inexact_interpolation_is_refused(self):
+        with pytest.raises(AssertionError, match="inexact division"):
+            projective._interpolate([[0], [0], [1]])
+
+
+class TestSingularSubsets:
+    def test_matches_a_rank_test_per_subset(self):
+        rng = random.Random(43)
+        singular = 0
+        for k in range(2, 8):
+            params = GroupParams(k + 1, k)
+            for index in range(20):
+                if index % 2:
+                    coords = subspace_points(rng, k, k + 1, rng.randint(1, k))
+                else:
+                    coords = [[F(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(k)] for _ in range(k + 1)]
+                    coords = [row if any(row) else [F(1)] * k for row in coords]
+                config = Configuration(params, tuple(ProjectivePoint(tuple(row)) for row in coords))
+                rows, _ = projective._integer_rows(coords)
+                expected = [
+                    s for s in combinations(range(1, k + 2), k)
+                    if reference_bareiss([rows[i - 1][:] for i in s])[0] < k
+                ]
+                assert singular_subsets(config) == expected
+                singular += bool(expected)
+        assert singular >= 60
+
+
 class TestBareiss:
     def test_rank_and_determinant_agree_with_sympy(self):
         sympy = pytest.importorskip("sympy")
@@ -346,6 +553,51 @@ class TestBareiss:
             if rows == k and rank == k:
                 assert sign * eliminated[-1][-1] == expected.det()
         assert deficient >= 100
+
+    def test_eliminated_matrix_matches_the_full_row_loop(self):
+        """Whole eliminated matrices, not just rank and sign, on matrices with
+        +-1 unit rows and negative pivots, where a row with a zero entry under
+        a pivot p != prev is rescaled; some augmented by the identity and
+        eliminated over their first k columns, as ``general_position_violation``
+        eliminates them."""
+        rng = random.Random(44)
+        rescaled = [0]
+        for index in range(600):
+            k = rng.randint(2, 7)
+            rows = rng.randint(k - 1, k + 2)
+            m = []
+            for _ in range(rows):
+                if rng.random() < 0.4:
+                    m.append([rng.choice((1, -1)) * int(j == rng.randrange(k)) for j in range(k)])
+                else:
+                    m.append([rng.choice((0, 0, 1, -1, 2, -2, -3)) for _ in range(k)])
+            rng.shuffle(m)
+            columns = None
+            if index % 2:
+                m = [row + [int(i == j) for j in range(rows)] for i, row in enumerate(m)]
+                columns = k
+            got, expected = [row[:] for row in m], [row[:] for row in m]
+            assert _bareiss(got, columns) == reference_bareiss(expected, columns, rescaled)
+            assert got == expected, m
+        assert rescaled[0] >= 300
+
+    def test_pivot_limit_and_resume_finish_the_same_elimination(self):
+        """Stopping at a pivot-row limit and resuming from the returned rank and
+        sign leaves what one call without a limit leaves: the first rows are
+        searched first either way."""
+        rng = random.Random(45)
+        stopped = 0
+        for _ in range(300):
+            k = rng.randint(2, 6)
+            m = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(k)] + [int(i == j) for j in range(k + 1)]
+                 for i in range(k + 1)]
+            limit = rng.randint(0, k + 1)
+            got, expected = [row[:] for row in m], [row[:] for row in m]
+            rank, sign = _bareiss(got, k, limit)
+            stopped += rank < min(limit, k)
+            assert _bareiss(got, k, rank=rank, sign=sign) == reference_bareiss(expected, k)
+            assert got == expected
+        assert stopped >= 30
 
 
 class TestGeneralPosition:

@@ -15,11 +15,12 @@ emptied before each realization, as in a new process), the number of
 events, the number of eliminations in one realization and detection, and
 the growth factor of each time per doubling of m.  Eliminations are
 counted by a wrapper this tool installs around ``projective._bareiss``,
-which passes on every argument.  Every caller looks ``_bareiss`` up in the
-module at call time, so the count covers every elimination:
-``singular_subsets``, ``general_position_violation``, ``det``, and the
-augmented eliminations of ``pencil_minors``, one per evaluation point t of
-each block of k + 1 points.  ``polys.gcd``, ``polys.sturm_chain`` and
+which passes on every argument, keywords included.  Every caller looks
+``_bareiss`` up in the module at call time, so the count covers every
+elimination: ``general_position_violation``, ``det``, and those of
+``pencil_minors`` (which ``singular_subsets`` calls once), one of the
+fixed rows of each block of k + 1 points and, unless they have rank k, one
+more per evaluation point t.  ``polys.gcd``, ``polys.sturm_chain`` and
 ``polys.refine_once`` are counted the same way (``gcd_calls``,
 ``sturm_chain_calls``, ``refine_once_calls``): the polynomial gcds, the
 Sturm chains (one per segment minor, and one more for each minor that
@@ -75,9 +76,9 @@ def counting():
         key = f"{name.lstrip('_')}_calls"
         counts[key] = 0
 
-        def counted(*args, _key=key, _original=original):
+        def counted(*args, _key=key, _original=original, **kwargs):
             counts[_key] += 1
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         installed.append((module, name, original))
         setattr(module, name, counted)
