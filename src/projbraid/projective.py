@@ -1,11 +1,24 @@
-"""Exact configurations of points in rational projective (k-1)-space.
+"""Exact configurations of points in projective (k-1)-space, held in Z^k.
 
-Points are stored as explicit nonzero representative vectors in Q^k.  The
-representative matters: piecewise linear paths interpolate the stored
-vectors, and two vectors that differ by a negative scalar trace different
-arcs through projective space.  Points are equal when their representatives
-are proportional (no canonical representative is formed), and sign strings
-are read off after scaling the last point's k-th coordinate to +1.
+Points are stored as explicit nonzero integer representative vectors.  A
+rational vector and its multiples by positive integers name the same point
+of RP^(k-1), so a rational point is held as its vector times a positive
+integer that clears its denominators (``clear_denominators``; path files
+are read that way).  The representative matters: piecewise linear paths
+interpolate the stored vectors, and two vectors that differ by a negative
+scalar trace different arcs through projective space.  Points are equal
+when their representatives are proportional, tested by cross-multiplication
+(no canonical representative is formed), and a sign string is read off the
+last point's coordinates, each times its k-th.
+
+Why integers lose nothing: scaling point i by one positive L_i in every
+keyframe of a path multiplies every k-subset determinant of every segment
+by a positive constant, the product of the L_i over the subset.  No root,
+sign, monic polynomial or isolating interval of those determinants
+changes, so the events, their times and their order are those of the
+rational path.  Scaling one keyframe alone by a positive factor
+reparametrizes the segments at its ends: event times move, but every
+event keeps its subset and its place in the order.
 
 A marked configuration has its first points at the coordinate points
 e_1, e_2, ...; one helper checks that, and the base configurations, the
@@ -18,51 +31,58 @@ All predicates are exact; no floating point enters any comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from . import polys
 from .invariants import SignString, check_sign_string
 from .words import GroupParams
 
-Vector = tuple[Fraction, ...]
+Vector = tuple[int, ...]
 
 
 class DegenerateFrameError(ValueError):
     """A frame request hit a degenerate subset of points."""
 
 
+def clear_denominators(values) -> list[int]:
+    """``values`` (integers or ``Fraction``s) times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 @dataclass(frozen=True)
 class ProjectivePoint:
-    """A point of RP^(k-1), held as a chosen nonzero representative in Q^k."""
+    """A point of RP^(k-1), held as a chosen nonzero representative in Z^k."""
 
     coords: Vector
 
     def __post_init__(self) -> None:
-        if not self.coords or all(c == 0 for c in self.coords):
+        # a Fraction would get through every later step but the exact
+        # divisions of ``_bareiss``, which it would silently get wrong
+        if not {int}.issuperset(map(type, self.coords)):
+            raise TypeError(f"coordinates must be integers, got {self.coords!r}")
+        if not any(self.coords):
             raise ValueError("representative must be a nonzero vector")
 
     def same_point(self, other: "ProjectivePoint") -> bool:
-        return len(self.coords) == len(other.coords) and self.ratio_to(other) is not None
+        return self.ratio_to(other) is not None
 
-    def ratio_to(self, other: "ProjectivePoint") -> Fraction | None:
-        """The scalar r with self = r * other, or None if not proportional."""
-        if self.coords == other.coords:
-            return Fraction(1)
-        r = None
-        for a, b in zip(self.coords, other.coords):
-            if b == 0:
-                if a != 0:
-                    return None
-                continue
-            cand = a / b
-            if r is None:
-                r = cand
-            elif r != cand:
-                return None
-        return r
+    def ratio_to(self, other: "ProjectivePoint") -> tuple[int, int] | None:
+        """(p, q) in lowest terms, q > 0, with q * self = p * other; None if
+        the representatives are not proportional."""
+        a, b = self.coords, other.coords
+        if a == b:
+            return 1, 1
+        if len(a) != len(b):
+            return None
+        j = next(j for j, y in enumerate(b) if y)
+        p, q = a[j], b[j]
+        if not all(x * q == y * p for x, y in zip(a, b)):
+            return None
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        return p // g, q // g
 
 
 @dataclass(frozen=True)
@@ -88,7 +108,13 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ProjectiveTransform:
-    """An invertible k x k rational matrix acting on representatives."""
+    """An invertible k x k matrix acting on representatives.
+
+    Rational entries are accepted, and the matrix is stored times the
+    positive lcm of their denominators: one positive factor on every point
+    of every keyframe it moves, so every subset determinant of a moved path
+    is that of the rational transform's times a positive constant.
+    """
 
     matrix: tuple[Vector, ...]
 
@@ -96,34 +122,16 @@ class ProjectiveTransform:
         k = len(self.matrix)
         if any(len(row) != k for row in self.matrix):
             raise ValueError("matrix must be square")
+        entries = clear_denominators([v for row in self.matrix for v in row])
+        object.__setattr__(self, "matrix", tuple(tuple(entries[i : i + k]) for i in range(0, k * k, k)))
         if det(self.matrix) == 0:
             raise ValueError("matrix must be invertible")
 
     def apply(self, point: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(
-            tuple(sum(row[j] * point.coords[j] for j in range(len(row))) for row in self.matrix)
-        )
+        return ProjectivePoint(tuple(sum(r * c for r, c in zip(row, point.coords)) for row in self.matrix))
 
     def apply_to_configuration(self, config: Configuration) -> Configuration:
         return Configuration(config.params, tuple(self.apply(p) for p in config.points))
-
-
-def _integer_rows(rows) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its own denominators, and the product of those factors.
-
-    The determinant of the integer rows is the determinant of ``rows`` times
-    the returned scale; the rank is the same.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        factor = lcm(*(c.denominator for c in row))
-        if factor == 1:
-            out.append([c.numerator for c in row])
-        else:
-            out.append([c.numerator * (factor // c.denominator) for c in row])
-        scale *= factor
-    return out, scale
 
 
 def _bareiss(m: list[list[int]], columns: int | None = None, limit: int | None = None,
@@ -182,11 +190,13 @@ def _bareiss(m: list[list[int]], columns: int | None = None, limit: int | None =
     return rank, sign
 
 
-def det(rows) -> Fraction:
-    """Determinant of a square rational matrix, by integer Bareiss elimination."""
-    m, scale = _integer_rows(rows)
+def det(rows) -> int:
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    m = [list(row) for row in rows]
+    if not all(type(v) is int for row in m for v in row):
+        raise TypeError("det takes an integer matrix")
     rank, sign = _bareiss(m)
-    return Fraction(sign * m[-1][-1], scale) if rank == len(m) else Fraction(0)
+    return sign * m[-1][-1] if rank == len(m) else 0
 
 
 def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
@@ -199,8 +209,7 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     F, that is when the columns of K outside F have rank below n - r.
     """
     n, k = config.params.n, config.params.k
-    rows, _ = _integer_rows([p.coords for p in config.points])
-    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    m = [[*p.coords, *(int(i == j) for j in range(n))] for i, p in enumerate(config.points)]
     rank, _ = _bareiss(m, k)
     relations = [row[k:] for row in m[rank:]]
     for subset in combinations(range(n), k - 1):
@@ -217,7 +226,7 @@ def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     without point m is minor m - 1, and the subsets in ascending order
     leave out n, n - 1, ..., 1.
     """
-    rows, _ = _integer_rows([p.coords for p in config.points])
+    rows = [p.coords for p in config.points]
     subsets = combinations(range(1, config.params.n + 1), config.params.k)
     return [s for s, d in zip(subsets, reversed(pencil_minors(rows, rows))) if not d]
 
@@ -225,7 +234,7 @@ def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _unit_points(k: int) -> tuple[ProjectivePoint, ...]:
     """The coordinate points e_1, ..., e_k."""
-    return tuple(ProjectivePoint(tuple(Fraction(int(i == j)) for j in range(k))) for i in range(k))
+    return tuple(ProjectivePoint(tuple(int(i == j) for j in range(k))) for i in range(k))
 
 
 def _require_unit_points(config: Configuration, count: int) -> None:
@@ -238,27 +247,27 @@ def _require_unit_points(config: Configuration, count: int) -> None:
 def base_configuration(params: GroupParams, signs: SignString) -> Configuration:
     """The marked configuration e_1, ..., e_k, (s_1, ..., s_{k-1}, 1)."""
     check_sign_string(signs, params)
-    last = ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(1),))
+    last = ProjectivePoint((*signs, 1))
     return Configuration(params, _unit_points(params.k) + (last,))
 
 
 def sign_string_of(config: Configuration) -> SignString:
     """Read the sign string off a configuration with points 1..k at e_1..e_k.
 
-    The last point is rescaled so its k-th coordinate is +1; nonsingularity
-    forces every coordinate nonzero, and the signs of the first k-1
-    coordinates are returned.
+    The signs are those of the last point rescaled so its k-th coordinate
+    is +1, read as the signs of each coordinate times the k-th;
+    nonsingularity forces every coordinate nonzero, and the signs of the
+    first k-1 coordinates are returned.
     """
     params = config.params
     k = params.k
     _require_unit_points(config, k)
-    coords = config.points[k].coords
-    if coords[k - 1] == 0:
+    *coords, last = config.points[k].coords
+    if last == 0:
         raise DegenerateFrameError("last point lies on the hyperplane x_k = 0")
-    normalized = [c / coords[k - 1] for c in coords]
-    if any(c == 0 for c in normalized[: k - 1]):
+    if not all(coords):
         raise DegenerateFrameError("last point lies on a coordinate hyperplane")
-    return tuple(1 if c > 0 else -1 for c in normalized[: k - 1])
+    return tuple(1 if c * last > 0 else -1 for c in coords)
 
 
 def sign_snap(config: Configuration) -> Configuration:
@@ -277,25 +286,29 @@ def sign_snap(config: Configuration) -> Configuration:
 
 def shear_family(config: Configuration) -> Configuration:
     """The configuration moved by the unit-determinant shear that takes point k
-    into e_k and fixes e_1..e_{k-1}.
+    into e_k and fixes e_1..e_{k-1}, every point times |x_k|.
 
     Requires points 1..k-1 to be the coordinate points and point k to lie off
     the hyperplane x_k = 0.  The shear A1 is the identity except in its last
     column c = (-x_1/x_k, ..., -x_{k-1}/x_k, 1), x point k.  The family
     A(t) = I + t(A1 - I) is then upper unitriangular, so det A(t) = 1
     identically, and every subset determinant is constant along the orbit of
-    the configuration: the motion creates no event.  Returns A1 applied to
-    every point, A1 p = p + p_k (c - e_k), computed from the column alone.
+    the configuration: the motion creates no event.  Returns |x_k| A1 p for
+    every point p, the integer vector |x_k| p + p_k (|x_k| c - |x_k| e_k);
+    at x_k = -1 that is A1 p.  One factor for the whole keyframe moves none
+    of its points.
     """
     params = config.params
     k = params.k
     _require_unit_points(config, k - 1)
-    xk = config.points[k - 1].coords
-    if xk[k - 1] == 0:
+    *column, xk = config.points[k - 1].coords
+    if xk == 0:
         raise DegenerateFrameError("point k lies on the hyperplane x_k = 0")
-    shear_column = [-xk[j] / xk[k - 1] for j in range(k - 1)]
+    scale = abs(xk)
+    if xk > 0:
+        column = [-x for x in column]
     sheared = tuple(
-        ProjectivePoint(tuple(c + p.coords[-1] * s for c, s in zip(p.coords, shear_column)) + p.coords[-1:])
+        ProjectivePoint(tuple(scale * c + p.coords[-1] * s for c, s in zip(p.coords, column)) + (scale * p.coords[-1],))
         for p in config.points
     )
     return Configuration(params, sheared)

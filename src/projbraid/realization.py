@@ -1,15 +1,14 @@
 """Piecewise linear paths of configurations and their singular events.
 
 A path is a sequence of keyframe configurations; between consecutive
-keyframes every point's representative moves linearly in Q^k.  Along a
-segment each k-subset of points has a determinant that is a polynomial of
-degree at most k in the segment parameter.  Each point's pair of
-representatives is cleared of denominators by one positive factor, so these
-are integer pencils, all k + 1 of a segment computed at once as the maximal
-minors of its k + 1 points.  A *singular event* is a simple interior root of
-one of these polynomials: the moment the subset's points become
-projectively degenerate.  Reading off the subsets in time order turns a
-path into a word; building a path letter by letter inverts that map on base
+keyframes every point's representative moves linearly in Z^k.  Along a
+segment each k-subset of points has a determinant that is an integer
+polynomial of degree at most k in the segment parameter; all k + 1 of a
+segment are computed at once as the maximal minors of its k + 1 points.
+A *singular event* is a simple interior root of one of these
+polynomials: the moment the subset's points become projectively
+degenerate.  Reading off the subsets in time order turns a path into a
+word; building a path letter by letter inverts that map on base
 configurations.
 
 Event parameters are exact: rational when the root is found by the divisor
@@ -22,12 +21,12 @@ from __future__ import annotations
 
 import json
 import re
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
 from itertools import chain, combinations
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 from pathlib import Path as FilePath
 
 from . import polys
@@ -36,7 +35,7 @@ from .projective import (
     Configuration,
     ProjectivePoint,
     ProjectiveTransform,
-    _integer_rows,
+    Vector,
     base_configuration,
     general_position_violation,
     pencil_minors,
@@ -137,27 +136,12 @@ def time_eq(a: EventTime, b: EventTime) -> bool:
     return polys.count_roots(common, lo, hi) > 0
 
 
-def _interval(t: EventTime, kept: dict[int, polys.Interval]) -> polys.Interval:
-    """The interval ``kept`` holds for t, else its starting one: [r, r] for a
-    rational r, the isolating (lo, hi) for an algebraic time."""
+def _interval(t: EventTime) -> polys.Interval:
+    """The starting interval of t: [r, r] for a rational r, the isolating
+    (lo, hi) for an algebraic time."""
     if isinstance(t, Fraction):
         return t.numerator, t.numerator, t.denominator, 0
-    found = kept.get(id(t))
-    if found is not None:
-        return found
     return polys.interval(t.poly, t.lo, t.hi)
-
-
-def _keep(kept: dict[int, polys.Interval], t: EventTime, iv: polys.Interval) -> None:
-    """Keep iv under id(t) while t lives: the entry goes when t does, so a
-    later time that reuses the id starts from its own isolating interval.
-    A rational's interval never changes and is not kept."""
-    if isinstance(t, Fraction):
-        return
-    key = id(t)
-    if key not in kept:
-        weakref.finalize(t, kept.pop, key, None)
-    kept[key] = iv
 
 
 def _gaps(ia: polys.Interval, ib: polys.Interval) -> tuple[int, int]:
@@ -173,24 +157,27 @@ def _gaps(ia: polys.Interval, ib: polys.Interval) -> tuple[int, int]:
 _HALVINGS_BEFORE_GCD = 16
 
 
-def time_cmp(a: EventTime, b: EventTime, kept: dict[int, polys.Interval] | None = None) -> int:
+def time_cmp(a: EventTime, b: EventTime, kept: dict | None = None, keys: tuple | None = None) -> int:
     """Order two event times exactly (-1, 0 or 1), refining intervals as needed.
 
-    Each time is read as a ``polys.Interval``: a rational r as the zero-width
-    [r, r], an algebraic time as the interval ``kept[id(t)]`` holds from an
-    earlier comparison, else its isolating (lo, hi).  Closed intervals that
-    are apart, or touch at one end, decide at once; two zero-width
+    Each time is read as a ``polys.Interval``: the interval ``kept`` holds
+    under the time's key in ``keys`` from an earlier comparison, else a
+    rational r as the zero-width [r, r] and an algebraic time as its
+    isolating (lo, hi).  Closed intervals that are apart, or touch at one
+    end, decide at once; two zero-width
     intervals that touch are one point, and equal.  The wider of two
     overlapping intervals is halved until they are apart; a halving that
     lands on the root leaves a zero-width interval, which is never halved
     again.  Equal times never come apart, so once ``_HALVINGS_BEFORE_GCD``
     halvings have not separated them ``time_eq`` rules equality out, once.
-    Both intervals are then kept, so a caller that passes one ``kept`` to
-    every comparison of a sort resumes each time where its last comparison
-    left it.
+    Both intervals are then kept under their keys, so a caller that passes
+    one ``kept`` to every comparison of a sort, with each time's position as
+    its key, resumes each time where its last comparison left it.
     """
-    kept = {} if kept is None else kept
-    ia, ib = _interval(a, kept), _interval(b, kept)
+    if kept is None:
+        ia, ib = _interval(a), _interval(b)
+    else:
+        ia, ib = (kept.get(key) or _interval(t) for key, t in zip(keys, (a, b)))
     up, down = _gaps(ia, ib)
     if up <= 0 and down <= 0:
         halvings = 0
@@ -205,20 +192,28 @@ def time_cmp(a: EventTime, b: EventTime, kept: dict[int, polys.Interval] | None 
             up, down = _gaps(ia, ib)
         if up == down == 0:
             return 0
-        _keep(kept, a, ia)
-        _keep(kept, b, ib)
+        if kept is not None:
+            kept[keys[0]], kept[keys[1]] = ia, ib
     return -1 if up >= 0 else 1
 
 
 # --- event detection --------------------------------------------------------
 
-def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[list[int]], list[list[int]]]:
-    """Per point, its start and end representatives as integer rows, the pair
-    cleared of denominators by one positive factor, which changes no root and
-    no sign of a subset determinant: the rows ``pencil_minors`` takes."""
-    k = start.params.k
-    rows, _ = _integer_rows([p.coords + q.coords for p, q in zip(start.points, end.points)])
-    return [row[:k] for row in rows], [row[k:] for row in rows]
+def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[Vector], list[Vector]]:
+    """Per point, its start and end representatives divided by the gcd of
+    their 2k entries: the rows ``pencil_minors`` takes.  A positive factor
+    per point changes no root and no sign of a subset determinant, and the
+    pair is left primitive, however large the lcm that cleared the point's
+    denominators over the whole path (``path_from_document``)."""
+    starts, ends = [], []
+    for p, q in zip(start.points, end.points):
+        a, b = p.coords, q.coords
+        g = gcd(*a, *b)
+        if g != 1:
+            a, b = tuple(x // g for x in a), tuple(x // g for x in b)
+        starts.append(a)
+        ends.append(b)
+    return starts, ends
 
 
 def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], where: str = "") -> None:
@@ -232,7 +227,7 @@ def _check_keyframe(config: Configuration, singular: list[tuple[int, ...]], wher
     raise DegenerateKeyframe(f"{where}singular subset {singular[0]}")
 
 
-def _check_representatives(segment: int, starts: list[list[int]], ends: list[list[int]]) -> None:
+def _check_representatives(segment: int, starts: list[Vector], ends: list[Vector]) -> None:
     """Raise ZeroVectorOnSegment if some point's end row is a negative multiple
     of its start row, read off the integer rows of ``_segment_rows``: with a
     the start row, b the end row and j the first index with a_j != 0, that
@@ -245,7 +240,7 @@ def _check_representatives(segment: int, starts: list[list[int]], ends: list[lis
             )
 
 
-def _segment_pencils(starts: list[list[int]], ends: list[list[int]]) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
+def _segment_pencils(starts: list[Vector], ends: list[Vector]) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
     """Each k-subset S, ascending, with its determinant along the segment
     whose integer rows ``_segment_rows`` gave.
 
@@ -289,12 +284,13 @@ def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPo
                     )
                 found.append((AlgebraicTime(remaining, lo, hi), subset))
 
+    # the intervals the sort's comparisons refine, keyed by position in found
     kept: dict[int, polys.Interval] = {}
 
-    def order(x, y) -> int:
-        sign = time_cmp(x[0], y[0], kept)
+    def order(i: int, j: int) -> int:
+        sign = time_cmp(found[i][0], found[j][0], kept, (i, j))
         if sign == 0:
-            first, second = sorted((x[1], y[1]))
+            first, second = sorted((found[i][1], found[j][1]))
             raise SimultaneousEvents(
                 f"segment {segment}: subsets {first} and {second} degenerate at the same parameter"
             )
@@ -302,8 +298,8 @@ def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPo
 
     # a comparison sort compares every pair it leaves adjacent, and equal
     # times end up adjacent, so no simultaneous pair escapes the sort
-    found.sort(key=cmp_to_key(order))
-    return [SingularEvent(segment, t, subset) for t, subset in found]
+    ranked = sorted(range(len(found)), key=cmp_to_key(order))
+    return [SingularEvent(segment, *found[i]) for i in ranked]
 
 
 def detect_events(path: PLPath) -> list[SingularEvent]:
@@ -315,7 +311,7 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     sharing a parameter.  Re-running on equal input yields equal output.
 
     Keyframes are checked first, off the segment pencils: ``_segment_rows``
-    scales points by positive factors, so a pencil's values at t = 0 (its
+    divides points by positive factors, so a pencil's values at t = 0 (its
     constant term) and t = 1 (its coefficient sum) vanish on exactly the
     singular subsets of the keyframes at its ends.
     """
@@ -352,12 +348,12 @@ def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
     if c <= k - 1:
         keyframes = (start, base_configuration(params, end_signs))
     elif c == k:
-        moved = ProjectivePoint(tuple(Fraction(s) for s in signs) + (Fraction(-1),))
+        moved = ProjectivePoint((*signs, -1))
         keyframes = (start, Configuration(params, start.points[:k] + (moved,)))
     else:
         # the last point is framed by the others: send point k on a detour
         # through the opposite side, then shear everything straight again
-        detour = ProjectivePoint(tuple(Fraction(-2 * s) for s in signs) + (Fraction(-1),))
+        detour = ProjectivePoint((*(-2 * s for s in signs), -1))
         middle = Configuration(
             params, start.points[: k - 1] + (detour,) + (start.points[k],)
         )
@@ -415,15 +411,15 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
         flips = [[f * g * sigma for f in (*signs, 1)] for g, sigma in zip((*signs, 1, 1), scales)]
         for config in _certified_letter_path(params, letter).keyframes[1:]:
             keyframes.append(Configuration(params, tuple(
-                ProjectivePoint(tuple(-c if m < 0 and c else c for c, m in zip(p.coords, row)))
+                ProjectivePoint(tuple(c * m for c, m in zip(p.coords, row)))
                 for p, row in zip(config.points, flips)
             )))
         signs = sign_action(Word(params, (letter,)), signs)
         end = base_configuration(params, signs).points
         ratios = [p.ratio_to(q) for p, q in zip(keyframes[-1].points, end)]
-        if any(r not in (1, -1) for r in ratios):
+        if any(r not in ((1, 1), (-1, 1)) for r in ratios):
             raise CertificationError(f"letter path for {letter} missed its endpoint")
-        scales = tuple(int(r) for r in ratios)
+        scales = tuple(p for p, _ in ratios)
     if len(keyframes) == 1:
         keyframes.append(keyframes[0])
     return PLPath(params, tuple(keyframes))
@@ -493,18 +489,14 @@ def apply_transform_to_path(transform: ProjectiveTransform, path: PLPath) -> PLP
 
 # --- path files --------------------------------------------------------------
 
-def _encode_fraction(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
-
-
 _FRACTION_TEXT = re.compile(r"-?[0-9]+(/[0-9]*[1-9][0-9]*)?")
 
 
 def _decode_fraction(value) -> Fraction:
-    """Read a coordinate as ``_encode_fraction`` writes it: an int or a
-    ``"p"`` / ``"p/q"`` string with q nonzero.  Nothing else is accepted, so
-    a float, a bool, ``"1/0"`` or an exponent like ``"1e20000000"`` fails
-    with ValueError instead of raising something else or expanding."""
+    """Read a coordinate of a path file: an int or a ``"p"`` / ``"p/q"``
+    string with q nonzero.  Nothing else is accepted, so a float, a bool,
+    ``"1/0"`` or an exponent like ``"1e20000000"`` fails with ValueError
+    instead of raising something else or expanding."""
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
@@ -524,7 +516,7 @@ def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
         "k": path.params.k,
         "n": path.params.n,
         "keyframes": [
-            [[_encode_fraction(c) for c in point.coords] for point in config.points]
+            [list(point.coords) for point in config.points]
             for config in path.keyframes
         ],
     }
@@ -534,18 +526,35 @@ def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
 
 
 def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
+    """The path and base sign string of a path document.
+
+    A coordinate is an int or a ``"p"`` / ``"p/q"`` string (``_decode_fraction``).
+    When some are rational, point i is multiplied in every keyframe by L_i,
+    the lcm of its denominators over the whole path: one positive factor
+    per point along the path, which changes no event (see ``projective``),
+    so the path holds integers from here on.  The rationals are not kept,
+    and ``path_to_document`` writes the integers.
+    """
     try:
         params = GroupParams(_decode_int(doc, "n"), _decode_int(doc, "k"))
         raw_keyframes = doc["keyframes"]
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
     params.require_path_k()
-    keyframes = []
-    for frame in raw_keyframes:
-        points = tuple(
-            ProjectivePoint(tuple(_decode_fraction(c) for c in coords)) for coords in frame
-        )
-        keyframes.append(Configuration(params, points))
+    frames = raw_keyframes
+    if not {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(frames)))):
+        frames = [[[_decode_fraction(c) for c in coords] for coords in frame] for frame in frames]
+        scales: dict[int, int] = {}
+        for frame in frames:
+            for i, coords in enumerate(frame):
+                scales[i] = lcm(scales.get(i, 1), *(c.denominator for c in coords))
+        frames = [
+            [[c.numerator * (scales[i] // c.denominator) for c in coords] for i, coords in enumerate(frame)]
+            for frame in frames
+        ]
+    keyframes = [
+        Configuration(params, tuple(ProjectivePoint(tuple(coords)) for coords in frame)) for frame in frames
+    ]
     base_sign: SignString | None = None
     if "base_sign" in doc:
         if not isinstance(doc["base_sign"], str):

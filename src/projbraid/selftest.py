@@ -40,6 +40,7 @@ from .projective import (
     ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
+    clear_denominators,
     singular_subsets,
 )
 from .realization import (
@@ -288,7 +289,7 @@ def _random_marked_configuration(params: GroupParams, rng: random.Random) -> Con
         ]
         if any(not any(row) for row in coords):
             continue
-        tail = tuple(ProjectivePoint(tuple(row)) for row in coords)
+        tail = tuple(ProjectivePoint(tuple(clear_denominators(row))) for row in coords)
         config = Configuration(params, units + tail)
         if not singular_subsets(config):
             return config

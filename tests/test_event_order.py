@@ -180,21 +180,21 @@ def test_collapsed_interval_meets_an_equal_rational_later():
     assert polys.isolate_roots(HALF_BEYOND, F(0), F(1)) == [(F(0), F(1))]
     half = AlgebraicTime(HALF_BEYOND, F(0), F(1))
     kept = {}
-    assert time_cmp(half, AlgebraicTime(ROOT_HALF, F(0), F(1)), kept) == -1
-    assert kept[id(half)] == (1, 1, 2, 0)
+    assert time_cmp(half, AlgebraicTime(ROOT_HALF, F(0), F(1)), kept, ("half", "root")) == -1
+    assert kept["half"] == (1, 1, 2, 0)
     # touching zero-width intervals are one point: only time_eq tells
-    assert time_cmp(half, F(1, 2), kept) == 0
-    assert time_cmp(F(2, 4), half, kept) == 0
-    assert time_cmp(half, AlgebraicTime(mul((-1, 2), (-BEYOND - 1, 1)), F(0), F(1)), kept) == 0
+    assert time_cmp(half, F(1, 2), kept, ("half", "rational")) == 0
+    assert time_cmp(F(2, 4), half, kept, ("rational", "half")) == 0
+    assert time_cmp(half, AlgebraicTime(mul((-1, 2), (-BEYOND - 1, 1)), F(0), F(1)), kept, ("half", "other")) == 0
 
 
 def test_collapsed_interval_meets_an_equal_event_in_the_sort(monkeypatch):
     pencils = [((1, 2, 3), HALF_BEYOND), ((1, 2, 4), ROOT_HALF), ((1, 3, 4), (-1, 2))]
     seen = []
 
-    def recording(a, b, kept):
-        seen.append((a, b, kept.get(id(a)), kept.get(id(b))))
-        return time_cmp(a, b, kept)
+    def recording(a, b, kept, keys):
+        seen.append((a, b, kept.get(keys[0]), kept.get(keys[1])))
+        return time_cmp(a, b, kept, keys)
 
     monkeypatch.setattr(realization, "time_cmp", recording)
     with pytest.raises(SimultaneousEvents, match=r"subsets \(1, 2, 3\) and \(1, 3, 4\)"):

@@ -24,7 +24,7 @@ P54 = GroupParams(5, 4)
 
 
 def pt(*coords) -> ProjectivePoint:
-    return ProjectivePoint(tuple(F(c) for c in coords))
+    return ProjectivePoint(tuple(coords))
 
 
 def base() -> Configuration:
@@ -43,6 +43,14 @@ GUARDS = {
     "path-keyframes-of-another-group": (
         lambda: PLPath(P54, (base(), base())),
         ValueError, "keyframe parameters disagree with the path",
+    ),
+    "point-fraction-coordinate": (
+        lambda: ProjectivePoint((1, F(1, 2), 0)),
+        TypeError, "coordinates must be integers, got (1, Fraction(1, 2), 0)",
+    ),
+    "point-bool-coordinate": (
+        lambda: ProjectivePoint((1, True, 0)),
+        TypeError, "coordinates must be integers, got (1, True, 0)",
     ),
     "non-square-transform": (
         lambda: ProjectiveTransform(((F(1), F(0), F(0)), (F(0), F(1), F(0)))),

@@ -412,7 +412,7 @@ def segment_determinants(seed: int, per_k: int):
     representatives cleared of denominators by one positive factor.  Every
     other one is negated, so leading coefficients of both signs occur.  Only
     those of degree >= 1 that vanish at neither t = 0 nor t = 1 are kept."""
-    from projbraid.projective import _integer_rows, poly_det
+    from projbraid.projective import clear_denominators, poly_det
 
     rng = random.Random(seed)
 
@@ -427,7 +427,7 @@ def segment_determinants(seed: int, per_k: int):
             for _ in range(k):
                 start, end = [coord() for _ in range(k)], [coord() for _ in range(k)]
                 pairs.append(start + end)
-            rows, _ = _integer_rows(pairs)
+            rows = [clear_denominators(pair) for pair in pairs]
             z = poly_det([row[:k] for row in rows], [row[k:] for row in rows])
             if degree(z) < 1 or evaluate(z, F(0)) == 0 or evaluate(z, F(1)) == 0:
                 continue

@@ -17,6 +17,7 @@ from projbraid.projective import (
     ProjectiveTransform,
     _bareiss,
     base_configuration,
+    clear_denominators,
     det,
     general_position_violation,
     pencil_minors,
@@ -26,7 +27,7 @@ from projbraid.projective import (
     sign_string_of,
     singular_subsets,
 )
-from projbraid.realization import PLPath, _segment_pencils, _segment_rows, detect_events
+from projbraid.realization import PLPath, _segment_pencils, _segment_rows, detect_events, path_from_document
 from projbraid.words import GroupParams
 
 F = Fraction
@@ -35,7 +36,7 @@ P54 = GroupParams(5, 4)
 
 
 def pt(*coords) -> ProjectivePoint:
-    return ProjectivePoint(tuple(F(c) for c in coords))
+    return ProjectivePoint(tuple(coords))
 
 
 def config43(*rows) -> Configuration:
@@ -45,7 +46,7 @@ def config43(*rows) -> Configuration:
 def canonical(point: ProjectivePoint) -> tuple[Fraction, ...]:
     """The representative of the point whose last nonzero coordinate is +1."""
     last = next(c for c in reversed(point.coords) if c != 0)
-    return tuple(c / last for c in point.coords)
+    return tuple(F(c, last) for c in point.coords)
 
 
 def chosen(config: Configuration, subset: tuple[int, ...]):
@@ -80,7 +81,7 @@ class TestPoints:
         p = pt(*coords)
         if data.draw(st.booleans()):
             scale = data.draw(st.fractions(-5, 5).filter(bool))
-            q = ProjectivePoint(tuple(c * scale for c in p.coords))
+            q = pt(*clear_denominators([c * scale for c in p.coords]))
         else:
             size = len(coords)
             q = pt(*data.draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size).filter(any)))
@@ -88,16 +89,22 @@ class TestPoints:
         assert q.same_point(p) == p.same_point(q)
 
     def test_ratio_to(self):
-        assert pt(-2, -4, -6).ratio_to(pt(1, 2, 3)) == F(-2)
+        assert pt(-2, -4, -6).ratio_to(pt(1, 2, 3)) == (-2, 1)
         assert pt(1, 0, 0).ratio_to(pt(0, 1, 0)) is None
-        assert pt(2, 0, 4).ratio_to(pt(1, 0, 2)) == F(2)
+        assert pt(2, 0, 4).ratio_to(pt(1, 0, 2)) == (2, 1)
+        # in lowest terms, with a positive denominator
+        assert pt(0, 2, 4).ratio_to(pt(0, -6, -12)) == (-1, 3)
+        assert pt(6, 4).ratio_to(pt(9, 6)) == (2, 3)
+        assert pt(1, 2).ratio_to(pt(1, 2, 0)) is None
 
 
 class TestDeterminants:
     def test_det(self):
-        rows = ((F(2), F(0), F(1)), (F(1), F(1), F(0)), (F(0), F(3), F(1)))
-        assert det(rows) == F(5)
-        assert det(((F(1), F(2)), (F(2), F(4)))) == 0
+        rows = ((2, 0, 1), (1, 1, 0), (0, 3, 1))
+        assert det(rows) == 5
+        assert det(((1, 2), (2, 4))) == 0
+        with pytest.raises(TypeError, match="integer matrix"):
+            det(((F(1, 2), 0), (0, 1)))
 
     def test_det_subset_on_base(self):
         base = base_configuration(P43, (1, 1))
@@ -124,7 +131,8 @@ class TestDeterminants:
         rng = random.Random(7)
         for _ in range(300):
             size = rng.randint(1, 5)
-            rows = [[F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(size)] for _ in range(size)]
+            rows = [clear_denominators([F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(size)])
+                    for _ in range(size)]
             assert det(rows) == sympy.Matrix(rows).det()
             if size >= 2 and all(any(row) for row in rows):
                 config = Configuration(
@@ -238,6 +246,9 @@ class TestPolyDet:
         assert poly_det([[1, 2], [2, 4]], [[0, 1], [0, 2]]) == polys.ZERO
 
     def test_segment_rows_keep_the_determinant(self):
+        # rational keyframes, read as a path file reads them: each point
+        # cleared by one factor over both keyframes, then divided by the gcd
+        # of its pair in the segment's rows
         rng = random.Random(5)
 
         def point(k: int) -> list[Fraction]:
@@ -250,9 +261,9 @@ class TestPolyDet:
                 finish = [p if rng.random() < 0.3 else point(k) for p in begin]
                 if any(not any(p) for p in begin + finish):
                     continue
-                start = Configuration(params, tuple(pt(*p) for p in begin))
-                end = Configuration(params, tuple(pt(*p) for p in finish))
-                starts, ends = _segment_rows(start, end)
+                frames = [[[str(c) for c in p] for p in frame] for frame in (begin, finish)]
+                path, _ = path_from_document({"k": k, "n": k + 1, "keyframes": frames})
+                starts, ends = _segment_rows(*path.keyframes)
                 for subset in combinations(range(k + 1), k):
                     got = poly_det([starts[i] for i in subset], [ends[i] for i in subset])
                     entries = linear_entries([begin[i] for i in subset], [finish[i] for i in subset])
@@ -518,13 +529,13 @@ class TestSingularSubsets:
                 if index % 2:
                     coords = subspace_points(rng, k, k + 1, rng.randint(1, k))
                 else:
-                    coords = [[F(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(k)] for _ in range(k + 1)]
-                    coords = [row if any(row) else [F(1)] * k for row in coords]
+                    coords = [clear_denominators([F(rng.randint(-1, 1), rng.randint(1, 2)) for _ in range(k)])
+                              for _ in range(k + 1)]
+                    coords = [row if any(row) else [1] * k for row in coords]
                 config = Configuration(params, tuple(ProjectivePoint(tuple(row)) for row in coords))
-                rows, _ = projective._integer_rows(coords)
                 expected = [
                     s for s in combinations(range(1, k + 2), k)
-                    if reference_bareiss([rows[i - 1][:] for i in s])[0] < k
+                    if reference_bareiss([coords[i - 1][:] for i in s])[0] < k
                 ]
                 assert singular_subsets(config) == expected
                 singular += bool(expected)
@@ -617,9 +628,10 @@ class TestGeneralPosition:
         assert general_position_violation(config) == (1, 2, 3)
 
 
-def subspace_points(rng: random.Random, k: int, n: int, dim: int) -> list[list[Fraction]]:
+def subspace_points(rng: random.Random, k: int, n: int, dim: int) -> list[list[int]]:
     """n points drawn from a random subspace of Q^k spanned by ``dim`` nonzero
-    rows, some of them replaced by a multiple of an earlier point."""
+    rows, some of them replaced by a multiple of an earlier point, each
+    cleared of its denominators."""
     basis = []
     while len(basis) < dim:
         row = [rng.randint(-2, 2) for _ in range(k)]
@@ -635,7 +647,7 @@ def subspace_points(rng: random.Random, k: int, n: int, dim: int) -> list[list[F
         point = [F(sum(w * row[j] for w, row in zip(weights, basis)), rng.randint(1, 2)) for j in range(k)]
         if any(point):
             points.append(point)
-    return points
+    return [clear_denominators(point) for point in points]
 
 
 class TestGeneralPositionReference:
@@ -728,15 +740,18 @@ class TestBaseAndSigns:
             sign_string_of(config43(E1, E2, E3, (0, 1, 1)))
 
 
-def shear_matrix(config: Configuration) -> ProjectiveTransform:
-    """The shear that ``shear_family`` documents, as a full matrix: the
-    identity with last column (-x_1/x_k, ..., -x_{k-1}/x_k, 1), x point k."""
+def shear_matrix(config: Configuration) -> tuple[tuple[Fraction, ...], ...]:
+    """The shear that ``shear_family`` documents, as a full rational matrix:
+    the identity with last column (-x_1/x_k, ..., -x_{k-1}/x_k, 1), x point k."""
     k = config.params.k
     xk = config.points[k - 1].coords
-    column = [-xk[j] / xk[k - 1] for j in range(k - 1)] + [F(1)]
-    return ProjectiveTransform(tuple(
-        tuple(F(int(i == j)) for j in range(k - 1)) + (column[i],) for i in range(k)
-    ))
+    column = [F(-xk[j], xk[k - 1]) for j in range(k - 1)] + [F(1)]
+    return tuple(tuple(F(int(i == j)) for j in range(k - 1)) + (column[i],) for i in range(k))
+
+
+def scaled(config: Configuration, factor: int) -> Configuration:
+    """Every point of the configuration times ``factor``."""
+    return Configuration(config.params, tuple(pt(*(factor * c for c in p.coords)) for p in config.points))
 
 
 def marked_configurations(k: int, count: int = 10):
@@ -746,12 +761,12 @@ def marked_configurations(k: int, count: int = 10):
     units = base_configuration(params, (1,) * (k - 1)).points[: k - 1]
     for _ in range(count):
         head = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(k - 1)]
-        point_k = pt(*head, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+        point_k = pt(*clear_denominators([*head, F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))]))
         while True:
             point_n = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(k)]
             if any(point_n):
                 break
-        yield Configuration(params, units + (point_k, pt(*point_n)))
+        yield Configuration(params, units + (point_k, pt(*clear_denominators(point_n))))
 
 
 class TestShear:
@@ -762,14 +777,21 @@ class TestShear:
         assert sheared.points[3].coords == (F(-1), F(-1), F(1))
         assert sheared.points[0].coords == (F(1), F(0), F(0))
         end = shear_matrix(config)
-        assert end.matrix == ((1, 0, -2), (0, 1, -2), (0, 0, 1))
-        assert det(end.matrix) == 1
+        assert end == ((1, 0, -2), (0, 1, -2), (0, 0, 1))
+        assert det(ProjectiveTransform(end).matrix) == 1
+
+    def test_scales_the_keyframe_by_the_last_coordinate_of_point_k(self):
+        # x_k = 2: A1 has column (-1/2, -3/2, 1), and the keyframe is 2 A1
+        config = config43(E1, E2, (1, 3, 2), (1, 1, 1))
+        sheared = shear_family(config)
+        assert [p.coords for p in sheared.points] == [(2, 0, 0), (0, 2, 0), (0, 0, 4), (1, -1, 2)]
+        assert sheared.same_configuration(ProjectiveTransform(shear_matrix(config)).apply_to_configuration(config))
 
     def test_fixes_hyperplane_points(self):
         config = config43(E1, E2, (1, 2, 3), (0, 1, 2))
         sheared = shear_family(config)
-        assert sheared.points[0].coords == (F(1), F(0), F(0))
-        assert sheared.points[1].coords == (F(0), F(1), F(0))
+        assert sheared.points[0].same_point(pt(*E1))
+        assert sheared.points[1].same_point(pt(*E2))
         assert sheared.points[2].same_point(pt(*E3))
 
     def test_rejects_point_on_hyperplane(self):
@@ -786,19 +808,25 @@ class TestShear:
         t = sympy.Symbol("t")
         for k in range(3, 7):
             for config in marked_configurations(k, 5):
-                a = sympy.Matrix(shear_matrix(config).matrix)
+                a = sympy.Matrix(shear_matrix(config))
                 identity = sympy.eye(k)
                 assert sympy.expand((identity + t * (a - identity)).det()) == 1
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_configuration_is_the_end_transform_applied(self, k):
+        # |x_k| A1 is an integer matrix, stored as it is
         for config in marked_configurations(k):
-            assert shear_family(config) == shear_matrix(config).apply_to_configuration(config)
+            scale = abs(config.points[k - 1].coords[-1])
+            end = ProjectiveTransform(tuple(tuple(scale * v for v in row) for row in shear_matrix(config)))
+            assert shear_family(config) == end.apply_to_configuration(config)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_subset_determinants_are_constant_along_the_shear(self, k):
+        # the shear family runs from |x_k| times the configuration to |x_k| A1
+        # times it, the keyframe ``shear_family`` returns
         for config in marked_configurations(k):
-            pencils = _segment_pencils(*_segment_rows(config, shear_family(config)))
+            scale = abs(config.points[k - 1].coords[-1])
+            pencils = _segment_pencils(*_segment_rows(scaled(config, scale), shear_family(config)))
             assert len(pencils) == k + 1
             assert all(polys.degree(d) <= 0 for _, d in pencils)
 
@@ -824,6 +852,6 @@ class TestSignSnap:
             sign_snap(config43(E1, E2, E3, (0, 2, 1)))
 
     def test_creates_no_event(self):
-        for last in ((3, -2, 1), (-5, 1, 2), (1, 7, -3), (F(1, 2), F(-1, 3), -1)):
+        for last in ((3, -2, 1), (-5, 1, 2), (1, 7, -3), (3, -2, -6)):
             config = config43(E1, E2, E3, last)
             assert detect_events(PLPath(P43, (config, sign_snap(config)))) == []

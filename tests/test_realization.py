@@ -15,6 +15,7 @@ from projbraid.projective import (
     ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
+    clear_denominators,
     det,
     general_position_violation,
     singular_subsets,
@@ -56,7 +57,7 @@ P43 = GroupParams(4, 3)
 
 
 def pt(*coords) -> ProjectivePoint:
-    return ProjectivePoint(tuple(F(c) for c in coords))
+    return ProjectivePoint(tuple(coords))
 
 
 def config(*rows) -> Configuration:
@@ -65,6 +66,15 @@ def config(*rows) -> Configuration:
 
 def path(*frames) -> PLPath:
     return PLPath(P43, tuple(config(*rows) for rows in frames))
+
+
+def cleared_segment(params: GroupParams, begin, finish) -> tuple[Configuration, Configuration]:
+    """The keyframes of a segment with rational points, each point's start
+    and end cleared by one positive factor, as ``path_from_document`` does."""
+    k = params.k
+    rows = [clear_denominators([*p, *q]) for p, q in zip(begin, finish)]
+    return tuple(Configuration(params, tuple(pt(*row[half]) for row in rows))
+                 for half in (slice(None, k), slice(k, None)))
 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
@@ -94,7 +104,7 @@ class TestDetection:
         [event] = detect_events(p)
         t = event.t
         start, end = p.keyframes[0].points[3].coords, p.keyframes[1].points[3].coords
-        mid = tuple((1 - t) * a + t * b for a, b in zip(start, end))
+        mid = clear_denominators([(1 - t) * a + t * b for a, b in zip(start, end)])
         rows = (p.keyframes[0].points[1].coords, p.keyframes[0].points[2].coords, mid)
         from projbraid.projective import det
 
@@ -191,7 +201,7 @@ def reference_check_representatives(segment: int, start: Configuration, end: Con
     representative that is a negative multiple (``ratio_to``) of the start."""
     for i, (p, q) in enumerate(zip(start.points, end.points)):
         ratio = q.ratio_to(p)
-        if ratio is not None and ratio < 0:
+        if ratio is not None and ratio[0] < 0:
             raise ZeroVectorOnSegment(
                 f"segment {segment}: point {i + 1} representative passes through the origin"
             )
@@ -277,7 +287,8 @@ class TestRepresentativeCheck:
             q = [F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(k)]
             zero = rng.randrange(k)
             q[zero] = F(0) if any(q[:zero] + q[zero + 1 :]) else F(1)
-        return pt(*p), pt(*q)
+        row = clear_denominators(p + q)
+        return pt(*row[:k]), pt(*row[k:])
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_integer_rows_match_the_fraction_rule(self, k):
@@ -360,7 +371,7 @@ def random_segment(rng: random.Random, k: int) -> tuple[Configuration, Configura
             for frame in (begin, finish):
                 frame[j] = [sum(c * frame[m][x] for c, m in zip(coeffs, span)) for x in range(k)]
         try:
-            return tuple(Configuration(params, tuple(pt(*p) for p in frame)) for frame in (begin, finish))
+            return cleared_segment(params, begin, finish)
         except ValueError:
             continue
 
@@ -489,13 +500,13 @@ def reference_letter_path(params: GroupParams, letter: Letter, signs) -> tuple[P
     if c <= k - 1:
         return PLPath(params, (start, base_configuration(params, end_signs))), end_signs
     if c == k:
-        moved = ProjectivePoint(tuple(F(s) for s in signs) + (F(-1),))
+        moved = ProjectivePoint((*signs, -1))
         return PLPath(params, (start, Configuration(params, start.points[:k] + (moved,)))), end_signs
-    detour = ProjectivePoint(tuple(F(-2 * s) for s in signs) + (F(-1),))
+    detour = ProjectivePoint((*(-2 * s for s in signs), -1))
     middle = Configuration(params, start.points[: k - 1] + (detour,) + (start.points[k],))
-    column = [F(-2 * s) for s in signs] + [F(1)]   # -detour_j / detour_k
+    column = [-2 * s for s in signs] + [1]   # -detour_j / detour_k
     shear = ProjectiveTransform(tuple(
-        tuple(F(int(i == j)) for j in range(k - 1)) + (column[i],) for i in range(k)
+        tuple(int(i == j) for j in range(k - 1)) + (column[i],) for i in range(k)
     ))
     return PLPath(params, (start, middle, shear.apply_to_configuration(middle))), end_signs
 
@@ -618,17 +629,29 @@ class TestTransforms:
 
 
 class TestPathFiles:
-    def test_document_uses_integers_and_fraction_strings(self):
+    def test_document_uses_integers(self):
         p = path(BASE, (E1, E2, E3, (-1, 1, 1)))
         doc = path_to_document(p, base_sign=(1, 1))
         assert doc["k"] == 3 and doc["n"] == 4
         assert doc["keyframes"][0][0] == [1, 0, 0]
+        assert doc["keyframes"][1][3] == [-1, 1, 1]
         assert doc["base_sign"] == "++"
-        half = path((E1, E2, E3, (F(1, 2), 1, 1)), BASE)
-        assert path_to_document(half)["keyframes"][0][3][0] == "1/2"
+
+    def test_rational_coordinates_are_cleared_per_point(self):
+        # point 4 has denominators 2 and 3 in keyframe 0 and 4 in keyframe 2,
+        # so it is 12 times itself in every keyframe; point 3 has none
+        doc = {"k": 3, "n": 4, "keyframes": [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["1/2", "-1/3", 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, "1"], [1, 1, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["3/4", 1, "-2/2"]],
+        ]}
+        p, _ = path_from_document(doc)
+        assert [config.points[3].coords for config in p.keyframes] == [(6, -4, 12), (12, 12, 12), (9, 12, -12)]
+        assert all(config.points[2].coords == (0, 0, 1) for config in p.keyframes)
+        assert path_to_document(p)["keyframes"][0][3] == [6, -4, 12]
 
     def test_roundtrip_is_exact(self, tmp_path):
-        start = config(E1, E2, (F(1, 2), 2, -1), (3, F(1, 3), 2))
+        start = config(E1, E2, (1, 4, -2), (9, 1, 6))
         p, signs = void_path_to_base(start)
         file = tmp_path / "path.json"
         save_path_file(p, file, base_sign=signs)

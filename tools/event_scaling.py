@@ -11,7 +11,11 @@ run from the root of a checkout:
 prints, per k and m, the median over ``--repeats`` runs of each call in
 milliseconds, ``realize_ms`` and ``detect_ms`` (every cache of
 ``realization`` and ``projective``, found by its ``cache_clear`` method, is
-emptied before each realization, as in a new process), the number of
+emptied before each realization, as in a new process), the path file's
+stages ``encode_ms`` (``indented_json(path_to_document(path))``),
+``decode_ms`` (``path_from_document`` on that text's JSON) and
+``rows_ms`` (``_segment_rows`` of every segment of the decoded path, the
+rows ``detect_events`` hands to ``pencil_minors``), the number of
 events, the number of eliminations in one realization and detection, and
 the growth factor of each time per doubling of m.  Eliminations are
 counted by a wrapper this tool installs around ``projective._bareiss``,
@@ -27,11 +31,12 @@ Sturm chains (one per segment minor, and one more for each minor that
 loses a rational root or a repeated factor and still has roots to
 isolate) and the interval halvings of event ordering.
 
-The same counts, with ``detect_ms``, are reported under ``files`` for
-``FILES`` seeded random path files per k = 3 and 4, each of ``KEYFRAMES``
-keyframes with coordinates p/q, |p| <= 6, 1 <= q <= 3, as in the
-benchmark's ``certify-files`` workload; a file ``detect_events`` rejects
-is redrawn, and ``redrawn`` counts them.
+The same counts, with ``detect_ms`` and ``decode_ms``, are reported under
+``files`` for ``FILES`` seeded random path documents per k = 3 and 4, each
+of ``KEYFRAMES`` keyframes with coordinates ``"p/q"``, |p| <= 6,
+1 <= q <= 3, as in the benchmark's ``certify-files`` workload, read by
+``path_from_document``; a file ``detect_events`` rejects is redrawn, and
+``redrawn`` counts them.
 
 The times cannot rank two trees.  Each ``realize_ms`` and ``detect_ms``
 cell is the median of back-to-back calls on one tree, so one slow spell of
@@ -90,32 +95,28 @@ def counting():
 
 
 def random_files(k: int, seed: int):
-    """``FILES`` random paths at k that ``detect_events`` accepts, and how
-    many drawn files it rejected."""
+    """``FILES`` random path documents at k whose paths ``detect_events``
+    accepts, and how many drawn files it rejected."""
     from projbraid import realization
-    from projbraid.projective import Configuration, ProjectivePoint
-    from projbraid.words import GroupParams
 
-    params = GroupParams(k + 1, k)
     rng = random.Random(f"event-scaling:files:{k}:{seed}")
-    paths, redrawn = [], 0
-    while len(paths) < FILES:
+    docs, redrawn = [], 0
+    while len(docs) < FILES:
+        frames = [[[str(Fraction(rng.randint(-6, 6), rng.randint(1, 3))) for _ in range(k)]
+                   for _ in range(k + 1)] for _ in range(KEYFRAMES)]
+        doc = {"k": k, "n": k + 1, "keyframes": frames}
         try:
-            frames = tuple(
-                Configuration(params, tuple(
-                    ProjectivePoint(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(k)))
-                    for _ in range(k + 1)))
-                for _ in range(KEYFRAMES))
-            path = realization.PLPath(params, frames)
-            realization.detect_events(path)
+            realization.detect_events(realization.path_from_document(doc)[0])
         except ValueError:  # a zero point, or any PathError
             redrawn += 1
             continue
-        paths.append(path)
-    return paths, redrawn
+        docs.append(doc)
+    return docs, redrawn
 
 
 def measure(sizes, repeats: int, seed: int) -> dict:
+    import json
+
     from projbraid import projective, realization
     from projbraid.words import GroupParams, parse_word
 
@@ -139,22 +140,31 @@ def measure(sizes, repeats: int, seed: int) -> dict:
                 events = realization.detect_events(path)
             if len(events) != m:
                 raise RuntimeError(f"k = {k}, m = {m}: {len(events)} events for {m} letters")
+            doc = json.loads(realization.indented_json(realization.path_to_document(path)))
+            loaded = realization.path_from_document(doc)[0]
+            segments = list(zip(loaded.keyframes, loaded.keyframes[1:]))
             row = {"k": k, "m": m, "events": len(events), **counts,
                    "realize_ms": median_ms(lambda: realize(word), repeats),
-                   "detect_ms": median_ms(lambda: realization.detect_events(path), repeats)}
+                   "detect_ms": median_ms(lambda: realization.detect_events(path), repeats),
+                   "encode_ms": median_ms(
+                       lambda: realization.indented_json(realization.path_to_document(path)), repeats),
+                   "decode_ms": median_ms(lambda: realization.path_from_document(doc), repeats),
+                   "rows_ms": median_ms(lambda: [realization._segment_rows(*pair) for pair in segments], repeats)}
             if previous is not None:
-                for stage in ("realize", "detect"):
+                for stage in ("realize", "detect", "encode", "decode", "rows"):
                     row[f"{stage}_growth"] = round(row[f"{stage}_ms"] / previous[f"{stage}_ms"], 2)
             rows.append(row)
             previous = row
     files = []
     for k in FILE_KS:
-        paths, redrawn = random_files(k, seed)
+        docs, redrawn = random_files(k, seed)
+        paths = [realization.path_from_document(doc)[0] for doc in docs]
         with counting() as counts:
             events = sum(len(realization.detect_events(path)) for path in paths)
         files.append({"k": k, "files": FILES, "keyframes": KEYFRAMES, "redrawn": redrawn, "events": events,
                       **counts,
-                      "detect_ms": median_ms(lambda: [realization.detect_events(path) for path in paths], repeats)})
+                      "detect_ms": median_ms(lambda: [realization.detect_events(path) for path in paths], repeats),
+                      "decode_ms": median_ms(lambda: [realization.path_from_document(doc) for doc in docs], repeats)})
     return {"seed": seed, "repeats": repeats, "python": sys.version.split()[0], "rows": rows, "files": files}
 
 
