@@ -15,6 +15,7 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import selftest as selftest_mod
 from .invariants import (
@@ -302,10 +303,69 @@ def _cmd_selftest(args) -> tuple[int, Record]:
     ]
 
 
-@cache
-def build_parser() -> _Parser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
-    parser = _Parser(prog="projbraid", description=__doc__)
+class _Command(NamedTuple):
+    """A subcommand.  ``main`` rejects k < ``min_k``, builds the group of
+    ``--k`` when ``group`` is true, and parses the positional ``words`` in
+    that group; ``args`` are its other arguments, as (name, keywords) pairs."""
+
+    handler: Callable
+    help: str
+    words: tuple[str, ...] = ()
+    min_k: int = 2
+    group: bool = True
+    args: tuple[tuple[str, dict], ...] = ()
+
+
+_TRACE = ("--trace", {"action": "store_true", "help": "print the move trace"})
+_SIGNS = ("--signs", {
+    "default": None,
+    "help": "starting sign string, '(+,-)' or '+-'; write '-+' as --signs=-+ or '(-,+)'",
+})
+
+COMMANDS = {
+    "solve": _Command(_cmd_solve, "decide whether a word is trivial", ("word",), min_k=3, args=(_TRACE,)),
+    "equal": _Command(_cmd_equal, "decide whether two words are equal", ("word1", "word2"), min_k=3,
+                      args=(_TRACE,)),
+    "f-image": _Command(_cmd_f_image, "obstruction image of a word", ("word",)),
+    "parity": _Command(_cmd_parity, "per-letter occurrence parities", ("word",)),
+    "sign-action": _Command(_cmd_sign_action, "action of a word on a sign string", ("word",), args=(_SIGNS,)),
+    "eliminate": _Command(_cmd_eliminate, "rewrite away the last letter, with trace", ("word",), args=(_TRACE,)),
+    "in-h": _Command(_cmd_in_h, "membership in the last-letter-free subgroup", ("word",)),
+    "in-tilde": _Command(_cmd_in_tilde, "membership in the sign-preserving subgroup", ("word",)),
+    "realize": _Command(_cmd_realize, "write a path file realizing a word", ("word",), min_k=3,
+                        args=(_SIGNS, ("out", {"help": "output path file"}))),
+    "certify": _Command(_cmd_certify, "read a path file, recover its word and events", group=False,
+                        args=(("file", {"help": "input path file"}),)),
+    "orbit": _Command(_cmd_orbit, "orbit of the reference sign string"),
+    "oracle": _Command(_cmd_oracle, "bounded search for a rewrite between two words", ("word1", "word2"),
+                       args=(_TRACE,)),
+    "selftest": _Command(_cmd_selftest, "run the verification suites", group=False, args=(
+        ("scale", {"nargs": "?", "choices": ("quick", "full"), "default": "quick"}),
+        ("--suite", {"action": "append", "help": "run only this suite (repeatable)"}),
+    )),
+}
+
+
+class _ListingHelp(argparse.Action):
+    """``-h`` before the command: the help lists every command, so only this
+    path builds a parser with a subparser per command."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        listing = _global_parser()
+        sub = listing.add_subparsers(dest="command", required=True)
+        for name, command in COMMANDS.items():
+            sub.add_parser(name, help=command.help)
+        listing.print_help()
+        listing.exit()
+
+
+def _global_parser() -> _Parser:
+    """A top-level parser with the global options and no command."""
+    parser = _Parser(prog="projbraid", description=__doc__, add_help=False)
+    parser.add_argument(
+        "-h", "--help", action=_ListingHelp, nargs=0, default=argparse.SUPPRESS,
+        help="show this help message and exit",
+    )
     parser.add_argument("--k", type=int, default=3, help="subset size (default 3)")
     parser.add_argument(
         "--format", choices=("text", "structured"), default="text", help="output style"
@@ -313,67 +373,69 @@ def build_parser() -> _Parser:
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
     parser.add_argument("--max-len", type=int, default=12, help="oracle length bound")
     parser.add_argument("--max-states", type=int, default=100_000, help="oracle state bound")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name: str, handler, help_text: str, *words, group=True, min_k=2, trace=False, signs=False):
-        """A subcommand with positional ``words``.  ``main`` rejects k < ``min_k``,
-        builds the group of ``--k`` when ``group`` is true, and parses the
-        words in that group."""
-        p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler, word_args=words, group=group, min_k=min_k)
-        for word in words:
-            p.add_argument(word)
-        if trace:
-            p.add_argument("--trace", action="store_true", help="print the move trace")
-        if signs:
-            p.add_argument(
-                "--signs", default=None,
-                help="starting sign string, '(+,-)' or '+-'; write '-+' as --signs=-+ or '(-,+)'",
-            )
-        return p
-
-    cmd("solve", _cmd_solve, "decide whether a word is trivial", "word", min_k=3, trace=True)
-    cmd("equal", _cmd_equal, "decide whether two words are equal", "word1", "word2", min_k=3, trace=True)
-    cmd("f-image", _cmd_f_image, "obstruction image of a word", "word")
-    cmd("parity", _cmd_parity, "per-letter occurrence parities", "word")
-    cmd("sign-action", _cmd_sign_action, "action of a word on a sign string", "word", signs=True)
-    cmd("eliminate", _cmd_eliminate, "rewrite away the last letter, with trace", "word", trace=True)
-    cmd("in-h", _cmd_in_h, "membership in the last-letter-free subgroup", "word")
-    cmd("in-tilde", _cmd_in_tilde, "membership in the sign-preserving subgroup", "word")
-    realize = cmd("realize", _cmd_realize, "write a path file realizing a word", "word", min_k=3, signs=True)
-    realize.add_argument("out", help="output path file")
-    certify = cmd("certify", _cmd_certify, "read a path file, recover its word and events", group=False)
-    certify.add_argument("file", help="input path file")
-    cmd("orbit", _cmd_orbit, "orbit of the reference sign string")
-    cmd("oracle", _cmd_oracle, "bounded search for a rewrite between two words", "word1", "word2", trace=True)
-    st = cmd("selftest", _cmd_selftest, "run the verification suites", group=False)
-    st.add_argument("scale", nargs="?", choices=("quick", "full"), default="quick")
-    st.add_argument("--suite", action="append", help="run only this suite (repeatable)")
     return parser
 
 
-def _inputs(args) -> list:
+@cache
+def build_parser() -> _Parser:
+    """The top-level parser, built once per process: the global options,
+    then the command name and the arguments that ``command_parser`` reads.
+    Its usage and errors are those of a parser with a subparser per command,
+    since that is an action with the same name, ``nargs`` and choices."""
+    parser = _global_parser()
+    parser.add_argument("command", nargs=argparse.PARSER, choices=tuple(COMMANDS))
+    return parser
+
+
+@cache
+def command_parser(name: str) -> _Parser:
+    """The parser of one command's arguments, built once per process."""
+    command = COMMANDS[name]
+    parser = _Parser(prog=f"projbraid {name}")
+    for word in command.words:
+        parser.add_argument(word)
+    for arg, keywords in command.args:
+        parser.add_argument(arg, **keywords)
+    return parser
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """The global options and the named command's arguments, in one namespace.
+
+    A subparser reports its own errors, and what neither parser knows is
+    reported against the top-level usage, as one parser with a subparser
+    per command does; parsing leaves both parsers unchanged."""
+    parser = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    args.command, *rest = args.command
+    args, unknown_to_command = command_parser(args.command).parse_known_args(rest, args)
+    if unknown or unknown_to_command:
+        parser.error("unrecognized arguments: " + " ".join(unknown + unknown_to_command))
+    return args
+
+
+def _inputs(args, command: _Command) -> list:
     """What the handler takes after ``args``: the parsed words, or the group
     for a command without words; nothing for a command without a group."""
-    if not args.group:
+    if not command.group:
         return []
     params = GroupParams(args.k + 1, args.k)
     try:
-        words = [parse_word(getattr(args, name), params) for name in args.word_args]
+        words = [parse_word(getattr(args, name), params) for name in command.words]
     except WordSyntaxError as exc:
         raise _UsageError(str(exc)) from exc
     return words or [params]
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
+    parser, command = build_parser(), COMMANDS[args.command]
     if args.k < 2:
         parser.error("--k must be at least 2")
-    if args.k < args.min_k:
-        parser.error(f"{args.command} needs k >= {args.min_k}")
+    if args.k < command.min_k:
+        parser.error(f"{args.command} needs k >= {command.min_k}")
     try:
-        code, record = args.handler(args, *_inputs(args))
+        code, record = command.handler(args, *_inputs(args, command))
     except _UsageError as exc:
         parser.error(str(exc))
     except OSError as exc:

@@ -403,8 +403,10 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
     negates point k+1 and the letter omitting k+1 negates point k.
     """
     params = word.params
+    k = params.k
     signs = tuple(signs) if signs is not None else reference_signs(params)
-    keyframes: list[Configuration] = [base_configuration(params, signs)]
+    keyframes: list[Configuration] = [base_configuration(params, signs)]   # validates the signs
+    units = tuple(p.coords for p in keyframes[0].points[:k])
     scales = (1,) * params.n
     for letter in word.letters:
         # coordinate i of point j is kept or negated by f_i g_j sigma_j, f = (s, 1), g = (s, 1, 1)
@@ -414,12 +416,15 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
                 ProjectivePoint(tuple(c * m for c, m in zip(p.coords, row)))
                 for p, row in zip(config.points, flips)
             )))
-        signs = sign_action(Word(params, (letter,)), signs)
-        end = base_configuration(params, signs).points
-        ratios = [p.ratio_to(q) for p, q in zip(keyframes[-1].points, end)]
-        if any(r not in ((1, 1), (-1, 1)) for r in ratios):
+        # the letter's sign action: omitting c <= k-1 flips sign c, otherwise every sign flips
+        c = letter.omitted_index(params)
+        signs = tuple(-s if c >= k or i == c - 1 else s for i, s in enumerate(signs))
+        scales = tuple(
+            1 if p.coords == q else -1 if p.coords == tuple(-x for x in q) else 0
+            for p, q in zip(keyframes[-1].points, (*units, (*signs, 1)))
+        )
+        if 0 in scales:
             raise CertificationError(f"letter path for {letter} missed its endpoint")
-        scales = tuple(p for p, _ in ratios)
     if len(keyframes) == 1:
         keyframes.append(keyframes[0])
     return PLPath(params, tuple(keyframes))

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from projbraid.cli import build_parser, main
+from projbraid.cli import COMMANDS, build_parser, command_parser, main
+
+
+def clear_parsers():
+    """Forget every parser built so far, as a new process starts."""
+    build_parser.cache_clear()
+    command_parser.cache_clear()
 
 
 def run(capsys, *argv):
@@ -473,7 +479,7 @@ class TestSelftestFailures:
 
 
 class TestRepeatedCalls:
-    # main parses with one parser per process; no call may see another's arguments
+    # main parses with one parser per command and process; no call may see another's arguments
     SEQUENCE = [
         ("--k", "4", "--format", "structured", "solve", "b1 b2 b1 b2"),
         ("solve", "b4 b4"),
@@ -490,12 +496,15 @@ class TestRepeatedCalls:
     ]
 
     def test_parser_is_built_once(self):
+        clear_parsers()
         assert build_parser() is build_parser()
+        for name in COMMANDS:
+            assert command_parser(name) is command_parser(name)
 
     def test_no_state_leaks_between_calls(self, capsys):
         fresh = []
         for argv in self.SEQUENCE:
-            build_parser.cache_clear()
+            clear_parsers()
             fresh.append(run(capsys, *argv))
         shared = [run(capsys, *argv) for argv in self.SEQUENCE]
         shared_reversed = [run(capsys, *argv) for argv in reversed(self.SEQUENCE)]

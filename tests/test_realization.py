@@ -487,6 +487,11 @@ class TestLetterPaths:
         with pytest.raises(ValueError):
             letter_path(P43, Letter((1, 2, 5)), reference_signs(P43))
 
+    @pytest.mark.parametrize("signs", [(1,), (1, 1, 1), (1, 2), (0, -1)])
+    def test_rejects_bad_starting_signs(self, signs):
+        with pytest.raises(ValueError, match="sign string"):
+            path_from_word(parse_word("b4 b1", P43), signs)
+
 
 def reference_letter_path(params: GroupParams, letter: Letter, signs) -> tuple[PLPath, tuple[int, ...]]:
     """The letter path built for ``signs`` itself, with no derivation: the
