@@ -100,15 +100,18 @@ def _trace_entry(moves) -> tuple:
     """The ``trace`` entry: one indented text line and one document per move.
 
     The kind, letter name and text prefix are built once per move type and
-    letter; a letter prints as ``a{...}``, so it is a format argument only."""
+    letter, keyed by the letter's subset tuple (hashed in C, where a
+    ``Letter`` hashes in Python); a letter prints as ``a{...}``, so it is a
+    format argument only."""
     docs, lines, forms = [], [], {}
     for move in moves:
         letter = getattr(move, "letter", None)
-        form = forms.get((type(move), letter))
+        key = type(move), None if letter is None else letter.subset
+        form = forms.get(key)
         if form is None:
             kind, template = _MOVE_FORMS[type(move)]
             name = None if letter is None else str(letter)
-            form = forms[type(move), letter] = (kind, name, template.format(letter=name))
+            form = forms[key] = (kind, name, template.format(letter=name))
         kind, name, prefix = form
         pos = move.pos
         lines.append(prefix + str(pos))

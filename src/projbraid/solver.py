@@ -102,16 +102,17 @@ class Verdict:
 def check_trace(input_word: Word, trace: EliminationTrace, output_word: Word) -> bool:
     """Replay ``trace`` from ``input_word``; True iff it lands on ``output_word``.
 
-    Every step is validated; an illegal step raises ``IllegalMoveError`` with
-    its index.  A legal trace with the wrong endpoint returns False.
+    Every step is validated; an illegal step, an inserted letter the group
+    does not hold included, raises ``IllegalMoveError`` with its index.  A
+    legal trace with the wrong endpoint returns False.
     """
     tape = _Tape(input_word)
     for step_index, move in enumerate(trace):
         try:
             tape.apply(move)
-        except IllegalMoveError as exc:
+        except ValueError as exc:   # an IllegalMoveError, or a foreign inserted letter
             raise IllegalMoveError(f"{exc.args[0]}", step=step_index) from exc
-    return tape.word().letters == output_word.letters
+    return output_word.params == tape.params and tape.cells == list(output_word.codes)
 
 
 def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
@@ -147,35 +148,37 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
     reduced block, so the left-to-right reduction of the new block cancels
     only pairs across that junction.  With the repeat among the first k+1
     letters, a round costs O(k) checks whatever the length of the block.
+
+    The surgery runs on codes: each move goes through the tape's check for
+    its kind as (position, code), and only then is its ``Move`` built, once,
+    with the table's ``Letter``.
     """
     k = tape.k
     last = k                  # the code of b(k+1); code j - 1 is bj
     cells, letters = tape.cells, tape.letters
+    cancel, insert, reverse, emit = tape.cancel, tape.insert, tape.reverse, moves.append
     block = cells[first + 1 : second]
     if last in block:
         raise ValueError("block must not contain the last alias")
-    counts = [block.count(code) for code in range(k)]
-    if len({c % 2 for c in counts}) > 1:
+    if len({block.count(code) & 1 for code in range(k)}) > 1:
+        counts = [block.count(code) for code in range(k)]
         raise ParityMismatchError(f"alias counts {counts} are not of equal parity")
 
-    def play(move: Move) -> None:
-        moves.append(move)
-        tape.apply(move)
-
     for pos, code in free_cancel(block)[1]:
-        play(CancelPair(first + 1 + pos, letters[code]))
+        cancel(first + 1 + pos, code)
+        emit(CancelPair(first + 1 + pos, letters[code]))
         second -= 2
 
     while second > first + 1:
         head = cells[first + 1 : min(second, first + k + 2)]
-        repeat = next((p for p in range(len(head)) if head[p] in head[:p]), None)
-
-        if repeat is None:
+        if len(set(head)) == len(head):
             # the block is a once-each arrangement of b1..bk: one window
-            play(ReverseWindow(first))
+            reverse(first)
+            emit(ReverseWindow(first))
             first += k
             break
 
+        repeat = next(p for p in range(1, len(head)) if head[p] in head[:p])
         prefix, repeated = head[:repeat], head[repeat]
         p_codes = [code for code in range(k) if code not in prefix]
         q_codes = sorted(set(prefix) - {repeated})
@@ -188,8 +191,10 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
         # letters that followed b(k+1) in the window.
         for mirrored, tail in ((p_codes, repeat), (q_codes, len(p_codes) + 1)):
             for j, code in enumerate(reversed(mirrored)):
-                play(InsertPair(first + j, letters[code]))
-            play(ReverseWindow(first + len(mirrored)))
+                insert(first + j, code)
+                emit(InsertPair(first + j, letters[code]))
+            reverse(first + len(mirrored))
+            emit(ReverseWindow(first + len(mirrored)))
             first += len(mirrored) + tail
             second += 2 * len(mirrored)
 
@@ -199,10 +204,13 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
         junction = first + 1 + len(q_codes)     # the first cell after reverse(Q)
         while first + 1 < junction < second and cells[junction - 1] == cells[junction]:
             junction -= 1
-            play(CancelPair(junction, letters[cells[junction]]))
+            code = cells[junction]
+            cancel(junction, code)
+            emit(CancelPair(junction, letters[code]))
             second -= 2
 
-    play(CancelPair(first, letters[last]))
+    cancel(first, last)
+    emit(CancelPair(first, letters[last]))
 
 
 def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:

@@ -124,18 +124,22 @@ class Word:
 class _LetterTable(NamedTuple):
     """Every letter of a group in ``all_letters`` order, the code of each
     letter (its position in that order) keyed by the letter's subset, and
-    the letter of each token ``bj``: code j - 1 is ``bj``."""
+    the code of each token ``bj``: code j - 1 is ``bj``."""
 
     letters: tuple[Letter, ...]
     codes: dict[tuple[int, ...], int]
-    aliases: dict[str, Letter]
+    aliases: dict[str, int]
 
 
 @lru_cache(maxsize=64)
 def _letter_table(params: GroupParams) -> _LetterTable:
     letters = tuple(Letter(s) for s in combinations(range(1, params.n + 1), params.k))
-    aliases = {f"b{j}": letter for j, letter in enumerate(letters, 1)}
+    aliases = {f"b{j}": j - 1 for j in range(1, len(letters) + 1)}
     return _LetterTable(letters, {letter.subset: code for code, letter in enumerate(letters)}, aliases)
+
+
+def _foreign(params: GroupParams, letter: Letter) -> ValueError:
+    return ValueError(f"letter {letter} is not a k-subset of 1..{params.n} for k={params.k}")
 
 
 def _encode(params: GroupParams, letters: Iterable[Letter]) -> tuple[int, ...]:
@@ -144,8 +148,18 @@ def _encode(params: GroupParams, letters: Iterable[Letter]) -> tuple[int, ...]:
     try:
         return tuple([codes[letter.subset] for letter in letters])
     except KeyError as exc:
-        letter = Letter(exc.args[0])
-        raise ValueError(f"letter {letter} is not a k-subset of 1..{params.n} for k={params.k}") from None
+        raise _foreign(params, Letter(exc.args[0])) from None
+
+
+def _from_codes(params: GroupParams, codes: tuple[int, ...]) -> Word:
+    """The word of ``codes``, each already a code of the group: its letters
+    are read from the letter table, and nothing is encoded again."""
+    word = object.__new__(Word)
+    object.__setattr__(word, "params", params)
+    letters = _letter_table(params).letters
+    object.__setattr__(word, "letters", tuple([letters[code] for code in codes]))
+    object.__setattr__(word, "codes", codes)
+    return word
 
 
 _B_TOKEN = re.compile(r"b([0-9]+)\Z")
@@ -158,39 +172,43 @@ def parse_word(text: str, params: GroupParams) -> Word:
     Tokens are either ``bJ`` or ``a{i1,...,ik}`` with no spaces inside the
     braces.  The empty string denotes the empty word.
     """
-    letters: list[Letter] = []
-    aliases = _letter_table(params).aliases
-    for index, token in enumerate(text.split()):
-        letter = aliases.get(token)
-        if letter is not None:
-            letters.append(letter)
-            continue
-        m = _B_TOKEN.match(token)
-        if m:
-            try:
-                j = int(m.group(1))
-            except ValueError:  # more digits than int() converts
-                j = 0
-            if not 1 <= j <= params.k + 1:
-                raise WordSyntaxError(f"b-index must lie in 1..{params.k + 1}", index, token)
-            letters.append(params.b_letter(j))
-            continue
-        m = _A_TOKEN.match(token)
-        if m:
-            try:
-                indices = tuple(int(part) for part in m.group(1).split(","))
-            except ValueError:  # an index with more digits than int() converts
-                raise WordSyntaxError(f"index out of range 1..{params.n}", index, token) from None
-            if len(set(indices)) != len(indices):
-                raise WordSyntaxError("repeated index in subset", index, token)
-            if len(indices) != params.k:
-                raise WordSyntaxError(f"subset must have exactly k={params.k} indices", index, token)
-            if any(i < 1 or i > params.n for i in indices):
-                raise WordSyntaxError(f"index out of range 1..{params.n}", index, token)
-            letters.append(Letter(tuple(sorted(indices))))
-            continue
-        raise WordSyntaxError("expected 'bJ' or 'a{i1,...,ik}'", index, token)
-    return Word(params, tuple(letters))
+    table = _letter_table(params)
+    aliases = table.aliases
+    codes: list[int] = []
+    for token in text.split():
+        code = aliases.get(token)
+        if code is None:
+            code = _token_code(token, len(codes), params, table)
+        codes.append(code)
+    return _from_codes(params, tuple(codes))
+
+
+def _token_code(token: str, index: int, params: GroupParams, table: _LetterTable) -> int:
+    """The code of a token that is no plain alias ``bj``, or the error that
+    names it as token ``index``."""
+    m = _B_TOKEN.match(token)
+    if m:
+        try:
+            j = int(m.group(1))
+        except ValueError:  # more digits than int() converts
+            j = 0
+        if not 1 <= j <= params.k + 1:
+            raise WordSyntaxError(f"b-index must lie in 1..{params.k + 1}", index, token)
+        return j - 1
+    m = _A_TOKEN.match(token)
+    if m:
+        try:
+            indices = tuple(int(part) for part in m.group(1).split(","))
+        except ValueError:  # an index with more digits than int() converts
+            raise WordSyntaxError(f"index out of range 1..{params.n}", index, token) from None
+        if len(set(indices)) != len(indices):
+            raise WordSyntaxError("repeated index in subset", index, token)
+        if len(indices) != params.k:
+            raise WordSyntaxError(f"subset must have exactly k={params.k} indices", index, token)
+        if any(i < 1 or i > params.n for i in indices):
+            raise WordSyntaxError(f"index out of range 1..{params.n}", index, token)
+        return table.codes[tuple(sorted(indices))]
+    raise WordSyntaxError("expected 'bJ' or 'a{i1,...,ik}'", index, token)
 
 
 def format_word(word: Word, style: str = "subset") -> str:
@@ -223,24 +241,24 @@ def free_cancel(items: Iterable[T]) -> tuple[tuple[T, ...], list[tuple[int, T]]]
 
 def free_reduce(word: Word) -> Word:
     """Cancel adjacent equal letters until none remain."""
-    return Word(word.params, free_cancel(word.letters)[0])
+    return _from_codes(word.params, free_cancel(word.codes)[0])
 
 
 def inverse(word: Word) -> Word:
     """The inverse word: letters reversed (every generator is an involution)."""
-    return Word(word.params, tuple(reversed(word.letters)))
+    return _from_codes(word.params, word.codes[::-1])
 
 
 def concat(*words: Word) -> Word:
     if not words:
         raise ValueError("concat needs at least one word")
     params = words[0].params
-    letters: list[Letter] = []
+    codes: list[int] = []
     for w in words:
         if w.params != params:
             raise ValueError("cannot concatenate words over different groups")
-        letters.extend(w.letters)
-    return Word(params, tuple(letters))
+        codes.extend(w.codes)
+    return _from_codes(params, tuple(codes))
 
 
 # --- primitive moves and traces --------------------------------------------
@@ -284,48 +302,70 @@ class IllegalMoveError(ValueError):
 class _Tape:
     """A word as a mutable list of letter codes, rewritten in place by moves.
 
-    ``apply`` decides whether a move is legal from the cells it touches
-    alone: a cancel or an insert costs O(1) checks and one list splice, a
-    window O(k) checks.
+    Each move kind has one legality check, made on codes from the cells the
+    move touches alone: ``cancel`` wants the pair in bounds, equal, and of
+    the code given; ``insert`` a position in bounds; ``reverse`` a window in
+    bounds of k + 1 distinct codes.  A cancel or an insert costs O(1) checks
+    and one list splice, a window O(k).  ``apply`` replays a ``Move`` by
+    decoding its letter through the letter table and making the same check;
+    ``Letter`` and ``Move`` objects are built only where moves are read in
+    or written out.
     """
 
     def __init__(self, word: Word):
+        table = _letter_table(word.params)
         self.params = word.params
         self.k = word.params.k
-        self.letters = _letter_table(word.params).letters
+        self.letters = table.letters
+        self.codes = table.codes
         self.cells = list(word.codes)
 
     def word(self) -> Word:
-        return Word(self.params, tuple(self.letters[code] for code in self.cells))
+        return _from_codes(self.params, tuple(self.cells))
+
+    def cancel(self, pos: int, code: int | None, letter: Letter | None = None) -> None:
+        """Delete the pair of ``code`` at pos, pos + 1.  ``letter`` names the
+        recorded letter in the error, and is the only name of one the group
+        does not hold (``code`` None)."""
+        cells = self.cells
+        if not 0 <= pos <= len(cells) - 2:
+            raise IllegalMoveError(f"cancel position {pos} out of bounds")
+        if cells[pos] != cells[pos + 1]:
+            raise IllegalMoveError(f"letters at {pos}, {pos + 1} differ")
+        if cells[pos] != code:
+            recorded = self.letters[code] if letter is None else letter
+            raise IllegalMoveError(f"recorded letter {recorded} does not match {self.letters[cells[pos]]}")
+        del cells[pos : pos + 2]
+
+    def insert(self, pos: int, code: int | None, letter: Letter | None = None) -> None:
+        """Insert two copies of ``code`` at pos; ``letter`` as for ``cancel``."""
+        cells = self.cells
+        if not 0 <= pos <= len(cells):
+            raise IllegalMoveError(f"insert position {pos} out of bounds")
+        if code is None:
+            raise _foreign(self.params, letter)
+        cells[pos:pos] = (code, code)
+
+    def reverse(self, start: int) -> None:
+        """Reverse the window of k + 1 cells from ``start``."""
+        cells = self.cells
+        end = start + self.k + 1
+        if start < 0 or end > len(cells):
+            raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(cells)}")
+        window = cells[start:end]
+        if len(set(window)) != self.k + 1:
+            raise IllegalMoveError(f"letters at [{start}, {end}) do not cover a common (k+1)-set once each")
+        cells[start:end] = window[::-1]
 
     def apply(self, move: Move) -> None:
-        """Apply one primitive move, raising ``IllegalMoveError`` when it is illegal here."""
-        cells = self.cells
-        if isinstance(move, CancelPair):
-            pos = move.pos
-            if not 0 <= pos <= len(cells) - 2:
-                raise IllegalMoveError(f"cancel position {pos} out of bounds")
-            if cells[pos] != cells[pos + 1]:
-                raise IllegalMoveError(f"letters at {pos}, {pos + 1} differ")
-            letter = self.letters[cells[pos]]
-            if letter != move.letter:
-                raise IllegalMoveError(f"recorded letter {move.letter} does not match {letter}")
-            del cells[pos : pos + 2]
+        """Replay one ``Move``, raising ``IllegalMoveError`` when it is illegal
+        here, and ``ValueError`` for an inserted letter the group does not hold."""
+        if isinstance(move, ReverseWindow):
+            self.reverse(move.pos)
+        elif isinstance(move, CancelPair):
+            self.cancel(move.pos, self.codes.get(move.letter.subset), move.letter)
         elif isinstance(move, InsertPair):
-            pos = move.pos
-            if not 0 <= pos <= len(cells):
-                raise IllegalMoveError(f"insert position {pos} out of bounds")
-            cells[pos:pos] = _encode(self.params, (move.letter,)) * 2
-        elif isinstance(move, ReverseWindow):
-            start, end = move.pos, move.pos + self.k + 1
-            if start < 0 or end > len(cells):
-                raise IllegalMoveError(f"window [{start}, {end}) out of bounds for length {len(cells)}")
-            window = cells[start:end]
-            if len(set(window)) != self.k + 1:
-                raise IllegalMoveError(
-                    f"letters at [{start}, {end}) do not cover a common (k+1)-set once each"
-                )
-            cells[start:end] = window[::-1]
+            self.insert(move.pos, self.codes.get(move.letter.subset), move.letter)
         else:
             raise IllegalMoveError(f"unknown move {move!r}")
 
@@ -347,8 +387,9 @@ def invert_move(move: Move) -> Move:
 
 def free_reduce_with_trace(word: Word) -> tuple[Word, list[Move]]:
     """Left-to-right reduction, recording each cancellation as a move."""
-    reduced, cancels = free_cancel(word.letters)
-    return Word(word.params, reduced), [CancelPair(pos, letter) for pos, letter in cancels]
+    reduced, cancels = free_cancel(word.codes)
+    letters = _letter_table(word.params).letters
+    return _from_codes(word.params, reduced), [CancelPair(pos, letters[code]) for pos, code in cancels]
 
 
 # --- bounded equality oracle ------------------------------------------------

@@ -11,8 +11,10 @@ move.
 """
 
 import dataclasses
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,9 @@ from projbraid.words import CancelPair, GroupParams, InsertPair, ReverseWindow, 
 
 P43 = GroupParams(4, 3)
 P54 = GroupParams(5, 4)
+P65 = GroupParams(6, 5)
+P76 = GroupParams(7, 6)
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def scan_indices(word: Word) -> list[tuple[int, ...]]:
@@ -114,7 +119,7 @@ def long_words() -> list[Word]:
     for length in (64, 128, 256, 512):
         for seed_word in ([], [1, 2, 1, 2], [4, 1, 1, 4]):
             words.append(scrambled(P43, seed_word, length, rng))
-    words += [scrambled(P54, [], length, rng) for length in (64, 128)]
+    words += [scrambled(params, [], length, rng) for params in (P54, P65, P76) for length in (64, 128)]
     return words + [wwinv(400, 1), wwinv(800, 2)]
 
 
@@ -195,19 +200,48 @@ def reference_block_moves(block: list[int], k: int) -> tuple[list[int], list]:
             second += 2 * len(mirrored)
 
 
-def test_long_block_matches_the_full_rescan():
-    # a freely reduced block of 256 letters whose alias counts share one parity
-    rng = random.Random(256)
+def equal_parity_block(k: int, m: int, rng: random.Random) -> list[int]:
+    """A freely reduced block of m b-indices from 1..k whose alias counts share one parity."""
     while True:
-        block = [rng.randint(1, 3)]
-        while len(block) < 256:
-            block.append(rng.choice([j for j in (1, 2, 3) if j != block[-1]]))
-        if len({block.count(j) % 2 for j in (1, 2, 3)}) == 1:
-            break
-    word = Word(P43, tuple(P43.b_letter(j) for j in [4] + block + [4]))
-    expected_word, expected_moves = reference_block_moves(block, 3)
+        block = [rng.randint(1, k)]
+        while len(block) < m:
+            block.append(rng.choice([j for j in range(1, k + 1) if j != block[-1]]))
+        if len({block.count(j) % 2 for j in range(1, k + 1)}) == 1:
+            return block
+
+
+def assert_block_matches_the_full_rescan(k: int, block: list[int]) -> None:
+    params = GroupParams(k + 1, k)
+    word = Word(params, tuple(params.b_letter(j) for j in [k + 1] + block + [k + 1]))
+    expected_word, expected_moves = reference_block_moves(block, k)
     rewritten, trace = eliminate_last(word)
-    assert [letter.b_index(P43) for letter in rewritten.letters] == expected_word
+    assert [letter.b_index(params) for letter in rewritten.letters] == expected_word
     assert list(trace.steps) == expected_moves
-    assert len(trace) > 256
+    assert len(trace) > len(block)
     assert check_trace(word, trace, rewritten)
+
+
+def test_long_block_matches_the_full_rescan():
+    assert_block_matches_the_full_rescan(3, equal_parity_block(3, 256, random.Random(256)))
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_long_block_matches_the_full_rescan_at_higher_k(k):
+    assert_block_matches_the_full_rescan(k, equal_parity_block(k, 128, random.Random(k)))
+
+
+@pytest.fixture(scope="module")
+def solve_long_words(tmp_path_factory):
+    """The words of the benchmark's ``solve-long`` workload, seed 7, whose image is empty."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    ops = inputs.build("solve-long", 7, tmp_path_factory.mktemp("solve-long"))["ops"]
+    words = [Word(P43, tuple(P43.b_letter(j) for j in op["word"])) for op in ops]
+    return [word for word in words if reduces_to_identity(scan_indices(word))]
+
+
+def test_benchmark_words_match_reference(solve_long_words):
+    assert len(solve_long_words) > 200
+    for word in solve_long_words:
+        assert_matches_reference(word)

@@ -137,15 +137,15 @@ def test_each_move_matches_the_tuple_replay(params):
 
 
 def reference_replay(word, moves):
-    """The earlier ``check_trace`` replay: the end word, or the failing step
-    and the exception's type and message."""
+    """The ``check_trace`` replay over the tuple moves: the end word, or the
+    failing step and the exception's type and message.  Every refused step
+    is an ``IllegalMoveError`` with its index, an inserted letter the group
+    does not hold (a plain ``ValueError`` from ``Word``) included."""
     for step, move in enumerate(moves):
         try:
             word = reference_apply_move(word, move)
-        except IllegalMoveError as exc:
-            return step, IllegalMoveError, f"step {step}: {exc}"
         except ValueError as exc:
-            return None, type(exc), str(exc)
+            return step, IllegalMoveError, f"step {step}: {exc}"
     return word
 
 

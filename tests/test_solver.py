@@ -145,6 +145,16 @@ class TestCheckTrace:
         with pytest.raises(IllegalMoveError):
             check_trace(w43("b1 b1 b2 b3"), bad, w43("b1 b1 b2 b3"))
 
+    def test_foreign_inserted_letter_names_its_step(self):
+        from projbraid.words import IllegalMoveError, InsertPair, Letter, ReverseWindow
+
+        w = w43("b1 b2 b3 b4")
+        bad = EliminationTrace((ReverseWindow(0), InsertPair(1, Letter((1, 2, 5)))))
+        with pytest.raises(IllegalMoveError) as err:
+            check_trace(w, bad, w)
+        assert err.value.step == 1
+        assert str(err.value) == "step 1: letter a{1,2,5} is not a k-subset of 1..4 for k=3"
+
 
 class TestMembership:
     """Membership in the b(k+1)-free subgroup is ``eliminate_last`` succeeding."""
