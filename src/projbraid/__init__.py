@@ -24,7 +24,6 @@ from .invariants import (
 from .projective import (
     Configuration,
     DegenerateFrameError,
-    ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
     shear_family,

@@ -1,15 +1,16 @@
 """Exact configurations of points in projective (k-1)-space, held in Z^k.
 
-Points are stored as explicit nonzero integer representative vectors.  A
-rational vector and its multiples by positive integers name the same point
-of RP^(k-1), so a rational point is held as its vector times a positive
-integer that clears its denominators (``clear_denominators``; path files
-are read that way).  The representative matters: piecewise linear paths
-interpolate the stored vectors, and two vectors that differ by a negative
-scalar trace different arcs through projective space.  Points are equal
-when their representatives are proportional, tested by cross-multiplication
-(no canonical representative is formed), and a sign string is read off the
-last point's coordinates, each times its k-th.
+A point is stored as an explicit nonzero integer representative vector, a
+plain tuple of ints that ``Configuration`` checks.  A rational vector and
+its multiples by positive integers name the same point of RP^(k-1), so a
+rational point is held as its vector times a positive integer that clears
+its denominators (``clear_denominators``; path files are read that way).
+The representative matters: piecewise linear paths interpolate the stored
+vectors, and two vectors that differ by a negative scalar trace different
+arcs through projective space.  Points are equal when their
+representatives are proportional, tested by cross-multiplication
+(``same_point``; no canonical representative is formed), and a sign string
+is read off the last point's coordinates, each times its k-th.
 
 Why integers lose nothing: scaling point i by one positive L_i in every
 keyframe of a path multiplies every k-subset determinant of every segment
@@ -33,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, gcd, lcm
+from math import factorial, lcm
 
 from . import polys
 from .invariants import SignString, check_sign_string
@@ -52,37 +53,13 @@ def clear_denominators(values) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of RP^(k-1), held as a chosen nonzero representative in Z^k."""
-
-    coords: Vector
-
-    def __post_init__(self) -> None:
-        # a Fraction would get through every later step but the exact
-        # divisions of ``_bareiss``, which it would silently get wrong
-        if not {int}.issuperset(map(type, self.coords)):
-            raise TypeError(f"coordinates must be integers, got {self.coords!r}")
-        if not any(self.coords):
-            raise ValueError("representative must be a nonzero vector")
-
-    def same_point(self, other: "ProjectivePoint") -> bool:
-        return self.ratio_to(other) is not None
-
-    def ratio_to(self, other: "ProjectivePoint") -> tuple[int, int] | None:
-        """(p, q) in lowest terms, q > 0, with q * self = p * other; None if
-        the representatives are not proportional."""
-        a, b = self.coords, other.coords
-        if a == b:
-            return 1, 1
-        if len(a) != len(b):
-            return None
-        j = next(j for j, y in enumerate(b) if y)
-        p, q = a[j], b[j]
-        if not all(x * q == y * p for x, y in zip(a, b)):
-            return None
-        g = gcd(p, q) if q > 0 else -gcd(p, q)
-        return p // g, q // g
+def same_point(a: Vector, b: Vector) -> bool:
+    """Whether two nonzero representatives name one point: whether they are
+    proportional, tested by cross-multiplication."""
+    if len(a) != len(b):
+        return False
+    j = next(j for j, y in enumerate(b) if y)
+    return all(x * b[j] == y * a[j] for x, y in zip(a, b))
 
 
 @dataclass(frozen=True)
@@ -90,19 +67,26 @@ class Configuration:
     """An ordered tuple of n points in RP^(k-1) for the group ``params``."""
 
     params: GroupParams
-    points: tuple[ProjectivePoint, ...]
+    points: tuple[Vector, ...]
 
     def __post_init__(self) -> None:
+        for p in self.points:
+            # a Fraction would get through every later step but the exact
+            # divisions of ``_bareiss``, which it would silently get wrong
+            if type(p) is not tuple or not {int}.issuperset(map(type, p)):
+                raise TypeError(f"coordinates must be integers, got {p!r}")
+            if not any(p):
+                raise ValueError("representative must be a nonzero vector")
         self.params.require_path_k()
         if len(self.points) != self.params.n:
             raise ValueError(f"expected {self.params.n} points, got {len(self.points)}")
         for p in self.points:
-            if len(p.coords) != self.params.k:
+            if len(p) != self.params.k:
                 raise ValueError("point dimension must equal k")
 
     def same_configuration(self, other: "Configuration") -> bool:
         return self.params == other.params and all(
-            p.same_point(q) for p, q in zip(self.points, other.points)
+            same_point(p, q) for p, q in zip(self.points, other.points)
         )
 
 
@@ -127,8 +111,8 @@ class ProjectiveTransform:
         if det(self.matrix) == 0:
             raise ValueError("matrix must be invertible")
 
-    def apply(self, point: ProjectivePoint) -> ProjectivePoint:
-        return ProjectivePoint(tuple(sum(r * c for r, c in zip(row, point.coords)) for row in self.matrix))
+    def apply(self, point: Vector) -> Vector:
+        return tuple(sum(r * c for r, c in zip(row, point)) for row in self.matrix)
 
     def apply_to_configuration(self, config: Configuration) -> Configuration:
         return Configuration(config.params, tuple(self.apply(p) for p in config.points))
@@ -209,7 +193,7 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     F, that is when the columns of K outside F have rank below n - r.
     """
     n, k = config.params.n, config.params.k
-    m = [[*p.coords, *(int(i == j) for j in range(n))] for i, p in enumerate(config.points)]
+    m = [[*p, *(int(i == j) for j in range(n))] for i, p in enumerate(config.points)]
     rank, _ = _bareiss(m, k)
     relations = [row[k:] for row in m[rank:]]
     for subset in combinations(range(n), k - 1):
@@ -226,29 +210,28 @@ def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
     without point m is minor m - 1, and the subsets in ascending order
     leave out n, n - 1, ..., 1.
     """
-    rows = [p.coords for p in config.points]
+    rows = config.points
     subsets = combinations(range(1, config.params.n + 1), config.params.k)
     return [s for s, d in zip(subsets, reversed(pencil_minors(rows, rows))) if not d]
 
 
 @lru_cache(maxsize=None)
-def _unit_points(k: int) -> tuple[ProjectivePoint, ...]:
+def _unit_points(k: int) -> tuple[Vector, ...]:
     """The coordinate points e_1, ..., e_k."""
-    return tuple(ProjectivePoint(tuple(int(i == j) for j in range(k))) for i in range(k))
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
 def _require_unit_points(config: Configuration, count: int) -> None:
     """Raise unless points 1..count are, projectively, e_1, ..., e_count."""
     for i, unit in enumerate(_unit_points(config.params.k)[:count]):
-        if not config.points[i].same_point(unit):
+        if not same_point(config.points[i], unit):
             raise ValueError(f"point {i + 1} must be the {i + 1}-th coordinate point")
 
 
 def base_configuration(params: GroupParams, signs: SignString) -> Configuration:
     """The marked configuration e_1, ..., e_k, (s_1, ..., s_{k-1}, 1)."""
     check_sign_string(signs, params)
-    last = ProjectivePoint((*signs, 1))
-    return Configuration(params, _unit_points(params.k) + (last,))
+    return Configuration(params, _unit_points(params.k) + ((*signs, 1),))
 
 
 def sign_string_of(config: Configuration) -> SignString:
@@ -262,7 +245,7 @@ def sign_string_of(config: Configuration) -> SignString:
     params = config.params
     k = params.k
     _require_unit_points(config, k)
-    *coords, last = config.points[k].coords
+    *coords, last = config.points[k]
     if last == 0:
         raise DegenerateFrameError("last point lies on the hyperplane x_k = 0")
     if not all(coords):
@@ -279,8 +262,8 @@ def sign_snap(config: Configuration) -> Configuration:
     """
     k = config.params.k
     signs = sign_string_of(config)
-    z_k = config.points[k].coords[k - 1]
-    target = ProjectivePoint(tuple(z_k * s for s in signs) + (z_k,))
+    z_k = config.points[k][k - 1]
+    target = tuple(z_k * s for s in signs) + (z_k,)
     return Configuration(config.params, config.points[:k] + (target,))
 
 
@@ -301,15 +284,14 @@ def shear_family(config: Configuration) -> Configuration:
     params = config.params
     k = params.k
     _require_unit_points(config, k - 1)
-    *column, xk = config.points[k - 1].coords
+    *column, xk = config.points[k - 1]
     if xk == 0:
         raise DegenerateFrameError("point k lies on the hyperplane x_k = 0")
     scale = abs(xk)
     if xk > 0:
         column = [-x for x in column]
     sheared = tuple(
-        ProjectivePoint(tuple(scale * c + p.coords[-1] * s for c, s in zip(p.coords, column)) + (scale * p.coords[-1],))
-        for p in config.points
+        tuple(scale * c + p[-1] * s for c, s in zip(p, column)) + (scale * p[-1],) for p in config.points
     )
     return Configuration(params, sheared)
 

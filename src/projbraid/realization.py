@@ -33,7 +33,6 @@ from . import polys
 from .invariants import SignString, format_sign_string, parse_sign_string, reference_signs, sign_action
 from .projective import (
     Configuration,
-    ProjectivePoint,
     ProjectiveTransform,
     Vector,
     base_configuration,
@@ -206,8 +205,7 @@ def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[Vector
     pair is left primitive, however large the lcm that cleared the point's
     denominators over the whole path (``path_from_document``)."""
     starts, ends = [], []
-    for p, q in zip(start.points, end.points):
-        a, b = p.coords, q.coords
+    for a, b in zip(start.points, end.points):
         g = gcd(*a, *b)
         if g != 1:
             a, b = tuple(x // g for x in a), tuple(x // g for x in b)
@@ -337,10 +335,12 @@ def word_from_path(path: PLPath) -> Word:
 # --- letter paths and roundtrips --------------------------------------------
 
 @lru_cache(maxsize=None)
-def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
-    """The letter path from the all-plus base configuration, certified by detection."""
+def _certified_letter_path(params: GroupParams, code: int) -> PLPath:
+    """The path of the letter of ``code`` from the all-plus base configuration,
+    certified by detection.  ``bj`` (code j - 1) omits the index k + 2 - j."""
     k = params.k
-    c = letter.omitted_index(params)
+    c = k + 1 - code
+    letter = params.b_letter(code + 1)
     signs = reference_signs(params)
     start = base_configuration(params, signs)
 
@@ -348,12 +348,11 @@ def _certified_letter_path(params: GroupParams, letter: Letter) -> PLPath:
     if c <= k - 1:
         keyframes = (start, base_configuration(params, end_signs))
     elif c == k:
-        moved = ProjectivePoint((*signs, -1))
-        keyframes = (start, Configuration(params, start.points[:k] + (moved,)))
+        keyframes = (start, Configuration(params, start.points[:k] + ((*signs, -1),)))
     else:
         # the last point is framed by the others: send point k on a detour
         # through the opposite side, then shear everything straight again
-        detour = ProjectivePoint((*(-2 * s for s in signs), -1))
+        detour = (*(-2 * s for s in signs), -1)
         middle = Configuration(
             params, start.points[: k - 1] + (detour,) + (start.points[k],)
         )
@@ -406,25 +405,24 @@ def path_from_word(word: Word, signs: SignString | None = None) -> PLPath:
     k = params.k
     signs = tuple(signs) if signs is not None else reference_signs(params)
     keyframes: list[Configuration] = [base_configuration(params, signs)]   # validates the signs
-    units = tuple(p.coords for p in keyframes[0].points[:k])
+    units = keyframes[0].points[:k]
     scales = (1,) * params.n
-    for letter in word.letters:
+    for code in word.codes:
         # coordinate i of point j is kept or negated by f_i g_j sigma_j, f = (s, 1), g = (s, 1, 1)
         flips = [[f * g * sigma for f in (*signs, 1)] for g, sigma in zip((*signs, 1, 1), scales)]
-        for config in _certified_letter_path(params, letter).keyframes[1:]:
+        for config in _certified_letter_path(params, code).keyframes[1:]:
             keyframes.append(Configuration(params, tuple(
-                ProjectivePoint(tuple(c * m for c, m in zip(p.coords, row)))
-                for p, row in zip(config.points, flips)
+                tuple(c * m for c, m in zip(p, row)) for p, row in zip(config.points, flips)
             )))
         # the letter's sign action: omitting c <= k-1 flips sign c, otherwise every sign flips
-        c = letter.omitted_index(params)
+        c = k + 1 - code
         signs = tuple(-s if c >= k or i == c - 1 else s for i, s in enumerate(signs))
         scales = tuple(
-            1 if p.coords == q else -1 if p.coords == tuple(-x for x in q) else 0
+            1 if p == q else -1 if p == tuple(-x for x in q) else 0
             for p, q in zip(keyframes[-1].points, (*units, (*signs, 1)))
         )
         if 0 in scales:
-            raise CertificationError(f"letter path for {letter} missed its endpoint")
+            raise CertificationError(f"letter path for {params.b_letter(code + 1)} missed its endpoint")
     if len(keyframes) == 1:
         keyframes.append(keyframes[0])
     return PLPath(params, tuple(keyframes))
@@ -516,12 +514,24 @@ def _decode_int(doc: dict, key: str) -> int:
     return value
 
 
+def _misshapen(frames) -> str | None:
+    """The first keyframe, or point of a keyframe, that is not a list, named;
+    None when there is none."""
+    for f, frame in enumerate(frames):
+        if type(frame) is not list:
+            return f"keyframe {f} must be a list of points, got {type(frame).__name__}"
+        for i, point in enumerate(frame):
+            if type(point) is not list:
+                return f"keyframe {f}: point {i + 1} must be a list of coordinates, got {type(point).__name__}"
+    return None
+
+
 def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
     doc = {
         "k": path.params.k,
         "n": path.params.n,
         "keyframes": [
-            [list(point.coords) for point in config.points]
+            [list(point) for point in config.points]
             for config in path.keyframes
         ],
     }
@@ -539,6 +549,12 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
     per point along the path, which changes no event (see ``projective``),
     so the path holds integers from here on.  The rationals are not kept,
     and ``path_to_document`` writes the integers.
+
+    Every keyframe and every point must be a list.  Strings and objects
+    would otherwise be read as their characters or keys; they reach only
+    the decoding branch, since their items are not ints, and are refused
+    only once every other check has passed, so a document that an earlier
+    check refuses keeps that check's message.
     """
     try:
         params = GroupParams(_decode_int(doc, "n"), _decode_int(doc, "k"))
@@ -546,9 +562,10 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
     params.require_path_k()
-    frames = raw_keyframes
+    frames, misshapen = raw_keyframes, None
     if not {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(frames)))):
         frames = [[[_decode_fraction(c) for c in coords] for coords in frame] for frame in frames]
+        misshapen = _misshapen(raw_keyframes)
         scales: dict[int, int] = {}
         for frame in frames:
             for i, coords in enumerate(frame):
@@ -558,14 +575,17 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
             for frame in frames
         ]
     keyframes = [
-        Configuration(params, tuple(ProjectivePoint(tuple(coords)) for coords in frame)) for frame in frames
+        Configuration(params, tuple(tuple(coords) for coords in frame)) for frame in frames
     ]
     base_sign: SignString | None = None
     if "base_sign" in doc:
         if not isinstance(doc["base_sign"], str):
             raise ValueError(f"base_sign must be a string, got {doc['base_sign']!r}")
         base_sign = parse_sign_string(doc["base_sign"], params)
-    return PLPath(params, tuple(keyframes)), base_sign
+    path = PLPath(params, tuple(keyframes))
+    if misshapen:
+        raise ValueError(misshapen)
+    return path, base_sign
 
 
 def check_base_sign(path: PLPath, base_sign: SignString) -> None:

@@ -37,7 +37,6 @@ from .invariants import (
 )
 from .projective import (
     Configuration,
-    ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
     clear_denominators,
@@ -289,7 +288,7 @@ def _random_marked_configuration(params: GroupParams, rng: random.Random) -> Con
         ]
         if any(not any(row) for row in coords):
             continue
-        tail = tuple(ProjectivePoint(tuple(clear_denominators(row))) for row in coords)
+        tail = tuple(tuple(clear_denominators(row)) for row in coords)
         config = Configuration(params, units + tail)
         if not singular_subsets(config):
             return config

@@ -86,17 +86,6 @@ class Letter:
 
     subset: tuple[int, ...]
 
-    def omitted_index(self, params: GroupParams) -> int:
-        """The unique element of {1, ..., n} missing from the subset.
-
-        ``bj`` omits k + 2 - j, since the aliases follow lexicographic order.
-        """
-        return params.k + 2 - self.b_index(params)
-
-    def b_index(self, params: GroupParams) -> int:
-        """Position of this letter in the b-alias order: code j - 1 is ``bj``."""
-        return _encode(params, (self,))[0] + 1
-
     def __str__(self) -> str:
         return "a{" + ",".join(str(i) for i in self.subset) + "}"
 

@@ -32,17 +32,15 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 def scan_indices(word: Word) -> list[tuple[int, ...]]:
     """Index strings of all last-alias occurrences, recomputed from scratch:
     parities of b1..bk before each one, flipped when the bk bit is 1, bk dropped."""
-    params = word.params
-    k = params.k
-    last = params.b_letter(k + 1)
+    k = word.params.k
     counts = [0] * k
     out = []
-    for letter in word.letters:
-        if letter == last:
+    for code in word.codes:
+        if code == k:   # b(k+1)
             flip = counts[k - 1]
             out.append(tuple(c ^ flip for c in counts[: k - 1]))
         else:
-            counts[letter.b_index(params) - 1] ^= 1
+            counts[code] ^= 1
     return out
 
 
@@ -215,7 +213,7 @@ def assert_block_matches_the_full_rescan(k: int, block: list[int]) -> None:
     word = Word(params, tuple(params.b_letter(j) for j in [k + 1] + block + [k + 1]))
     expected_word, expected_moves = reference_block_moves(block, k)
     rewritten, trace = eliminate_last(word)
-    assert [letter.b_index(params) for letter in rewritten.letters] == expected_word
+    assert [code + 1 for code in rewritten.codes] == expected_word
     assert list(trace.steps) == expected_moves
     assert len(trace) > len(block)
     assert check_trace(word, trace, rewritten)

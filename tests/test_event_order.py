@@ -11,6 +11,7 @@ so the last tests also count ``polys.gcd`` calls: one for a coincidence or
 for roots too close for the halving budget, none for a separable pair.
 """
 
+import hashlib
 import importlib.util
 from fractions import Fraction
 from functools import cmp_to_key
@@ -105,16 +106,34 @@ def outcome(segment, pencils):
 
 
 @pytest.fixture(scope="module")
-def certify_files(tmp_path_factory):
-    """The path files of the benchmark's ``certify-files`` workload, seeds 7 to 9."""
-    pytest.importorskip("sympy")
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", PERFBENCH / "inputs.py")
+def certify_files(request, tmp_path_factory):
+    """The path files of the benchmark's ``certify-files`` workload, seeds 7 to 9.
+
+    Building them takes most of this module's time, so they are kept in
+    pytest's cache under the SHA-256 of the generator's source and sympy's
+    version, and built as before when that key misses or the cache plugin
+    is disabled.  The file list is stored only once every file is written.
+    """
+    sympy = pytest.importorskip("sympy")
+    source = PERFBENCH / "inputs.py"
+    key = hashlib.sha256(source.read_bytes() + sympy.__version__.encode()).hexdigest()
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        files = cache.get(f"projbraid/certify-files/{key}", None)
+        if files and all(Path(name).is_file() for name in files):
+            return files
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", source)
     inputs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(inputs)
     files = []
     for seed in (7, 8, 9):
-        workdir = tmp_path_factory.mktemp(f"certify-files-{seed}")
+        if cache is None:
+            workdir = tmp_path_factory.mktemp(f"certify-files-{seed}")
+        else:
+            workdir = cache.mkdir(f"certify-files-{key[:16]}-{seed}")
         files += [op["file"] for op in inputs.build("certify-files", seed, workdir)["ops"]]
+    if cache is not None:
+        cache.set(f"projbraid/certify-files/{key}", files)
     return files
 
 

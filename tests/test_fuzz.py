@@ -50,16 +50,36 @@ coordinate = st.one_of(
 )
 
 
+def written_out(items):
+    """``items`` as one string, or as an object keyed by their texts: what a
+    reader that only iterates would take for characters or keys."""
+    texts = ["".join(map(str, x)) if isinstance(x, list) else str(x) for x in items]
+    return st.sampled_from(["".join(texts), dict.fromkeys(texts, 0)])
+
+
 @st.composite
 def path_documents(draw):
-    """Documents close to a path file: one field perturbed, coordinates mixed."""
+    """Documents close to a path file: one field perturbed, coordinates mixed,
+    and sometimes a keyframe, a point or every point of a keyframe written out."""
     k = draw(st.integers(2, 4))
     n = k + 1 + draw(st.sampled_from([0, 0, 0, 1]))
     dim = k + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    # mixed coordinates almost never make a valid document; integers often do,
+    # and digits 0-3 still do once a point is written out as a string
+    coordinates = draw(st.sampled_from([coordinate, st.integers(-3, 3), st.integers(0, 3), st.integers(0, 3)]))
     frames = draw(
-        st.lists(st.lists(st.lists(coordinate, min_size=dim, max_size=dim), min_size=n, max_size=n),
+        st.lists(st.lists(st.lists(coordinates, min_size=dim, max_size=dim), min_size=n, max_size=n),
                  min_size=1, max_size=3)
     )
+    shape = draw(st.sampled_from([None, "keyframe", "point", "every point"]))
+    if shape is not None:
+        f = draw(st.integers(0, len(frames) - 1))
+        if shape == "keyframe":
+            frames[f] = draw(written_out(frames[f]))
+        else:
+            points = range(n) if shape == "every point" else [draw(st.integers(0, n - 1))]
+            for i in points:
+                frames[f][i] = draw(written_out(frames[f][i]))
     doc = {"k": k, "n": n, "keyframes": frames}
     if draw(st.booleans()):
         doc["base_sign"] = draw(st.one_of(st.text(alphabet="+-(),x ", max_size=6), json_scalars))
@@ -77,6 +97,7 @@ def check_path_document(doc) -> None:
     except PATH_FILE_ERRORS:
         return
     assert len(path.keyframes) >= 2
+    assert all(type(frame) is list and all(type(p) is list for p in frame) for frame in doc["keyframes"])
     assert path.params.n <= MAX_SUBSETS
     assert base_sign is None or len(base_sign) == path.params.k - 1
 

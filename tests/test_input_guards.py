@@ -10,7 +10,6 @@ from projbraid.invariants import occurrence_index
 from projbraid.projective import (
     Configuration,
     DegenerateFrameError,
-    ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
     sign_string_of,
@@ -23,8 +22,8 @@ P43 = GroupParams(4, 3)
 P54 = GroupParams(5, 4)
 
 
-def pt(*coords) -> ProjectivePoint:
-    return ProjectivePoint(tuple(coords))
+def pt(*coords) -> tuple[int, ...]:
+    return tuple(coords)
 
 
 def base() -> Configuration:
@@ -40,16 +39,20 @@ GUARDS = {
         lambda: Configuration(P43, base().points[:3] + (pt(1, 1, 1, 1),)),
         ValueError, "point dimension must equal k",
     ),
+    "configuration-zero-row-before-point-count": (
+        lambda: Configuration(P43, base().points[:2] + (pt(0, 0, 0),)),
+        ValueError, "representative must be a nonzero vector",
+    ),
     "path-keyframes-of-another-group": (
         lambda: PLPath(P54, (base(), base())),
         ValueError, "keyframe parameters disagree with the path",
     ),
     "point-fraction-coordinate": (
-        lambda: ProjectivePoint((1, F(1, 2), 0)),
+        lambda: Configuration(P43, base().points[:3] + (pt(1, F(1, 2), 0),)),
         TypeError, "coordinates must be integers, got (1, Fraction(1, 2), 0)",
     ),
     "point-bool-coordinate": (
-        lambda: ProjectivePoint((1, True, 0)),
+        lambda: Configuration(P43, base().points[:3] + (pt(1, True, 0),)),
         TypeError, "coordinates must be integers, got (1, True, 0)",
     ),
     "non-square-transform": (

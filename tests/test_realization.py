@@ -2,6 +2,7 @@
 
 import contextlib
 import random
+import re
 import signal
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +13,6 @@ from projbraid import polys
 from projbraid.invariants import reference_signs, sign_action, sign_orbit
 from projbraid.projective import (
     Configuration,
-    ProjectivePoint,
     ProjectiveTransform,
     base_configuration,
     clear_denominators,
@@ -56,8 +56,8 @@ F = Fraction
 P43 = GroupParams(4, 3)
 
 
-def pt(*coords) -> ProjectivePoint:
-    return ProjectivePoint(tuple(coords))
+def pt(*coords) -> tuple[int, ...]:
+    return tuple(coords)
 
 
 def config(*rows) -> Configuration:
@@ -103,9 +103,9 @@ class TestDetection:
         p = path(BASE, (E1, E2, E3, (-1, 1, 1)))
         [event] = detect_events(p)
         t = event.t
-        start, end = p.keyframes[0].points[3].coords, p.keyframes[1].points[3].coords
+        start, end = p.keyframes[0].points[3], p.keyframes[1].points[3]
         mid = clear_denominators([(1 - t) * a + t * b for a, b in zip(start, end)])
-        rows = (p.keyframes[0].points[1].coords, p.keyframes[0].points[2].coords, mid)
+        rows = (p.keyframes[0].points[1], p.keyframes[0].points[2], mid)
         from projbraid.projective import det
 
         assert det(rows) == 0
@@ -198,10 +198,11 @@ class TestErrors:
 
 def reference_check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
     """The origin-crossing check on the keyframes' fractions: an end
-    representative that is a negative multiple (``ratio_to``) of the start."""
+    representative that is a negative multiple of the start."""
     for i, (p, q) in enumerate(zip(start.points, end.points)):
-        ratio = q.ratio_to(p)
-        if ratio is not None and ratio[0] < 0:
+        j = next(j for j, x in enumerate(p) if x)
+        ratio = F(q[j], p[j])
+        if ratio < 0 and all(y == ratio * x for x, y in zip(p, q)):
             raise ZeroVectorOnSegment(
                 f"segment {segment}: point {i + 1} representative passes through the origin"
             )
@@ -499,15 +500,15 @@ def reference_letter_path(params: GroupParams, letter: Letter, signs) -> tuple[P
     a detour of point k then the straightening shear applied as a full
     matrix."""
     k = params.k
-    c = letter.omitted_index(params)
+    c = k + 1 - Word(params, (letter,)).codes[0]
     start = base_configuration(params, signs)
     end_signs = sign_action(Word(params, (letter,)), signs)
     if c <= k - 1:
         return PLPath(params, (start, base_configuration(params, end_signs))), end_signs
     if c == k:
-        moved = ProjectivePoint((*signs, -1))
+        moved = (*signs, -1)
         return PLPath(params, (start, Configuration(params, start.points[:k] + (moved,)))), end_signs
-    detour = ProjectivePoint((*(-2 * s for s in signs), -1))
+    detour = (*(-2 * s for s in signs), -1)
     middle = Configuration(params, start.points[: k - 1] + (detour,) + (start.points[k],))
     column = [-2 * s for s in signs] + [1]   # -detour_j / detour_k
     shear = ProjectiveTransform(tuple(
@@ -563,15 +564,13 @@ class TestPathFromWord:
         if scale is None:
             last = config(E1, E2, E3, (1, 2, 3))
         else:
-            last = Configuration(P43, tuple(
-                ProjectivePoint(tuple(scale * c for c in p.coords)) for p in end.points
-            ))
+            last = Configuration(P43, tuple(tuple(scale * c for c in p) for p in end.points))
         original = realization._certified_letter_path
 
-        def certified(params, letter):
-            if letter == b3:
+        def certified(params, code):
+            if code == 2:   # b3
                 return PLPath(params, (base_configuration(params, (1, 1)), last))
-            return original(params, letter)
+            return original(params, code)
 
         monkeypatch.setattr(realization, "_certified_letter_path", certified)
         for signs in [(1, 1), (-1, 1)]:
@@ -651,8 +650,8 @@ class TestPathFiles:
             [[1, 0, 0], [0, 1, 0], [0, 0, 1], ["3/4", 1, "-2/2"]],
         ]}
         p, _ = path_from_document(doc)
-        assert [config.points[3].coords for config in p.keyframes] == [(6, -4, 12), (12, 12, 12), (9, 12, -12)]
-        assert all(config.points[2].coords == (0, 0, 1) for config in p.keyframes)
+        assert [config.points[3] for config in p.keyframes] == [(6, -4, 12), (12, 12, 12), (9, 12, -12)]
+        assert all(config.points[2] == (0, 0, 1) for config in p.keyframes)
         assert path_to_document(p)["keyframes"][0][3] == [6, -4, 12]
 
     def test_roundtrip_is_exact(self, tmp_path):
@@ -682,6 +681,22 @@ class TestPathFiles:
         doc = path_to_document(path(BASE, BASE), base_sign=(1, 1))
         doc["base_sign"] = "+++"
         with pytest.raises(ValueError):
+            path_from_document(doc)
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (["100", "010", "001", "111"], "keyframe 0: point 1 must be a list of coordinates, got str"),
+            ([[1, 0, 0], [0, 1, 0], [0, 0, 1], {"1": 0, "1/2": 0, "3": 0}],
+             "keyframe 0: point 4 must be a list of coordinates, got dict"),
+            ({"100": 0, "010": 0, "001": 0, "111": 0}, "keyframe 0 must be a list of points, got dict"),
+        ],
+        ids=["digit-string-points", "object-point", "object-keyframe"],
+    )
+    def test_keyframes_and_points_must_be_lists(self, frame, message):
+        # read as their characters or keys, each of these once made a valid path
+        doc = {"k": 3, "n": 4, "keyframes": [frame, [list(row) for row in BASE]]}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             path_from_document(doc)
 
     @pytest.mark.parametrize("base_sign", ["xy", "+x", "", ["+", "+"], 11])

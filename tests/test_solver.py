@@ -102,7 +102,7 @@ class TestEliminateLast:
     def test_two_pairs(self):
         w = w43("b4 b1 b1 b4 b4 b2 b2 b4")
         out, trace = eliminate_last(w)
-        assert all(l.b_index(P43) != 4 for l in out.letters)
+        assert 3 not in out.codes   # no b4
         assert check_trace(w, trace, out)
         assert free_reduce(out).letters == ()
 
@@ -127,7 +127,7 @@ class TestEliminateLast:
         # third and fourth occurrences only match after the global bit flip
         w = w43("b4 b1 b2 b1 b2 b4 b3 b4 b1 b2 b3 b4")
         out, trace = eliminate_last(w)
-        assert all(l.b_index(P43) != 4 for l in out.letters)
+        assert 3 not in out.codes   # no b4
         assert check_trace(w, trace, out)
         assert bfs_equal_oracle(w, out, max_len=18, max_states=200_000).equal
 

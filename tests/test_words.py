@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from projbraid.invariants import last_alias_occurrences, parity_vector
+from projbraid.realization import letter_path
 from projbraid.words import (
     CancelPair,
     GroupParams,
@@ -86,21 +87,22 @@ class TestParams:
         # b1 omits k+1, b_{k+1} omits 1
         assert b(1).subset == (1, 2, 3)
         assert b(4).subset == (2, 3, 4)
-        assert b(1).omitted_index(P43) == 4
-        assert b(4).b_index(P43) == 4
+        assert Word(P43, (b(1), b(4))).codes == (0, 3)
 
     @pytest.mark.parametrize("k", range(2, 8))
     def test_omitted_index_is_the_set_difference(self, k):
         params = GroupParams(k + 1, k)
-        for letter in params.all_letters():
+        # the letter of code j - 1, bj, omits k + 2 - j (see realization.path_from_word)
+        for code, letter in enumerate(params.all_letters()):
             (missing,) = set(range(1, k + 2)) - set(letter.subset)
-            assert letter.omitted_index(params) == missing
-            assert params.b_letter(letter.b_index(params)) == letter
+            assert Word(params, (letter,)).codes == (k + 1 - missing,)
+            assert params.b_letter(code + 1) == letter
 
     @pytest.mark.parametrize("subset", [(1, 2), (1, 2, 3, 4), (1, 2, 5)])
     def test_omitted_index_rejects_letters_of_other_groups(self, subset):
-        with pytest.raises(ValueError):
-            Letter(subset).omitted_index(P43)
+        # a letter path reads the omitted index off the letter's code
+        with pytest.raises(ValueError, match="is not a k-subset of 1..4 for k=3"):
+            letter_path(P43, Letter(subset), (1, 1))
 
     # a malformed subset is no key of the letter table, so a word refuses it
     # with the message of any other foreign letter
@@ -143,7 +145,6 @@ class TestLetterRule:
         checks = [
             lambda letter: Word(params, (letter,)),
             lambda letter: apply_move(Word(params, ()), InsertPair(0, letter)),
-            lambda letter: letter.b_index(params),
         ]
         for check in checks:
             accepted, refused = self._verdicts(check, params)
@@ -158,8 +159,6 @@ class TestLetterRule:
         for refuse in (
             lambda: Word(P43, (letter,)),
             lambda: apply_move(word(1), InsertPair(0, letter)),
-            lambda: letter.b_index(P43),
-            lambda: letter.omitted_index(P43),
         ):
             with pytest.raises(ValueError) as err:
                 refuse()
@@ -169,7 +168,7 @@ class TestLetterRule:
 class TestParsing:
     def test_b_tokens(self):
         w = parse_word("b4 b1 b2 b3 b4", P43)
-        assert [l.b_index(P43) for l in w.letters] == [4, 1, 2, 3, 4]
+        assert w.codes == (3, 0, 1, 2, 3)
 
     def test_subset_tokens(self):
         w = parse_word("a{1,2} a{2,3}", P32)

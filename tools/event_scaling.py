@@ -47,8 +47,9 @@ A speed claim needs the perfbench pairs that ``--compare`` runs:
     python3 tools/event_scaling.py --compare PARENT CHANGE \\
         --workloads realize-highk certify-files --out BENCH_letterpaths.json
 
-runs that on both checkouts and then pairs of ``perfbench/run.py``, as
-``tools/replay_scaling.py --compare`` does.
+runs that on both checkouts, three rounds alternating which goes first
+with each cell's median reported, and then pairs of ``perfbench/run.py``,
+as ``tools/replay_scaling.py --compare`` does.
 """
 
 from __future__ import annotations

@@ -21,10 +21,13 @@ command's document (read back from its output) with sorted keys.
 
     python3 tools/replay_scaling.py --compare PARENT CHANGE --out BENCH_replay.json
 
-runs that on both checkouts, then ``--pairs`` pairs of ``perfbench/run.py``
-on each ``--workloads`` entry, one seed per pair from ``--first-seed`` on,
-alternating which checkout runs first, and writes every run with the
-median and quartiles of each end-to-end metric.
+runs that on both checkouts in ``SCALING_ROUNDS`` rounds, alternating
+which checkout goes first, and reports each cell's median over the rounds
+with every round kept, so that one slow spell of a shared host moves one
+round of one side only.  Then it runs ``--pairs`` pairs of
+``perfbench/run.py`` on each ``--workloads`` entry, one seed per pair from
+``--first-seed`` on, alternating which checkout runs first, and writes
+every run with the median and quartiles of each end-to-end metric.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from time import perf_counter
 
 SIZES = (64, 128, 256, 512, 1024)
 WORKLOADS = ("solve-long", "sweep-short", "realize-highk", "certify-files")
+SCALING_ROUNDS = 3
 
 
 def long_block(m: int, rng: random.Random) -> list[int]:
@@ -109,13 +113,28 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def cell_median(docs: list):
+    """The documents' common shape with each number the median of its cells."""
+    first = docs[0]
+    if isinstance(first, dict):
+        return {key: cell_median([doc[key] for doc in docs]) for key in first}
+    if isinstance(first, list):
+        return [cell_median(list(cells)) for cells in zip(*docs)]
+    if isinstance(first, (int, float)) and not isinstance(first, bool):
+        return statistics.median(docs)
+    return first
+
+
 def compare(parent: Path, change: Path, args, script: str = __file__) -> dict:
     """``script``'s own measurement on both checkouts, then the benchmark pairs."""
-    scaling = {}
-    for side, root in (("parent", parent), ("change", change)):
-        argv = [sys.executable, script, "--src", str(root / "src"), "--repeats", str(args.repeats),
-                "--seed", str(args.seed), "--sizes", *map(str, args.sizes)]
-        scaling[side] = json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)
+    rounds: dict[str, list] = {"parent": [], "change": []}
+    for i in range(SCALING_ROUNDS):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            root = parent if side == "parent" else change
+            argv = [sys.executable, script, "--src", str(root / "src"), "--repeats", str(args.repeats),
+                    "--seed", str(args.seed), "--sizes", *map(str, args.sizes)]
+            rounds[side].append(json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout))
+    scaling = {side: cell_median(docs) for side, docs in rounds.items()}
     runs, summary = [], {}
     for workload in args.workloads:
         values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
@@ -141,7 +160,7 @@ def compare(parent: Path, change: Path, args, script: str = __file__) -> dict:
             for name in values["parent"]
         }
         summary[workload]["ops_per_s"]["change_wins"] = wins
-    return {"scaling": scaling, "pairs": args.pairs, "seconds": args.seconds,
+    return {"scaling": scaling, "scaling_rounds": rounds, "pairs": args.pairs, "seconds": args.seconds,
             "summary": summary, "runs": runs}
 
 
