@@ -254,7 +254,7 @@ def _cmd_realize(args, word: Word) -> tuple[int, Record]:
 def _cmd_certify(args) -> tuple[int, Record]:
     try:
         path, base_sign = load_path_file(args.file)
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:   # ValueError covers JSONDecodeError
+    except (ValueError, RecursionError) as exc:   # ValueError covers JSONDecodeError
         raise _UsageError(f"bad path file: {exc}") from exc
     try:
         if base_sign is not None:

@@ -179,10 +179,9 @@ def _variations(chain: list[ZPoly], p: int, q: int) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(f: ZPoly, lo: Fraction, hi: Fraction, chain: list[ZPoly] | None = None) -> int:
+def count_roots(f: ZPoly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in (lo, hi]; f must not vanish at lo."""
-    if chain is None:
-        chain = sturm_chain(f)
+    chain = sturm_chain(f)
     return _variations(chain, lo.numerator, lo.denominator) - _variations(chain, hi.numerator, hi.denominator)
 
 

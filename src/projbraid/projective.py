@@ -203,16 +203,21 @@ def general_position_violation(config: Configuration) -> tuple[int, ...] | None:
     return None
 
 
-def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
-    """All k-subsets of points with vanishing determinant, ascending order.
+def subset_minors(starts, ends) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
+    """Each k-subset S of the points, ascending, with its determinant along
+    the pencil whose rows ``starts`` and ``ends`` hold (``pencil_minors``).
 
-    One static ``pencil_minors`` call gives every determinant: the subset
-    without point m is minor m - 1, and the subsets in ascending order
-    leave out n, n - 1, ..., 1.
+    One ``pencil_minors`` call gives every subset: the subset without point
+    m is minor m - 1, and the subsets in ascending order leave out n,
+    n - 1, ..., 1.
     """
-    rows = config.points
-    subsets = combinations(range(1, config.params.n + 1), config.params.k)
-    return [s for s, d in zip(subsets, reversed(pencil_minors(rows, rows))) if not d]
+    subsets = combinations(range(1, len(starts) + 1), len(starts[0]))
+    return list(zip(subsets, reversed(pencil_minors(starts, ends))))
+
+
+def singular_subsets(config: Configuration) -> list[tuple[int, ...]]:
+    """All k-subsets of points with vanishing determinant, ascending order."""
+    return [s for s, d in subset_minors(config.points, config.points) if not d]
 
 
 @lru_cache(maxsize=None)

@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cmp_to_key, lru_cache
-from itertools import chain, combinations
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from pathlib import Path as FilePath
@@ -37,11 +37,12 @@ from .projective import (
     Vector,
     base_configuration,
     general_position_violation,
-    pencil_minors,
+    same_point,
     shear_family,
     sign_snap,
     sign_string_of,
     singular_subsets,
+    subset_minors,
 )
 from .words import GroupParams, Letter, Word
 
@@ -200,7 +201,7 @@ def time_cmp(a: EventTime, b: EventTime, kept: dict | None = None, keys: tuple |
 
 def _segment_rows(start: Configuration, end: Configuration) -> tuple[list[Vector], list[Vector]]:
     """Per point, its start and end representatives divided by the gcd of
-    their 2k entries: the rows ``pencil_minors`` takes.  A positive factor
+    their 2k entries: the rows ``subset_minors`` takes.  A positive factor
     per point changes no root and no sign of a subset determinant, and the
     pair is left primitive, however large the lcm that cleared the point's
     denominators over the whole path (``path_from_document``)."""
@@ -229,25 +230,13 @@ def _check_representatives(segment: int, starts: list[Vector], ends: list[Vector
     """Raise ZeroVectorOnSegment if some point's end row is a negative multiple
     of its start row, read off the integer rows of ``_segment_rows``: with a
     the start row, b the end row and j the first index with a_j != 0, that
-    is a_j * b_j < 0 with every cross-product a_j * b_m - b_j * a_m zero."""
+    is a_j * b_j < 0 with a and b the same point (``same_point``)."""
     for i, (a, b) in enumerate(zip(starts, ends)):
         j = next(j for j, x in enumerate(a) if x)
-        if a[j] * b[j] < 0 and all(a[j] * y == b[j] * x for x, y in zip(a, b)):
+        if a[j] * b[j] < 0 and same_point(a, b):
             raise ZeroVectorOnSegment(
                 f"segment {segment}: point {i + 1} representative passes through the origin"
             )
-
-
-def _segment_pencils(starts: list[Vector], ends: list[Vector]) -> list[tuple[tuple[int, ...], polys.ZPoly]]:
-    """Each k-subset S, ascending, with its determinant along the segment
-    whose integer rows ``_segment_rows`` gave.
-
-    One ``pencil_minors`` call gives every subset: the subset without point
-    m is minor m - 1, and the subsets in ascending order leave out n,
-    n - 1, ..., 1.
-    """
-    subsets = combinations(range(1, len(starts) + 1), len(starts[0]))
-    return list(zip(subsets, reversed(pencil_minors(starts, ends))))
 
 
 def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPoly]]):
@@ -315,7 +304,7 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     """
     frames = path.keyframes
     rows = [_segment_rows(start, end) for start, end in zip(frames, frames[1:])]
-    pencils = [_segment_pencils(starts, ends) for starts, ends in rows]
+    pencils = [subset_minors(starts, ends) for starts, ends in rows]
     # keyframe values: t = 0 of each segment, then t = 1 of the last one
     frame_values = [[(subset, d[:1]) for subset, d in found] for found in pencils] + [pencils[-1]]
     for idx, (config, values) in enumerate(zip(frames, frame_values)):
@@ -514,16 +503,19 @@ def _decode_int(doc: dict, key: str) -> int:
     return value
 
 
-def _misshapen(frames) -> str | None:
-    """The first keyframe, or point of a keyframe, that is not a list, named;
-    None when there is none."""
+def _check_shape(frames) -> None:
+    """Raise ValueError unless ``frames`` is a list of keyframes, each a list
+    of points and each point a list, naming the first that is not."""
+    if type(frames) is not list:
+        raise ValueError(f"keyframes must be a list of keyframes, got {type(frames).__name__}")
     for f, frame in enumerate(frames):
         if type(frame) is not list:
-            return f"keyframe {f} must be a list of points, got {type(frame).__name__}"
+            raise ValueError(f"keyframe {f} must be a list of points, got {type(frame).__name__}")
         for i, point in enumerate(frame):
             if type(point) is not list:
-                return f"keyframe {f}: point {i + 1} must be a list of coordinates, got {type(point).__name__}"
-    return None
+                raise ValueError(
+                    f"keyframe {f}: point {i + 1} must be a list of coordinates, got {type(point).__name__}"
+                )
 
 
 def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
@@ -540,8 +532,14 @@ def path_to_document(path: PLPath, base_sign: SignString | None = None) -> dict:
     return doc
 
 
-def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
+def path_from_document(doc) -> tuple[PLPath, SignString | None]:
     """The path and base sign string of a path document.
+
+    The document is checked top down and every failure is a ValueError:
+    it is an object; ``n`` and ``k`` name a group within the path cap;
+    ``keyframes`` is a list, each keyframe a list and each point a list
+    (``_check_shape``; a string or an object would otherwise be read as its
+    characters or keys); then the values.
 
     A coordinate is an int or a ``"p"`` / ``"p/q"`` string (``_decode_fraction``).
     When some are rational, point i is multiplied in every keyframe by L_i,
@@ -549,23 +547,18 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
     per point along the path, which changes no event (see ``projective``),
     so the path holds integers from here on.  The rationals are not kept,
     and ``path_to_document`` writes the integers.
-
-    Every keyframe and every point must be a list.  Strings and objects
-    would otherwise be read as their characters or keys; they reach only
-    the decoding branch, since their items are not ints, and are refused
-    only once every other check has passed, so a document that an earlier
-    check refuses keeps that check's message.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"path document must be an object, got {type(doc).__name__}")
     try:
         params = GroupParams(_decode_int(doc, "n"), _decode_int(doc, "k"))
-        raw_keyframes = doc["keyframes"]
+        frames = doc["keyframes"]
     except KeyError as exc:
         raise ValueError(f"path document is missing field {exc.args[0]!r}") from exc
     params.require_path_k()
-    frames, misshapen = raw_keyframes, None
+    _check_shape(frames)
     if not {int}.issuperset(map(type, chain.from_iterable(chain.from_iterable(frames)))):
         frames = [[[_decode_fraction(c) for c in coords] for coords in frame] for frame in frames]
-        misshapen = _misshapen(raw_keyframes)
         scales: dict[int, int] = {}
         for frame in frames:
             for i, coords in enumerate(frame):
@@ -582,10 +575,7 @@ def path_from_document(doc: dict) -> tuple[PLPath, SignString | None]:
         if not isinstance(doc["base_sign"], str):
             raise ValueError(f"base_sign must be a string, got {doc['base_sign']!r}")
         base_sign = parse_sign_string(doc["base_sign"], params)
-    path = PLPath(params, tuple(keyframes))
-    if misshapen:
-        raise ValueError(misshapen)
-    return path, base_sign
+    return PLPath(params, tuple(keyframes)), base_sign
 
 
 def check_base_sign(path: PLPath, base_sign: SignString) -> None:

@@ -225,9 +225,10 @@ class TestUntrustedInput:
             ("[" * 100_000 + "]" * 100_000, "maximum recursion depth"),
             ('{"k": 999, "n": 1000, "keyframes": []}', "k=999 is beyond the cap of MAX_PATH_K = 64"),
             ('{"k": 3, "n": 4, "keyframes": ' + "[" * 100_000 + "]" * 100_000 + "}", "maximum recursion depth"),
+            ('{"k": 3, "n": 4, "keyframes": 5}', "keyframes must be a list of keyframes, got int"),
         ],
         ids=["zero-denominator", "huge-float-n", "exponent", "float-n", "bool-k", "float-coordinate",
-             "deep-nesting", "deep-nesting-in-keyframes", "k-over-the-path-cap"],
+             "deep-nesting", "deep-nesting-in-keyframes", "k-over-the-path-cap", "int-keyframes"],
     )
     def test_bad_path_file(self, tmp_path, capsys, text, message):
         file = tmp_path / "bad.json"

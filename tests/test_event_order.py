@@ -21,11 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from projbraid import polys, realization
+from projbraid.projective import subset_minors
 from projbraid.realization import (
     AlgebraicTime,
     SimultaneousEvents,
     _segment_events,
-    _segment_pencils,
     _segment_rows,
     load_path_file,
     time_cmp,
@@ -142,7 +142,7 @@ def test_certify_files_segments_sort_as_the_reference(certify_files):
     for name in certify_files:
         path, _ = load_path_file(name)
         for segment, (start, end) in enumerate(zip(path.keyframes, path.keyframes[1:])):
-            pencils = _segment_pencils(*_segment_rows(start, end))
+            pencils = subset_minors(*_segment_rows(start, end))
             assert outcome(segment, pencils) == reference_outcome(segment, pencils)
             segments += 1
     assert (len(certify_files), segments) == (180, 900)

@@ -1,10 +1,10 @@
 """Bounded fuzzing of the parsers that read untrusted input, and of the CLI.
 
-Each parser must return a result or raise one of the exceptions the command
-line turns into exit code 3: ``ValueError`` (which covers
-``WordSyntaxError`` and ``json.JSONDecodeError``), ``KeyError`` or
-``TypeError`` for path files, and ``ValueError`` for words and sign strings.
-The command line as a whole must end in an exit code, never a traceback.
+Each parser must return a result or raise ``ValueError`` (which covers
+``WordSyntaxError`` and ``json.JSONDecodeError``), which the command line
+turns into exit code 3; a path document raises nothing else on any JSON
+value.  The command line as a whole must end in an exit code, never a
+traceback.
 """
 
 import contextlib
@@ -15,14 +15,14 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from projbraid.cli import main
 from projbraid.invariants import parse_sign_string
 from projbraid.realization import path_from_document
 from projbraid.words import GroupParams, MAX_SUBSETS, parse_word
 
-PATH_FILE_ERRORS = (ValueError, KeyError, TypeError)
+PATH_FILE_ERRORS = (ValueError,)
 
 small_params = st.integers(2, 6).map(lambda k: GroupParams(k + 1, k))
 
@@ -60,7 +60,8 @@ def written_out(items):
 @st.composite
 def path_documents(draw):
     """Documents close to a path file: one field perturbed, coordinates mixed,
-    and sometimes a keyframe, a point or every point of a keyframe written out."""
+    sometimes a keyframe, a point or every point of a keyframe written out,
+    and sometimes the whole document any JSON value."""
     k = draw(st.integers(2, 4))
     n = k + 1 + draw(st.sampled_from([0, 0, 0, 1]))
     dim = k + draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
@@ -82,8 +83,14 @@ def path_documents(draw):
                 frames[f][i] = draw(written_out(frames[f][i]))
     doc = {"k": k, "n": n, "keyframes": frames}
     if draw(st.booleans()):
-        doc["base_sign"] = draw(st.one_of(st.text(alphabet="+-(),x ", max_size=6), json_scalars))
-    field = draw(st.sampled_from([None, None, "k", "n", "keyframes", "drop"]))
+        signs = st.lists(st.sampled_from("+-"), min_size=k - 1, max_size=k - 1)
+        doc["base_sign"] = draw(st.one_of(
+            signs.map("".join), signs.map(lambda s: "(" + ",".join(s) + ")"),
+            st.text(alphabet="+-(),x ", max_size=6), json_scalars,
+        ))
+    field = draw(st.sampled_from([None, None, "k", "n", "keyframes", "drop", "document"]))
+    if field == "document":
+        return draw(json_values)
     if field == "drop":
         del doc[draw(st.sampled_from(["k", "n", "keyframes"]))]
     elif field is not None:
@@ -102,8 +109,13 @@ def check_path_document(doc) -> None:
     assert base_sign is None or len(base_sign) == path.params.k - 1
 
 
+BASE_FRAME = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+
+
 @settings(max_examples=200, deadline=None)
 @given(path_documents())
+@example({"k": 3, "n": 4, "keyframes": [BASE_FRAME, BASE_FRAME], "base_sign": "+-"})
+@example({"k": 3, "n": 4, "keyframes": [BASE_FRAME, BASE_FRAME], "base_sign": "(-,+)"})
 def test_path_documents_near_the_format(doc):
     check_path_document(doc)
 

@@ -19,7 +19,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projbraid import realization
+from projbraid import projective
 from projbraid.cli import main
 from projbraid.realization import PathError, detect_events, path_from_document, path_from_word, path_to_document
 from projbraid.words import GroupParams, Word
@@ -148,13 +148,13 @@ def test_prime_denominators_reach_the_pencils_primitive(tmp_path, monkeypatch, k
     integer.write_text(json.dumps(document(3, twin)))
 
     rows = []
-    pencil_minors = realization.pencil_minors
+    pencil_minors = projective.pencil_minors
 
     def recording(starts, ends):
         rows.extend(zip(starts, ends))
         return pencil_minors(starts, ends)
 
-    monkeypatch.setattr(realization, "pencil_minors", recording)
+    monkeypatch.setattr(projective, "pencil_minors", recording)
     expected = certify(rational)
     assert expected[0][0] == 0 and f"events: {4 * (keyframes - 1)}" in expected[0][1]
     assert certify(integer) == expected

@@ -26,8 +26,9 @@ from projbraid.projective import (
     sign_snap,
     sign_string_of,
     singular_subsets,
+    subset_minors,
 )
-from projbraid.realization import PLPath, _segment_pencils, _segment_rows, detect_events, path_from_document
+from projbraid.realization import PLPath, _segment_rows, detect_events, path_from_document
 from projbraid.words import GroupParams
 
 F = Fraction
@@ -814,7 +815,7 @@ class TestShear:
         # times it, the keyframe ``shear_family`` returns
         for config in marked_configurations(k):
             scale = abs(config.points[k - 1][-1])
-            pencils = _segment_pencils(*_segment_rows(scaled(config, scale), shear_family(config)))
+            pencils = subset_minors(*_segment_rows(scaled(config, scale), shear_family(config)))
             assert len(pencils) == k + 1
             assert all(polys.degree(d) <= 0 for _, d in pencils)
 

@@ -19,6 +19,7 @@ from projbraid.projective import (
     det,
     general_position_violation,
     singular_subsets,
+    subset_minors,
 )
 from projbraid.realization import (
     AlgebraicTime,
@@ -33,7 +34,6 @@ from projbraid.realization import (
     ZeroVectorOnSegment,
     _check_representatives,
     _segment_events,
-    _segment_pencils,
     _segment_rows,
     apply_transform_to_path,
     certify_roundtrip,
@@ -79,6 +79,7 @@ def cleared_segment(params: GroupParams, begin, finish) -> tuple[Configuration, 
 
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 BASE = (E1, E2, E3, (1, 1, 1))
+BASE_ROWS = [list(row) for row in BASE]
 
 
 class TestPathShape:
@@ -193,7 +194,7 @@ class TestErrors:
         start = config(E1, E2, (0, 1, 1), (2, 1, 1))
         end = config(E1, E2, (1, 1, 1), (2, 1, 1))
         with pytest.raises(IdenticallySingularSegment):
-            _segment_events(0, _segment_pencils(*_segment_rows(start, end)))
+            _segment_events(0, subset_minors(*_segment_rows(start, end)))
 
 
 def reference_check_representatives(segment: int, start: Configuration, end: Configuration) -> None:
@@ -222,7 +223,7 @@ def reference_detect_events(p: PLPath):
     events = []
     for segment, (start, end) in enumerate(zip(p.keyframes, p.keyframes[1:])):
         reference_check_representatives(segment, start, end)
-        events.extend(_segment_events(segment, _segment_pencils(*_segment_rows(start, end))))
+        events.extend(_segment_events(segment, subset_minors(*_segment_rows(start, end))))
     return events
 
 
@@ -389,7 +390,7 @@ class TestSegmentPencils:
                 (s, reference_pencil([starts[i - 1] for i in s], [ends[i - 1] for i in s]))
                 for s in combinations(range(1, k + 2), k)
             ]
-            assert _segment_pencils(starts, ends) == expected
+            assert subset_minors(starts, ends) == expected
             singular += any(not d for _, d in expected)
         assert singular >= 2
 
@@ -684,18 +685,33 @@ class TestPathFiles:
             path_from_document(doc)
 
     @pytest.mark.parametrize(
-        "frame, message",
+        "keyframes, message",
         [
-            (["100", "010", "001", "111"], "keyframe 0: point 1 must be a list of coordinates, got str"),
-            ([[1, 0, 0], [0, 1, 0], [0, 0, 1], {"1": 0, "1/2": 0, "3": 0}],
+            ([["100", "010", "001", "111"], BASE_ROWS],
+             "keyframe 0: point 1 must be a list of coordinates, got str"),
+            ([[[1, 0, 0], [0, 1, 0], [0, 0, 1], {"1": 0, "1/2": 0, "3": 0}], BASE_ROWS],
              "keyframe 0: point 4 must be a list of coordinates, got dict"),
-            ({"100": 0, "010": 0, "001": 0, "111": 0}, "keyframe 0 must be a list of points, got dict"),
+            ([{"100": 0, "010": 0, "001": 0, "111": 0}, BASE_ROWS], "keyframe 0 must be a list of points, got dict"),
+            (5, "keyframes must be a list of keyframes, got int"),
+            (None, "keyframes must be a list of keyframes, got NoneType"),
+            ("[[1, 0, 0]]", "keyframes must be a list of keyframes, got str"),
+            ([BASE_ROWS, {"a": 1}], "keyframe 1 must be a list of points, got dict"),
+            ([["1/2", "0", "0", "1"], BASE_ROWS], "keyframe 0: point 1 must be a list of coordinates, got str"),
+            # keyframe 0 has three points, which the values would refuse next
+            ([BASE_ROWS[:3], {"a": 1}], "keyframe 1 must be a list of points, got dict"),
         ],
-        ids=["digit-string-points", "object-point", "object-keyframe"],
+        ids=["digit-string-points", "object-point", "object-keyframe", "int-keyframes", "null-keyframes",
+             "string-keyframes", "object-keyframe-with-other-keys", "slash-string-point", "shape-before-values"],
     )
-    def test_keyframes_and_points_must_be_lists(self, frame, message):
-        # read as their characters or keys, each of these once made a valid path
-        doc = {"k": 3, "n": 4, "keyframes": [frame, [list(row) for row in BASE]]}
+    def test_keyframes_and_points_must_be_lists(self, keyframes, message):
+        # read as their characters or keys, some of these once made a valid path
+        doc = {"k": 3, "n": 4, "keyframes": keyframes}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            path_from_document(doc)
+
+    @pytest.mark.parametrize("doc", [[], 5, "path", None], ids=["list", "int", "string", "null"])
+    def test_document_must_be_an_object(self, doc):
+        message = f"path document must be an object, got {type(doc).__name__}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             path_from_document(doc)
 

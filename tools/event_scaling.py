@@ -54,6 +54,7 @@ as ``tools/replay_scaling.py --compare`` does.
 
 from __future__ import annotations
 
+import importlib
 import random
 import sys
 from contextlib import contextmanager
@@ -73,11 +74,9 @@ COUNTED = (("projective", "_bareiss"), ("polys", "gcd"), ("polys", "sturm_chain"
 def counting():
     """Count each call of a ``COUNTED`` function while the block runs, into
     the dict it yields, keyed ``<name>_calls``."""
-    import projbraid
-
     counts, installed = {}, []
     for module_name, name in COUNTED:
-        module = getattr(projbraid, module_name)
+        module = importlib.import_module(f"projbraid.{module_name}")
         original = getattr(module, name)
         key = f"{name.lstrip('_')}_calls"
         counts[key] = 0

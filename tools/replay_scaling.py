@@ -157,9 +157,10 @@ def compare(parent: Path, change: Path, args, script: str = __file__) -> dict:
         summary[workload] = {
             name: {side: quartiles(values[side][name])
                    for side in values if len(values[side].get(name, [])) > 1}
-            for name in values["parent"]
+            for name in {**values["parent"], **values["change"]}
         }
-        summary[workload]["ops_per_s"]["change_wins"] = wins
+        # a workload with no result on a side still records its runs and wins
+        summary[workload].setdefault("ops_per_s", {})["change_wins"] = wins
     return {"scaling": scaling, "scaling_rounds": rounds, "pairs": args.pairs, "seconds": args.seconds,
             "summary": summary, "runs": runs}
 
