@@ -13,6 +13,7 @@ import argparse
 import errno
 import os
 import sys
+from collections.abc import Iterable
 from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -32,6 +33,7 @@ from .invariants import (
 from .polys import monic
 from .realization import (
     AlgebraicTime,
+    JSONFragment,
     PathError,
     check_base_sign,
     detect_events,
@@ -42,14 +44,16 @@ from .realization import (
 )
 from .solver import NotInSubgroupError, Status, Verdict, check_trace, eliminate_last, equal, solve
 from .words import (
-    CancelPair,
+    CANCEL,
+    INSERT,
+    REVERSE,
+    CodeMove,
     GroupParams,
-    InsertPair,
     Letter,
-    ReverseWindow,
     Word,
     WordSyntaxError,
     bfs_equal_oracle,
+    encode_moves,
     format_word,
     parse_word,
 )
@@ -71,7 +75,8 @@ class _UsageError(Exception):
 
 # What a command found, as (key, value, line) entries in text order.  ``main``
 # prints the keyed values as the structured document, or the lines that are
-# not None as text; a line may hold several lines joined by newlines.
+# not None as text; a line may hold several lines joined by newlines.  An
+# entry rendered for one format only (``_trace_entry``) leaves the other None.
 Record = list[tuple[str, object, str | None]]
 
 
@@ -79,11 +84,15 @@ def _word_text(word: Word) -> str:
     return format_word(word, "b-index") if word.letters else '""'
 
 
-# move type -> (structured kind, text line up to the move's position, over its letter)
+# move kind -> its (text line, item of the structured list, keys sorted) up to
+# the move's position, over its letter; a letter prints as a{...}, which JSON
+# writes as it stands
 _MOVE_FORMS = {
-    InsertPair: ("insert", "  insert {letter}{letter} at "),
-    CancelPair: ("cancel", "  cancel {letter}{letter} at "),
-    ReverseWindow: ("reverse", "  reverse window at "),
+    INSERT: ("  insert {letter}{letter} at ",
+             '  {{\n    "kind": "insert",\n    "letter": "{letter}",\n    "pos": '),
+    CANCEL: ("  cancel {letter}{letter} at ",
+             '  {{\n    "kind": "cancel",\n    "letter": "{letter}",\n    "pos": '),
+    REVERSE: ("  reverse window at ", '  {{\n    "kind": "reverse",\n    "pos": '),
 }
 
 
@@ -96,27 +105,24 @@ def _lines(lines) -> str | None:
     return "\n".join(lines) or None
 
 
-def _trace_entry(moves) -> tuple:
-    """The ``trace`` entry: one indented text line and one document per move.
-
-    The kind, letter name and text prefix are built once per move type and
-    letter, keyed by the letter's subset tuple (hashed in C, where a
-    ``Letter`` hashes in Python); a letter prints as ``a{...}``, so it is a
-    format argument only."""
-    docs, lines, forms = [], [], {}
-    for move in moves:
-        letter = getattr(move, "letter", None)
-        key = type(move), None if letter is None else letter.subset
-        form = forms.get(key)
+def _trace_entry(codes: Iterable[CodeMove], letters: tuple[Letter, ...], trace_format: str) -> tuple:
+    """The ``trace`` entry of the (kind, pos, code) moves over ``letters``,
+    rendered in ``trace_format`` only: the text lines, or the structured list
+    as one ``JSONFragment``.  Each move is the form of its (kind, code),
+    built once per kind and letter, followed by its position."""
+    structured = trace_format == "structured"
+    forms: dict[tuple[int, int], str] = {}
+    parts = []
+    for kind, pos, code in codes:
+        form = forms.get((kind, code))
         if form is None:
-            kind, template = _MOVE_FORMS[type(move)]
-            name = None if letter is None else str(letter)
-            form = forms[key] = (kind, name, template.format(letter=name))
-        kind, name, prefix = form
-        pos = move.pos
-        lines.append(prefix + str(pos))
-        docs.append({"kind": kind, "pos": pos, "letter": name} if name else {"kind": kind, "pos": pos})
-    return ("trace", docs, _lines(lines))
+            letter = None if kind == REVERSE else letters[code]
+            form = forms[kind, code] = _MOVE_FORMS[kind][structured].format(letter=letter)
+        parts.append(form + str(pos))
+    if not structured:
+        return ("trace", None, _lines(parts))
+    text = "[\n" + "\n  },\n".join(parts) + "\n  }\n]" if parts else "[]"
+    return ("trace", JSONFragment(text), None)
 
 
 def _time_entry(t) -> tuple:
@@ -137,7 +143,9 @@ _STATUS = {
 }
 
 
-def _verdict(verdict: Verdict, show_trace: bool) -> tuple[int, Record]:
+def _verdict(verdict: Verdict, trace_format: str | None) -> tuple[int, Record]:
+    """The record of ``verdict``, with its trace rendered in ``trace_format``
+    (``--format``), or without it for None."""
     code, name = _STATUS[verdict.status]
     record = [("status", name, name)]
     if verdict.obstruction is not None:
@@ -153,17 +161,17 @@ def _verdict(verdict: Verdict, show_trace: bool) -> tuple[int, Record]:
     record.append(("assumptions", flags, _lines(f"assumes: {flag}" for flag in flags)))
     if verdict.trace is not None:
         record.append(("trace_moves", len(verdict.trace), f"trace: {len(verdict.trace)} moves"))
-        if show_trace:
-            record.append(_trace_entry(verdict.trace.steps))
+        if trace_format:
+            record.append(_trace_entry(verdict.trace.codes, verdict.trace.letters, trace_format))
     return code, record
 
 
 def _cmd_solve(args, word: Word) -> tuple[int, Record]:
-    return _verdict(solve(word), args.trace)
+    return _verdict(solve(word), args.format if args.trace else None)
 
 
 def _cmd_equal(args, w1: Word, w2: Word) -> tuple[int, Record]:
-    return _verdict(equal(w1, w2), args.trace)
+    return _verdict(equal(w1, w2), args.format if args.trace else None)
 
 
 def _cmd_f_image(args, word: Word) -> tuple[int, Record]:
@@ -207,7 +215,7 @@ def _cmd_eliminate(args, word: Word) -> tuple[int, Record]:
         ("trace_moves", len(trace), f"trace-{'ok' if ok else 'BROKEN'} ({len(trace)} moves)"),
     ]
     if args.trace:
-        record.append(_trace_entry(trace.steps))
+        record.append(_trace_entry(trace.codes, trace.letters, args.format))
     return (0 if ok else 1), record
 
 
@@ -288,7 +296,8 @@ def _cmd_oracle(args, w1: Word, w2: Word) -> tuple[int, Record]:
         ("states", result.states, None),
     ]
     if args.trace:
-        record.append(_trace_entry(result.trace))
+        params = w1.params
+        record.append(_trace_entry(encode_moves(params, result.trace), params.all_letters(), args.format))
     return 0, record
 
 

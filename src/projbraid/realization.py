@@ -44,7 +44,7 @@ from .projective import (
     singular_subsets,
     subset_minors,
 )
-from .words import GroupParams, Letter, Word
+from .words import GroupParams, Letter, Word, _short_repr
 
 
 class PathError(ValueError):
@@ -493,13 +493,13 @@ def _decode_fraction(value) -> Fraction:
         return Fraction(value)
     if isinstance(value, str) and _FRACTION_TEXT.fullmatch(value):
         return Fraction(value)
-    raise ValueError(f"expected an integer or 'p/q' string with q nonzero, got {value!r}")
+    raise ValueError(f"expected an integer or 'p/q' string with q nonzero, got {_short_repr(value)}")
 
 
 def _decode_int(doc: dict, key: str) -> int:
     value = doc[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} must be an integer, got {_short_repr(value)}")
     return value
 
 
@@ -573,7 +573,7 @@ def path_from_document(doc) -> tuple[PLPath, SignString | None]:
     base_sign: SignString | None = None
     if "base_sign" in doc:
         if not isinstance(doc["base_sign"], str):
-            raise ValueError(f"base_sign must be a string, got {doc['base_sign']!r}")
+            raise ValueError(f"base_sign must be a string, got {_short_repr(doc['base_sign'])}")
         base_sign = parse_sign_string(doc["base_sign"], params)
     return PLPath(params, tuple(keyframes)), base_sign
 
@@ -592,8 +592,16 @@ _SEQUENCES = frozenset({list, tuple})
 _CONTAINERS = _SEQUENCES | {dict}
 
 
+class JSONFragment(str):
+    """Text that ``indented_json`` writes as it stands: what
+    ``json.dumps(value, indent=2, sort_keys=sort_keys)`` gives for some value,
+    at margin 0 and with the writer's ``sort_keys``.  The writer puts the
+    margin of its place after each newline."""
+
+
 def indented_json(value, sort_keys: bool = False) -> str:
-    r"""``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte.
+    r"""``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte,
+    with each ``JSONFragment`` in ``value`` replaced by the value it encodes.
 
     ``indent`` makes ``json`` give up its C encoder for a pure-Python one on
     CPython 3.10-3.13.  This writer gives two shapes to the C encoder,
@@ -616,7 +624,8 @@ def indented_json(value, sort_keys: bool = False) -> str:
 
     Everything else (nested or mixed containers, subclasses, empty containers,
     and a Python without ``c_make_encoder``) is written by one walk that
-    appends to a list, with strings left to the C escaper.  Both paths convert
+    appends to a list, with strings left to the C escaper and fragments
+    copied at their margin by one ``str.replace``.  Both paths convert
     and sort dict keys as ``json`` does, so they give the same bytes, or raise
     the same ``TypeError``, for the same value.
     """
@@ -639,6 +648,8 @@ def _write(value, sort_keys: bool, margin: str, out: list[str]) -> None:
             _walk_dict(value, sort_keys, margin, out)
         elif not _write_flat_items(value, sort_keys, margin, out):
             _walk_list(value, sort_keys, margin, out)
+    elif kind is JSONFragment:
+        out.append(value.replace("\n", "\n" + margin))
     elif isinstance(value, str):
         out.append(encode_basestring_ascii(value))
     elif isinstance(value, int) and not isinstance(value, bool):

@@ -18,8 +18,10 @@ that uses it.  For k >= 4 such a residue is Unknown.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .invariants import (
     IndexString,
@@ -32,18 +34,19 @@ from .invariants import (
     parity_vector,
 )
 from .words import (
-    CancelPair,
+    CANCEL,
+    CodeMove,
     GroupParams,
     IllegalMoveError,
-    InsertPair,
+    Letter,
     Move,
-    ReverseWindow,
     Word,
+    _from_codes,
     _Tape,
     concat,
+    decode_moves,
     free_cancel,
     free_reduce,
-    free_reduce_with_trace,
     inverse,
 )
 
@@ -62,17 +65,40 @@ class ParityMismatchError(ValueError):
     """The block between two occurrences fails the equal-parity precondition."""
 
 
-@dataclass(frozen=True)
 class EliminationTrace:
-    """A replayable sequence of primitive moves."""
+    """A replayable sequence of primitive moves.
 
-    steps: tuple[Move, ...]
+    Elimination gives a trace as ``codes``, (kind, pos, code) triples (see
+    ``words.CANCEL``) over the group's ``letters``, and ``steps``, its
+    ``Move`` objects, is built the first time it is read.  A trace made as
+    ``EliminationTrace(moves)`` has no codes.  Length, iteration, equality
+    and hashing are those of ``steps``.
+    """
+
+    def __init__(self, steps: Iterable[Move] = (), codes: tuple[CodeMove, ...] | None = None,
+                 letters: tuple[Letter, ...] | None = None):
+        self.codes, self.letters = codes, letters
+        if codes is None:
+            self.steps = tuple(steps)
+
+    @cached_property
+    def steps(self) -> tuple[Move, ...]:
+        return decode_moves(self.codes, self.letters)
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.steps if self.codes is None else self.codes)
 
     def __iter__(self):
         return iter(self.steps)
+
+    def __eq__(self, other) -> bool:
+        return self.steps == other.steps if isinstance(other, EliminationTrace) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
+
+    def __repr__(self) -> str:
+        return f"EliminationTrace(steps={self.steps!r})"
 
 
 class Status(Enum):
@@ -99,17 +125,23 @@ class Verdict:
     assumption_flags: frozenset[str] = field(default_factory=frozenset)
 
 
-def check_trace(input_word: Word, trace: EliminationTrace, output_word: Word) -> bool:
+def check_trace(input_word: Word, trace: EliminationTrace | Iterable[Move], output_word: Word) -> bool:
     """Replay ``trace`` from ``input_word``; True iff it lands on ``output_word``.
 
     Every step is validated; an illegal step, an inserted letter the group
     does not hold included, raises ``IllegalMoveError`` with its index.  A
-    legal trace with the wrong endpoint returns False.
+    legal trace with the wrong endpoint returns False.  A trace of codes over
+    the input's letters replays its triples, any other its ``Move`` objects,
+    through the same checks.
     """
     tape = _Tape(input_word)
-    for step_index, move in enumerate(trace):
+    if isinstance(trace, EliminationTrace) and trace.codes is not None and trace.letters == tape.letters:
+        moves, replay = trace.codes, tape.play
+    else:
+        moves, replay = trace, tape.apply
+    for step_index, move in enumerate(moves):
         try:
-            tape.apply(move)
+            replay(move)
         except ValueError as exc:   # an IllegalMoveError, or a foreign inserted letter
             raise IllegalMoveError(f"{exc.args[0]}", step=step_index) from exc
     return output_word.params == tape.params and tape.cells == list(output_word.codes)
@@ -125,15 +157,14 @@ def inner_eliminate(block: Word) -> tuple[Word, EliminationTrace]:
     params = block.params
     last = Word(params, (params.b_letter(params.k + 1),))
     tape = _Tape(concat(last, block, last))
-    moves: list[Move] = []
-    _eliminate_block(tape, 0, len(tape.cells) - 1, moves)
-    return tape.word(), EliminationTrace(tuple(moves))
+    _eliminate_block(tape, 0, len(tape.cells) - 1)
+    return tape.word(), EliminationTrace(codes=tuple(tape.moves), letters=tape.letters)
 
 
-def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) -> None:
+def _eliminate_block(tape: _Tape, first: int, second: int) -> None:
     """Rewrite the ``b(k+1)`` cells ``first`` and ``second`` of ``tape`` and
-    the block between them into a word over ``b1 .. bk``, in place, and
-    append every move, at its position on the tape, to ``moves``.
+    the block between them into a word over ``b1 .. bk``, in place; the tape
+    records every move at its position.
 
     Each round frees the leftmost repeated alias: with the block starting
     b_{i_1} .. b_{i_{p-1}} b_{i_p} and i_p = i_q the first repeat, two
@@ -150,13 +181,12 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
     letters, a round costs O(k) checks whatever the length of the block.
 
     The surgery runs on codes: each move goes through the tape's check for
-    its kind as (position, code), and only then is its ``Move`` built, once,
-    with the table's ``Letter``.
+    its kind as (position, code), and no ``Move`` is built.
     """
     k = tape.k
     last = k                  # the code of b(k+1); code j - 1 is bj
-    cells, letters = tape.cells, tape.letters
-    cancel, insert, reverse, emit = tape.cancel, tape.insert, tape.reverse, moves.append
+    cells = tape.cells
+    cancel, insert, reverse = tape.cancel, tape.insert, tape.reverse
     block = cells[first + 1 : second]
     if last in block:
         raise ValueError("block must not contain the last alias")
@@ -166,7 +196,6 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
 
     for pos, code in free_cancel(block)[1]:
         cancel(first + 1 + pos, code)
-        emit(CancelPair(first + 1 + pos, letters[code]))
         second -= 2
 
     while second > first + 1:
@@ -174,7 +203,6 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
         if len(set(head)) == len(head):
             # the block is a once-each arrangement of b1..bk: one window
             reverse(first)
-            emit(ReverseWindow(first))
             first += k
             break
 
@@ -192,9 +220,7 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
         for mirrored, tail in ((p_codes, repeat), (q_codes, len(p_codes) + 1)):
             for j, code in enumerate(reversed(mirrored)):
                 insert(first + j, code)
-                emit(InsertPair(first + j, letters[code]))
             reverse(first + len(mirrored))
-            emit(ReverseWindow(first + len(mirrored)))
             first += len(mirrored) + tail
             second += 2 * len(mirrored)
 
@@ -206,11 +232,9 @@ def _eliminate_block(tape: _Tape, first: int, second: int, moves: list[Move]) ->
             junction -= 1
             code = cells[junction]
             cancel(junction, code)
-            emit(CancelPair(junction, letters[code]))
             second -= 2
 
     cancel(first, last)
-    emit(CancelPair(first, letters[last]))
 
 
 def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
@@ -237,20 +261,19 @@ def eliminate_last(word: Word) -> tuple[Word, EliminationTrace]:
     if obstruction:
         raise NotInSubgroupError(obstruction)
     tape = _Tape(word)
-    moves: list[Move] = []
     unmatched: list[tuple[int, IndexString]] = []   # (position on the tape, index)
     shift = 0       # tape position minus word position, right of every rewrite so far
     for pos, index in zip(positions, indices):
         if unmatched and unmatched[-1][1] == index:
             left, _ = unmatched.pop()
             length = len(tape.cells)
-            _eliminate_block(tape, left, pos + shift, moves)
+            _eliminate_block(tape, left, pos + shift)
             shift += len(tape.cells) - length
         else:
             unmatched.append((pos + shift, index))
     if unmatched:
         raise AssertionError("an adjacent equal-index pair must exist when the image is empty")
-    return tape.word(), EliminationTrace(tuple(moves))
+    return tape.word(), EliminationTrace(codes=tuple(tape.moves), letters=tape.letters)
 
 
 def solve(word: Word) -> Verdict:
@@ -274,9 +297,11 @@ def solve(word: Word) -> Verdict:
         eliminated, trace = eliminate_last(word)
     except NotInSubgroupError as exc:
         return Verdict(Status.NONTRIVIAL, obstruction=exc.obstruction)
-    residue, cancels = free_reduce_with_trace(eliminated)
-    if not residue.letters:
-        return Verdict(Status.TRIVIAL, trace=EliminationTrace(trace.steps + tuple(cancels)))
+    residue_codes, cancels = free_cancel(eliminated.codes)
+    if not residue_codes:
+        codes = trace.codes + tuple([(CANCEL, pos, code) for pos, code in cancels])
+        return Verdict(Status.TRIVIAL, trace=EliminationTrace(codes=codes, letters=trace.letters))
+    residue = _from_codes(word.params, residue_codes)
     if word.params.k == 3:
         return Verdict(Status.NONTRIVIAL, residue=residue, assumption_flags=frozenset({H3_FLAG}))
     return Verdict(Status.UNKNOWN, residue=residue)

@@ -23,6 +23,16 @@ from typing import NamedTuple, TypeVar
 T = TypeVar("T")
 
 
+def _short_repr(value) -> str:
+    """``repr(value)``, cut to its first 32 characters for a message: a value
+    of any length may arrive from outside.  A string is cut before it is
+    quoted."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 32 else f"{value[:32]!r}..."
+    text = repr(value)
+    return text if len(text) <= 32 else f"{text[:32]}..."
+
+
 class WordSyntaxError(ValueError):
     """A word string failed to parse; carries the offending token position."""
 
@@ -30,9 +40,7 @@ class WordSyntaxError(ValueError):
         self.token_index = token_index
         self.token = token
         if token_index is not None:
-            # a token of any length may arrive; the message shows its start
-            shown = repr(token) if len(token) <= 32 else f"{token[:32]!r}..."
-            message = f"token {token_index + 1} ({shown}): {message}"
+            message = f"token {token_index + 1} ({_short_repr(token)}): {message}"
         super().__init__(message)
 
 
@@ -277,6 +285,11 @@ class ReverseWindow:
 
 Move = CancelPair | InsertPair | ReverseWindow
 
+# A move on letter codes is a triple (kind, pos, code), code -1 for a window:
+# what a tape records, and what ``decode_moves`` turns into ``Move`` objects.
+CANCEL, INSERT, REVERSE = range(3)
+CodeMove = tuple[int, int, int]
+
 
 class IllegalMoveError(ValueError):
     """Raised when a recorded move cannot be replayed on the current word."""
@@ -295,10 +308,10 @@ class _Tape:
     move touches alone: ``cancel`` wants the pair in bounds, equal, and of
     the code given; ``insert`` a position in bounds; ``reverse`` a window in
     bounds of k + 1 distinct codes.  A cancel or an insert costs O(1) checks
-    and one list splice, a window O(k).  ``apply`` replays a ``Move`` by
-    decoding its letter through the letter table and making the same check;
-    ``Letter`` and ``Move`` objects are built only where moves are read in
-    or written out.
+    and one list splice, a window O(k).  Each move made is appended to
+    ``moves`` as its (kind, pos, code) triple.  ``play`` replays a triple and
+    ``apply`` a ``Move``, whose letter it decodes through the letter table,
+    by the same checks.
     """
 
     def __init__(self, word: Word):
@@ -308,6 +321,7 @@ class _Tape:
         self.letters = table.letters
         self.codes = table.codes
         self.cells = list(word.codes)
+        self.moves: list[CodeMove] = []
 
     def word(self) -> Word:
         return _from_codes(self.params, tuple(self.cells))
@@ -325,6 +339,7 @@ class _Tape:
             recorded = self.letters[code] if letter is None else letter
             raise IllegalMoveError(f"recorded letter {recorded} does not match {self.letters[cells[pos]]}")
         del cells[pos : pos + 2]
+        self.moves.append((CANCEL, pos, code))
 
     def insert(self, pos: int, code: int | None, letter: Letter | None = None) -> None:
         """Insert two copies of ``code`` at pos; ``letter`` as for ``cancel``."""
@@ -334,6 +349,7 @@ class _Tape:
         if code is None:
             raise _foreign(self.params, letter)
         cells[pos:pos] = (code, code)
+        self.moves.append((INSERT, pos, code))
 
     def reverse(self, start: int) -> None:
         """Reverse the window of k + 1 cells from ``start``."""
@@ -345,6 +361,17 @@ class _Tape:
         if len(set(window)) != self.k + 1:
             raise IllegalMoveError(f"letters at [{start}, {end}) do not cover a common (k+1)-set once each")
         cells[start:end] = window[::-1]
+        self.moves.append((REVERSE, start, -1))
+
+    def play(self, move: CodeMove) -> None:
+        """Replay one (kind, pos, code) triple of this group."""
+        kind, pos, code = move
+        if kind == REVERSE:
+            self.reverse(pos)
+        elif kind == CANCEL:
+            self.cancel(pos, code)
+        else:
+            self.insert(pos, code)
 
     def apply(self, move: Move) -> None:
         """Replay one ``Move``, raising ``IllegalMoveError`` when it is illegal
@@ -357,6 +384,25 @@ class _Tape:
             self.insert(move.pos, self.codes.get(move.letter.subset), move.letter)
         else:
             raise IllegalMoveError(f"unknown move {move!r}")
+
+
+def decode_moves(codes: Iterable[CodeMove], letters: tuple[Letter, ...]) -> tuple[Move, ...]:
+    """The ``Move`` of each (kind, pos, code) triple, its letter read from ``letters``."""
+    return tuple([
+        ReverseWindow(pos) if kind == REVERSE
+        else (CancelPair if kind == CANCEL else InsertPair)(pos, letters[code])
+        for kind, pos, code in codes
+    ])
+
+
+def encode_moves(params: GroupParams, moves: Iterable[Move]) -> list[CodeMove]:
+    """The (kind, pos, code) triple of each move over the letters of ``params``."""
+    codes = _letter_table(params).codes
+    return [
+        (REVERSE, move.pos, -1) if isinstance(move, ReverseWindow)
+        else (CANCEL if isinstance(move, CancelPair) else INSERT, move.pos, codes[move.letter.subset])
+        for move in moves
+    ]
 
 
 def apply_move(word: Word, move: Move) -> Word:

@@ -264,6 +264,25 @@ class TestUntrustedInput:
         assert max(len(line) for line in err.splitlines()) < 200
         assert f"({token[:32]!r}...)" in err
 
+    @pytest.mark.parametrize(
+        "doc, shown",
+        [
+            ({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3[:3] + [[1, "1" * 1_000_000 + "x", 1]]]},
+             f"got {'1' * 32!r}..."),
+            ({"k": 3, "n": "9" * 1_000_000, "keyframes": []}, f"n must be an integer, got {'9' * 32!r}..."),
+            ({"k": 3, "n": 4, "keyframes": [FRAME_K3, FRAME_K3], "base_sign": ["+"] * 100_000},
+             "base_sign must be a string, got " + repr(["+"] * 100_000)[:32] + "..."),
+        ],
+        ids=["coordinate", "n", "base-sign"],
+    )
+    def test_long_bad_value_is_cut(self, tmp_path, capsys, doc, shown):
+        """A bad value of any length is shown by its first 32 characters, as a bad token is."""
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "certify", str(file))
+        assert (code, out) == (3, "")
+        assert shown in err and max(len(line) for line in err.splitlines()) < 200
+
     def test_realize_checks_the_output_before_realizing(self, tmp_path, monkeypatch, capsys):
         from projbraid import cli
 

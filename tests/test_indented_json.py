@@ -7,7 +7,8 @@ with ``indent`` it runs the pure-Python encoder, which
 containers and lists of them to json's C encoder and walks the rest, so the
 targeted tests below build those shapes at every margin from 0 to 8, with
 strings that look like the separators it rewrites, and run once more without
-the C encoder.
+the C encoder.  A ``JSONFragment``, text already encoded at margin 0, must
+write as the value it encodes wherever it sits.
 """
 
 import json
@@ -22,15 +23,27 @@ from hypothesis import given, settings, strategies as st
 from projbraid import cli, realization
 from projbraid.invariants import reference_signs
 from projbraid.realization import (
+    JSONFragment,
     indented_json,
     load_path_file,
     path_from_word,
     path_to_document,
     save_path_file,
 )
-from projbraid.words import GroupParams, parse_word
+from projbraid.solver import eliminate_last, equal, solve
+from projbraid.words import (
+    CancelPair,
+    GroupParams,
+    InsertPair,
+    ReverseWindow,
+    bfs_equal_oracle,
+    format_word,
+    free_reduce,
+    parse_word,
+)
 
 INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
+P43 = GroupParams(4, 3)
 
 strings = st.one_of(
     st.text(),
@@ -248,22 +261,69 @@ def test_golden_path_files_saved_again(name, tmp_path):
     assert (tmp_path / name).read_text() == json.dumps(path_to_document(path, base_sign), indent=2) + "\n"
 
 
-def test_solve_trace_output_matches_json_dumps(monkeypatch, capsys):
-    """A seeded 512-letter trivial word: w followed by w reversed."""
+def test_solve_trace_output_matches_json_dumps(capsys):
+    """``--trace`` output of solve, eliminate, equal and oracle against
+    ``json.dumps`` of the printed document with its trace rebuilt from the
+    ``Move`` objects: the CLI writes the trace as one encoded fragment.
+
+    The words: a seeded 512-letter trivial word w followed by w reversed,
+    and, for equal, a freely reduced trivial word against its reverse."""
     rng = random.Random(512)
     half = [rng.randint(1, 4)]
     while len(half) < 256:
         half.append(rng.choice([j for j in (1, 2, 3, 4) if j != half[-1]]))
     text = " ".join(f"b{j}" for j in half + half[::-1])
-    documents = []
-
-    def capture(doc, sort_keys=False):
-        documents.append(doc)
-        return indented_json(doc, sort_keys)
-
-    monkeypatch.setattr(cli, "indented_json", capture)
-    assert cli.main(["--format", "structured", "solve", "--trace", text]) == 0
+    relators = []
+    for _ in range(40):
+        window = rng.sample(range(1, 5), 4)
+        pos = rng.randint(0, len(relators))
+        relators[pos:pos] = window + window
+    reduced = format_word(free_reduce(parse_word(" ".join(f"b{j}" for j in relators), P43)), "b-index")
+    reverse = " ".join(reduced.split()[::-1])
+    oracle_words = ("b4 b1 b2 b1 b2 b4", "b3 b2 b1 b2 b1 b3")
+    runs = [
+        (["solve", "--trace", text], solve(parse_word(text, P43)).trace.steps),
+        (["eliminate", "--trace", text], eliminate_last(parse_word(text, P43))[1].steps),
+        (["equal", "--trace", reduced, reverse],
+         equal(parse_word(reduced, P43), parse_word(reverse, P43)).trace.steps),
+        (["oracle", "--trace", *oracle_words],
+         bfs_equal_oracle(*(parse_word(w, P43) for w in oracle_words)).trace),
+    ]
+    for argv, moves in runs:
+        code = cli.main(["--format", "structured", *argv])
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert code == 0, argv[0]
+        assert {type(move) for move in moves} == {InsertPair, CancelPair, ReverseWindow}, argv[0]
+        doc["trace"] = [move_document(move) for move in moves]
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n", argv[0]
+    # the empty word: an empty trace
+    assert cli.main(["--format", "structured", "solve", "--trace", ""]) == 0
     out = capsys.readouterr().out
-    [doc] = documents
-    assert doc["status"] == "Trivial" and len(doc["trace"]) > 256
-    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert json.loads(out)["trace"] == [] and out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def move_document(move) -> dict:
+    kind = {InsertPair: "insert", CancelPair: "cancel", ReverseWindow: "reverse"}[type(move)]
+    if kind == "reverse":
+        return {"kind": kind, "pos": move.pos}
+    return {"kind": kind, "pos": move.pos, "letter": str(move.letter)}
+
+
+def fragment(value, sort_keys: bool) -> JSONFragment:
+    return JSONFragment(json.dumps(value, indent=2, sort_keys=sort_keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, st.lists(st.sampled_from(["list", "list-with-siblings", "dict", "ordered"]), max_size=3),
+       st.booleans())
+def test_fragments_are_copied_at_their_margin(value, wrappers, sort_keys):
+    """A fragment at margin 0 to 3 (0 to 6 spaces) writes as the value it encodes."""
+    try:
+        encoded = fragment(value, sort_keys)
+    except (TypeError, ValueError):   # keys json cannot sort
+        return
+    expected = json.dumps(nested(value, wrappers), indent=2, sort_keys=sort_keys)
+    assert indented_json(nested(encoded, wrappers), sort_keys) == expected
+    siblings = indented_json([encoded, {"a": encoded}], sort_keys)
+    assert siblings == json.dumps([value, {"a": value}], indent=2, sort_keys=sort_keys)

@@ -16,15 +16,18 @@ That word is NonTrivial, so its document has no trace; ``solve_trivial_cli``
 times the same command on the trivial word W . W^-1, W = b4 . B . b4 and
 W^-1 its reverse (every letter is an involution), whose Trivial verdict
 prints a trace of ``trivial_moves`` moves that grows with m, and
-``render_ms`` times the writer alone, ``realization.indented_json``, on that
-command's document (read back from its output) with sorted keys.
+``render_ms`` times what that command does after ``solve``: the verdict's
+record with its trace in the structured format (``cli._verdict``), then the
+writer, ``realization.indented_json``, on the document with sorted keys.
 
     python3 tools/replay_scaling.py --compare PARENT CHANGE --out BENCH_replay.json
 
 runs that on both checkouts in ``SCALING_ROUNDS`` rounds, alternating
 which checkout goes first, and reports each cell's median over the rounds
 with every round kept, so that one slow spell of a shared host moves one
-round of one side only.  Then it runs ``--pairs`` pairs of
+round of one side only.  A round that fails (say, a ``src/`` that does not
+import) is kept as its exit code and last stderr line, and a side with no
+round that ran has no scaling.  Then it runs ``--pairs`` pairs of
 ``perfbench/run.py`` on each ``--workloads`` entry, one seed per pair from
 ``--first-seed`` on, alternating which checkout runs first, and writes
 every run with the median and quartiles of each end-to-end metric.
@@ -70,7 +73,7 @@ def median_ms(call, repeats: int) -> float:
 def measure(sizes, repeats: int, seed: int) -> dict:
     from projbraid import cli
     from projbraid.realization import indented_json
-    from projbraid.solver import check_trace, eliminate_last
+    from projbraid.solver import check_trace, eliminate_last, solve
     from projbraid.words import GroupParams, parse_word
 
     params = GroupParams(4, 3)
@@ -92,6 +95,11 @@ def measure(sizes, repeats: int, seed: int) -> dict:
                 raise RuntimeError(f"solve exited with {code} at m = {m}")
             return out.getvalue()
         document = json.loads(solve_cli(trivial, (0,)))
+        verdict = solve(parse_word(trivial, params))
+
+        def render():
+            _, record = cli._verdict(verdict, "structured")
+            return indented_json({"command": "solve"} | {key: value for key, value, _ in record}, sort_keys=True)
         rows.append({
             "m": m,
             "moves": len(trace),
@@ -100,7 +108,7 @@ def measure(sizes, repeats: int, seed: int) -> dict:
             "check_trace_ms": median_ms(lambda: check_trace(word, trace, rewritten), repeats),
             "solve_cli_ms": median_ms(lambda: solve_cli(text), repeats),
             "solve_trivial_cli_ms": median_ms(lambda: solve_cli(trivial, (0,)), repeats),
-            "render_ms": median_ms(lambda: indented_json(document, sort_keys=True), repeats),
+            "render_ms": median_ms(render, repeats),
         })
     for stage in ("eliminate_last", "check_trace", "solve_cli", "solve_trivial_cli", "render"):
         for before, after in zip(rows, rows[1:]):
@@ -133,8 +141,16 @@ def compare(parent: Path, change: Path, args, script: str = __file__) -> dict:
             root = parent if side == "parent" else change
             argv = [sys.executable, script, "--src", str(root / "src"), "--repeats", str(args.repeats),
                     "--seed", str(args.seed), "--sizes", *map(str, args.sizes)]
-            rounds[side].append(json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout))
-    scaling = {side: cell_median(docs) for side, docs in rounds.items()}
+            done = subprocess.run(argv, capture_output=True, text=True)
+            if done.returncode == 0:
+                rounds[side].append(json.loads(done.stdout))
+            else:
+                stderr = done.stderr.strip().splitlines()
+                rounds[side].append({"exit": done.returncode, "stderr": stderr[-1] if stderr else ""})
+    scaling = {}
+    for side, docs in rounds.items():
+        ran = [doc for doc in docs if "exit" not in doc]
+        scaling[side] = cell_median(ran) if ran else None
     runs, summary = [], {}
     for workload in args.workloads:
         values: dict[str, dict[str, list[float]]] = {"parent": {}, "change": {}}
