@@ -30,9 +30,8 @@ from .invariants import (
     sign_action,
     sign_orbit,
 )
-from .polys import monic
+from .polys import AlgebraicTime, monic
 from .realization import (
-    AlgebraicTime,
     JSONFragment,
     PathError,
     check_base_sign,

@@ -9,12 +9,7 @@ A *singular event* is a simple interior root of one of these
 polynomials: the moment the subset's points become projectively
 degenerate.  Reading off the subsets in time order turns a path into a
 word; building a path letter by letter inverts that map on base
-configurations.
-
-Event parameters are exact: rational when the root is found by the divisor
-search, otherwise an isolating interval with a certified sign change.  All
-ordering and coincidence decisions refine intervals until they are decided
-exactly; nothing is ever compared through floating point.
+configurations.  Event times and their exact order are defined in ``polys``.
 """
 
 from __future__ import annotations
@@ -31,6 +26,8 @@ from pathlib import Path as FilePath
 
 from . import polys
 from .invariants import SignString, format_sign_string, parse_sign_string, reference_signs, sign_action
+# time_eq is unused here: the benchmark traces it under the name realization.time_eq
+from .polys import AlgebraicTime, EventTime, time_cmp, time_eq  # noqa: F401
 from .projective import (
     Configuration,
     ProjectiveTransform,
@@ -80,23 +77,6 @@ class BaseSignMismatch(PathError):
 
 
 @dataclass(frozen=True)
-class AlgebraicTime:
-    """An irrational (or undetermined) root, exactly isolated.
-
-    ``poly`` is a squarefree integer form, primitive with a positive leading
-    coefficient, with exactly one root in (lo, hi); its values at lo and hi
-    have opposite signs.
-    """
-
-    poly: polys.ZPoly
-    lo: Fraction
-    hi: Fraction
-
-
-EventTime = Fraction | AlgebraicTime
-
-
-@dataclass(frozen=True)
 class SingularEvent:
     segment: int
     t: EventTime
@@ -116,85 +96,6 @@ class PLPath:
         for config in self.keyframes:
             if config.params != self.params:
                 raise ValueError("keyframe parameters disagree with the path")
-
-
-# --- exact comparison of event times ---------------------------------------
-
-def time_eq(a: EventTime, b: EventTime) -> bool:
-    if isinstance(a, Fraction) and isinstance(b, Fraction):
-        return a == b
-    if isinstance(a, Fraction):
-        a, b = b, a
-    if isinstance(b, Fraction):
-        return a.lo < b < a.hi and polys.evaluate(a.poly, b) == 0
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo >= hi:
-        return False
-    common = polys.gcd(a.poly, b.poly)
-    if polys.degree(common) < 1:
-        return False
-    return polys.count_roots(common, lo, hi) > 0
-
-
-def _interval(t: EventTime) -> polys.Interval:
-    """The starting interval of t: [r, r] for a rational r, the isolating
-    (lo, hi) for an algebraic time."""
-    if isinstance(t, Fraction):
-        return t.numerator, t.numerator, t.denominator, 0
-    return polys.interval(t.poly, t.lo, t.hi)
-
-
-def _gaps(ia: polys.Interval, ib: polys.Interval) -> tuple[int, int]:
-    """(lo(ib) - hi(ia), lo(ia) - hi(ib)), each times the positive qa * qb."""
-    a0, a1, qa, _ = ia
-    b0, b1, qb, _ = ib
-    return b0 * qa - a1 * qb, a0 * qb - b1 * qa
-
-
-# Overlapping intervals are halved this many times before ``time_eq`` runs
-# its gcd: on the seed 7-9 certify-files inputs, 16 halvings leave 0.13
-# gcds per file of the 20.6 that testing first ran, every one of them 1.
-_HALVINGS_BEFORE_GCD = 16
-
-
-def time_cmp(a: EventTime, b: EventTime, kept: dict | None = None, keys: tuple | None = None) -> int:
-    """Order two event times exactly (-1, 0 or 1), refining intervals as needed.
-
-    Each time is read as a ``polys.Interval``: the interval ``kept`` holds
-    under the time's key in ``keys`` from an earlier comparison, else a
-    rational r as the zero-width [r, r] and an algebraic time as its
-    isolating (lo, hi).  Closed intervals that are apart, or touch at one
-    end, decide at once; two zero-width
-    intervals that touch are one point, and equal.  The wider of two
-    overlapping intervals is halved until they are apart; a halving that
-    lands on the root leaves a zero-width interval, which is never halved
-    again.  Equal times never come apart, so once ``_HALVINGS_BEFORE_GCD``
-    halvings have not separated them ``time_eq`` rules equality out, once.
-    Both intervals are then kept under their keys, so a caller that passes
-    one ``kept`` to every comparison of a sort, with each time's position as
-    its key, resumes each time where its last comparison left it.
-    """
-    if kept is None:
-        ia, ib = _interval(a), _interval(b)
-    else:
-        ia, ib = (kept.get(key) or _interval(t) for key, t in zip(keys, (a, b)))
-    up, down = _gaps(ia, ib)
-    if up <= 0 and down <= 0:
-        halvings = 0
-        while up < 0 and down < 0:
-            if halvings == _HALVINGS_BEFORE_GCD and time_eq(a, b):
-                return 0
-            halvings += 1
-            if (ia[1] - ia[0]) * ib[2] >= (ib[1] - ib[0]) * ia[2]:
-                ia = polys.refine_once(a.poly, ia)
-            else:
-                ib = polys.refine_once(b.poly, ib)
-            up, down = _gaps(ia, ib)
-        if up == down == 0:
-            return 0
-        if kept is not None:
-            kept[keys[0]], kept[keys[1]] = ia, ib
-    return -1 if up >= 0 else 1
 
 
 # --- event detection --------------------------------------------------------
@@ -271,13 +172,10 @@ def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPo
                     )
                 found.append((AlgebraicTime(remaining, lo, hi), subset))
 
-    # the intervals the sort's comparisons refine, keyed by position in found
-    kept: dict[int, polys.Interval] = {}
-
-    def order(i: int, j: int) -> int:
-        sign = time_cmp(found[i][0], found[j][0], kept, (i, j))
+    def order(x, y) -> int:
+        sign = time_cmp(x[0], y[0])
         if sign == 0:
-            first, second = sorted((found[i][1], found[j][1]))
+            first, second = sorted((x[1], y[1]))
             raise SimultaneousEvents(
                 f"segment {segment}: subsets {first} and {second} degenerate at the same parameter"
             )
@@ -285,8 +183,7 @@ def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPo
 
     # a comparison sort compares every pair it leaves adjacent, and equal
     # times end up adjacent, so no simultaneous pair escapes the sort
-    ranked = sorted(range(len(found)), key=cmp_to_key(order))
-    return [SingularEvent(segment, *found[i]) for i in ranked]
+    return [SingularEvent(segment, *event) for event in sorted(found, key=cmp_to_key(order))]
 
 
 def detect_events(path: PLPath) -> list[SingularEvent]:

@@ -35,6 +35,7 @@ from .invariants import (
     sign_action,
     sign_orbit,
 )
+from .polys import time_eq
 from .projective import (
     Configuration,
     ProjectiveTransform,
@@ -48,7 +49,6 @@ from .realization import (
     detect_events,
     letter_path,
     path_from_word,
-    time_eq,
     void_path_to_base,
 )
 from .solver import Status, check_trace, eliminate_last, equal, solve

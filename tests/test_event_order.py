@@ -9,6 +9,7 @@ come out in the same order, or raise ``SimultaneousEvents`` on the same pair.
 ``time_cmp`` halves overlapping intervals before it runs ``time_eq``'s gcd,
 so the last tests also count ``polys.gcd`` calls: one for a coincidence or
 for roots too close for the halving budget, none for a separable pair.
+One test pins the bytes ``certify`` prints for the ``certify-files`` inputs.
 """
 
 import hashlib
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from projbraid import polys, realization
+from projbraid import cli, polys, realization
 from projbraid.projective import subset_minors
 from projbraid.realization import (
     AlgebraicTime,
@@ -148,6 +149,21 @@ def test_certify_files_segments_sort_as_the_reference(certify_files):
     assert (len(certify_files), segments) == (180, 900)
 
 
+# certify of every file, text then structured, as f"{rc}\n{stdout}" with the
+# file's directory written as WORK, all into one SHA-256
+CERTIFY_DIGEST = "ea5035d09641d3c671e285974a2ab1a8080b6cb327264e23bd2768810f900112"
+
+
+def test_certify_files_output_is_byte_identical(certify_files, capsys):
+    digest = hashlib.sha256()
+    for name in certify_files:
+        work = str(Path(name).parent)
+        for fmt in ("text", "structured"):
+            rc = cli.main(["--format", fmt, "certify", name])
+            digest.update(f"{rc}\n{capsys.readouterr().out}".replace(work, "WORK").encode())
+    assert digest.hexdigest() == CERTIFY_DIGEST
+
+
 def mul(f, g):
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -198,22 +214,21 @@ def test_collapsed_interval_meets_an_equal_rational_later():
     assert polys.rational_roots_in_unit_interval(HALF_BEYOND) is None
     assert polys.isolate_roots(HALF_BEYOND, F(0), F(1)) == [(F(0), F(1))]
     half = AlgebraicTime(HALF_BEYOND, F(0), F(1))
-    kept = {}
-    assert time_cmp(half, AlgebraicTime(ROOT_HALF, F(0), F(1)), kept, ("half", "root")) == -1
-    assert kept["half"] == (1, 1, 2, 0)
-    # touching zero-width intervals are one point: only time_eq tells
-    assert time_cmp(half, F(1, 2), kept, ("half", "rational")) == 0
-    assert time_cmp(F(2, 4), half, kept, ("rational", "half")) == 0
-    assert time_cmp(half, AlgebraicTime(mul((-1, 2), (-BEYOND - 1, 1)), F(0), F(1)), kept, ("half", "other")) == 0
+    assert time_cmp(half, AlgebraicTime(ROOT_HALF, F(0), F(1))) == -1
+    assert half.refined == (1, 1, 2, 0)
+    # touching zero-width intervals are one point: equal, with no halving and no gcd
+    assert time_cmp(half, F(1, 2)) == 0
+    assert time_cmp(F(2, 4), half) == 0
+    assert time_cmp(half, AlgebraicTime(mul((-1, 2), (-BEYOND - 1, 1)), F(0), F(1))) == 0
 
 
 def test_collapsed_interval_meets_an_equal_event_in_the_sort(monkeypatch):
     pencils = [((1, 2, 3), HALF_BEYOND), ((1, 2, 4), ROOT_HALF), ((1, 3, 4), (-1, 2))]
     seen = []
 
-    def recording(a, b, kept, keys):
-        seen.append((a, b, kept.get(keys[0]), kept.get(keys[1])))
-        return time_cmp(a, b, kept, keys)
+    def recording(a, b):
+        seen.append((a, b, getattr(a, "refined", None), getattr(b, "refined", None)))
+        return time_cmp(a, b)
 
     monkeypatch.setattr(realization, "time_cmp", recording)
     with pytest.raises(SimultaneousEvents, match=r"subsets \(1, 2, 3\) and \(1, 3, 4\)"):
@@ -252,7 +267,7 @@ def test_roots_closer_than_the_halving_budget_order_after_one_gcd(gcd_calls):
     # b t^2 - (b + 2)/2 with b = 2 * 4^B: its root sqrt(1/2 + 4^-B / 2) is
     # irrational (b is no square) and within 4^-B of 2t^2 - 1's, so B
     # halvings of the two intervals leave them overlapping
-    b = 2 * 4 ** realization._HALVINGS_BEFORE_GCD
+    b = 2 * 4 ** polys._HALVINGS_BEFORE_GCD
     near = (-(b // 2 + 1), 0, b)
     pencils = [((1, 2, 3), near), ((1, 2, 4), ROOT_HALF)]
     got = outcome(0, pencils)

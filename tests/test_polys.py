@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
 from math import gcd as igcd
 from math import lcm
 
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from projbraid import polys
 from projbraid.polys import (
     ZERO,
+    AlgebraicTime,
     count_roots,
     degree,
     derivative,
@@ -23,6 +25,8 @@ from projbraid.polys import (
     refine_to_exclude,
     squarefree_split,
     sturm_chain,
+    time_cmp,
+    time_eq,
 )
 
 F = Fraction
@@ -436,6 +440,44 @@ def segment_determinants(seed: int, per_k: int):
     return out
 
 
+def event_times(f):
+    """The distinct roots of f in (0, 1) as event detection finds them: the
+    divisor search's rationals, then isolated algebraic times."""
+    remaining = squarefree_split(f)[0]
+    times = []
+    extracted = rational_roots_in_unit_interval(remaining)
+    if extracted is not None:
+        times, remaining = extracted
+    if degree(remaining) >= 1:
+        times += [AlgebraicTime(remaining, lo, hi) for lo, hi in isolate_roots(remaining, F(0), F(1))]
+    return times
+
+
+# factors with one real root in (0, 1): qt - p, bt^2 - a and bt^3 - a with
+# 0 < a < b, irreducible unless a/b is a square or a cube
+one_root_factors = (
+    st.tuples(st.integers(1, 7), st.integers(2, 8)).filter(lambda pq: pq[0] < pq[1]).map(lambda pq: (-pq[0], pq[1]))
+    | st.tuples(st.integers(1, 11), st.integers(2, 12)).filter(lambda ab: ab[0] < ab[1]).map(lambda ab: (-ab[0], 0, ab[1]))
+    | st.tuples(st.integers(1, 11), st.integers(2, 12)).filter(lambda ab: ab[0] < ab[1]).map(lambda ab: (-ab[0], 0, 0, ab[1]))
+)
+
+
+@st.composite
+def shared_root_polys(draw):
+    """Two to four polynomials whose roots in (0, 1) come from one pool of
+    two to four factors, so that they share roots often.  A factor t - (LIMIT
+    + 1) puts the coefficients past the divisor search, so rational roots
+    become algebraic times too."""
+    pool = draw(st.lists(one_root_factors, min_size=2, max_size=4))
+    out = []
+    for _ in range(draw(st.integers(2, 4))):
+        f = draw(st.sampled_from(((1,), (2, 1), (-LIMIT - 1, 1))))
+        for factor in draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3)):
+            f = mul(f, factor)
+        out.append(f if draw(st.booleans()) else tuple(-c for c in f))
+    return out
+
+
 class TestAgainstSympy:
     """The integer kernels against sympy on random segment determinants."""
 
@@ -510,3 +552,31 @@ class TestAgainstSympy:
             for f, g in ((a, b), (mul(a, h), mul(b, h)), (mul(a, mul(h, h)), mul(h, b))):
                 expected = self.to_sympy(sympy, f).gcd(self.to_sympy(sympy, g)).monic()
                 assert monic(gcd(f, g)) == tuple(self.rational(c) for c in reversed(expected.all_coeffs()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(fs=shared_root_polys())
+    @example(fs=[(-1, 0, 2), mul((-1, 0, 2), (2, 1)), (-1, 0, 3)])
+    def test_time_order_matches_sympy_real_roots(self, sympy, fs):
+        """``time_cmp`` and ``time_eq`` on every pair of event times against
+        sympy's ``real_roots``, whose roots are canonical (a rational, or a
+        ``CRootOf`` of an irreducible factor) and come in exact ascending order."""
+        rank = {}
+        for root in sympy.real_roots(self.to_sympy(sympy, reduce(mul, fs))):
+            rank.setdefault(root, len(rank))
+        times = []
+        for f in fs:
+            found = event_times(f)
+            assert len(found) == self.to_sympy(sympy, f).count_roots(0, 1)
+            for time in found:
+                if isinstance(time, Fraction):
+                    root = sympy.Rational(time.numerator, time.denominator)
+                    assert self.to_sympy(sympy, f).eval(root) == 0
+                else:
+                    # the one root of time.poly in (lo, hi): count its roots up to lo
+                    reference = self.to_sympy(sympy, time.poly)
+                    root = list(dict.fromkeys(sympy.real_roots(reference)))[reference.count_roots(sup=time.lo)]
+                times.append((time, rank[root]))
+        for a, rank_a in times:
+            for b, rank_b in times:
+                assert time_cmp(a, b) == (rank_a > rank_b) - (rank_a < rank_b)
+                assert time_eq(a, b) == (rank_a == rank_b)
