@@ -91,6 +91,10 @@ RUNS = {
     # k = 3, every determinant past the divisor search: each event is isolated,
     # and ordering them halves onto the rational root 1/2 of subset {1,2,3}
     "certify-past-divisor-limit": ["certify", "large.json"],
+    # k = 3, point 4 alone moves, from (1, 1, 1) to coordinates past the
+    # divisor search: the linear minor of {2,3,4} keeps its interval form,
+    # and that of {1,2,4} is the rational 1/4
+    "certify-linear-past-divisor-limit": ["certify", "linear.json"],
     # k = 3, n = 5: not a square group, so refused as a bad path file
     "certify-k3-n5": ["certify", "events.json"],
     "certify-fails": ["certify", "singular.json"],
@@ -111,6 +115,7 @@ INPUTS = {
     "certify-k4-segments": "inputs/k4-segments.json",
     "certify-k3-n5": "inputs/k3n5-events.json",
     "certify-past-divisor-limit": "inputs/past-divisor-limit.json",
+    "certify-linear-past-divisor-limit": "inputs/linear-past-divisor-limit.json",
     "certify-fails": "inputs/singular-keyframe.json",
     "certify-k4-last-keyframe-singular": "inputs/k4-last-keyframe-singular.json",
     "certify-base-sign-mismatch": "inputs/base-sign-mismatch.json",
