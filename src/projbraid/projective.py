@@ -226,6 +226,14 @@ def _unit_points(k: int) -> tuple[Vector, ...]:
     return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
 
 
+@lru_cache(maxsize=None)
+def _cofactor_units(k: int) -> tuple[Vector, ...]:
+    """The rows (-1)^(i + k) e_i, i = 0..k, of length k + 1: the signs alternate
+    from row to row and row k is +e_k."""
+    units = _unit_points(k + 1)
+    return tuple(unit if (k - i) % 2 == 0 else tuple(-u for u in unit) for i, unit in enumerate(units))
+
+
 def _require_unit_points(config: Configuration, count: int) -> None:
     """Raise unless points 1..count are, projectively, e_1, ..., e_count."""
     for i, unit in enumerate(_unit_points(config.params.k)[:count]):
@@ -302,11 +310,11 @@ def shear_family(config: Configuration) -> Configuration:
 
 
 def _interpolate(values: list[list[int]]) -> list[polys.ZPoly]:
-    """The integer polynomials of degree at most D, one per column of
-    ``values``, whose values at t = 0..D are its rows.
+    """The integer polynomials of degree at most N, one per column of
+    ``values``, whose values at t = 0..N are its rows.
 
-    Newton forward differences, run once over the rows, turn the D + 1
-    value vectors into the coefficients times D!, and each division by D!
+    Newton forward differences, run once over the rows, turn the N + 1
+    value vectors into the coefficients times N!, and each division by N!
     is checked to be exact.
     """
     top = len(values) - 1
@@ -327,7 +335,7 @@ def _interpolate(values: list[list[int]]) -> list[polys.ZPoly]:
     minors = []
     for column in zip(*coeffs):
         if any(c % scale for c in column):
-            raise AssertionError("inexact division by D! in a pencil determinant")
+            raise AssertionError("inexact division by N! in a pencil determinant")
         minors.append(polys._trim(tuple(c // scale for c in column)))
     return minors
 
@@ -336,47 +344,48 @@ def pencil_minors(starts, ends) -> list[polys.ZPoly]:
     """The k + 1 maximal minors of the (k + 1) x k integer pencil with rows a + t (b - a).
 
     ``starts`` and ``ends`` hold the rows a and b; entry i is the
-    determinant of the pencil without row i, and det [M | e_i] = (-1)^(i + k)
-    times it.  One elimination of [M | I] over the first k columns leaves
-    these determinants, of the row-permuted matrix, in the identity part of
-    its last row, and the swap sign restores them.  A rank below k makes
-    every minor 0.
+    determinant of the pencil without row i.  Row i is augmented by
+    c_i e_i with c_i = (-1)^(i + k) (``_cofactor_units``), so that
+    det [M | c_i e_i] is that minor itself.  One elimination of [M | C]
+    over the first k columns leaves these determinants, of the
+    row-permuted matrix, in the augmented part of its last row, and the
+    swap sign restores them.  A rank below k makes every minor 0.
 
-    Only a row that moves (s = b - a nonzero) depends on t, so every minor
-    has degree at most D, the number of moving rows.  The fixed rows go
-    first and are eliminated once, pivots taken from them alone; a Bareiss
-    step is linear in each row below its pivot, so a moving row is reduced
-    as the two rows [a | e_i] and [s | 0].  When the fixed rows have rank k
+    Only a row that moves (s = b - a nonzero) depends on t, and a minor
+    is a k x k determinant, so every minor has degree at most
+    min(D, k), D the number of moving rows.  The fixed rows go first and
+    are eliminated once, pivots taken from them alone; a Bareiss step is
+    linear in each row below its pivot, so a moving row is reduced as the
+    two rows [a | c_i e_i] and [s | 0].  When the fixed rows have rank k
     (then D <= 1), the last row's two parts are the minors' coefficients.
-    Otherwise the elimination goes on from there at each t = 0..D, on the
-    moving rows [a + t s | e_i], and the minors are interpolated.
+    Otherwise the elimination goes on from there at each
+    t = 0..min(D, k), on the moving rows [a + t s | c_i e_i], and the
+    minors are interpolated.
     """
     k = len(starts) - 1
-    fixed, moving, sign = [], [], 1
-    for i, (a, b) in enumerate(zip(starts, ends)):
-        unit = [int(i == j) for j in range(k + 1)]
+    fixed, moving, sign, past = [], [], 1, 1
+    for a, b, unit in zip(starts, ends, _cofactor_units(k)):
         step = [q - p for p, q in zip(a, b)]
         if any(step):
             moving += [[*a, *unit], step + [0] * (k + 1)]
+            past = -past
         else:
-            # moved up past every moving row before it
-            sign *= (-1) ** (len(moving) // 2)
+            sign *= past   # moved up past every moving row before it
             fixed.append([*a, *unit])
     m = fixed + moving
-    rank, sign = _bareiss(m, k, len(fixed), sign=sign)
-    cofactor_signs = [(-1) ** (i + k) for i in range(k + 1)]
+    rank, sign = _bareiss(m, k, len(fixed), sign=sign) if fixed else (0, sign)
     if rank == k:
         parts = zip(*(row[k:] for row in m[k:]))
-        return [polys._trim(tuple(sign * c * v for v in part)) for c, part in zip(cofactor_signs, parts)]
+        return [polys._trim(part if sign > 0 else tuple(-v for v in part)) for part in parts]
 
     pivots, below, reduced = m[:rank], m[rank : len(fixed)], m[len(fixed) :]
     pairs = list(zip(reduced[::2], reduced[1::2]))
     values = []
-    for t in range(len(pairs) + 1):
+    for t in range(min(len(pairs), k) + 1):
         rows = pivots + [row[:] for row in below] + [[v + t * w for v, w in zip(a, s)] for a, s in pairs]
         full, swaps = _bareiss(rows, k, rank=rank, sign=sign)
         last = rows[k][k:] if full == k else [0] * (k + 1)
-        values.append([swaps * c * v for c, v in zip(cofactor_signs, last)])
+        values.append(last if swaps > 0 else [-v for v in last])
     return _interpolate(values)
 
 

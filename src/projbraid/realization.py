@@ -133,6 +133,8 @@ def _check_representatives(segment: int, starts: list[Vector], ends: list[Vector
     the start row, b the end row and j the first index with a_j != 0, that
     is a_j * b_j < 0 with a and b the same point (``same_point``)."""
     for i, (a, b) in enumerate(zip(starts, ends)):
+        if a == b:
+            continue
         j = next(j for j, x in enumerate(a) if x)
         if a[j] * b[j] < 0 and same_point(a, b):
             raise ZeroVectorOnSegment(
@@ -141,13 +143,39 @@ def _check_representatives(segment: int, starts: list[Vector], ends: list[Vector
 
 
 def _segment_events(segment: int, pencils: list[tuple[tuple[int, ...], polys.ZPoly]]):
+    """The events of one segment in time order, from its (subset, minor) pairs.
+
+    No minor may vanish at t = 0 or t = 1; ``detect_events`` checks the
+    keyframes first.  Each minor pays only for what it can hold:
+
+    * a constant has no root;
+    * a linear minor, normal form a0 + a1 t, has its one root -a0/a1, an
+      event when 0 < -a0 < a1.  That root is the ``Fraction`` the divisor
+      search would find unless a1 exceeds ``polys._DIVISOR_LIMIT``, where
+      it takes the general path below and so keeps its interval form;
+    * otherwise the Sturm chain counts the distinct roots in (0, 1), as the
+      variations at 0 less those at 1 (Sturm's theorem needs no squarefree
+      input when neither end is a root).  With none, no event and no
+      tangency can be there, and the minor is done; else it is split into
+      its squarefree and repeated parts, rational roots are searched and
+      the rest isolated.
+    """
     found: list[tuple[EventTime, tuple[int, ...]]] = []
     for subset, d in pencils:
         if not d:
             raise IdenticallySingularSegment(f"segment {segment}: subset {subset} is singular throughout")
-        if polys.degree(d) < 1:
+        if len(d) == 1:
             continue
-        chain = polys.sturm_chain(polys.normal(d))
+        d = polys.normal(d)
+        if len(d) == 2:
+            if not 0 < -d[0] < d[1]:
+                continue
+            if d[1] <= polys._DIVISOR_LIMIT:
+                found.append((Fraction(-d[0], d[1]), subset))
+                continue
+        chain = polys.sturm_chain(d)
+        if polys._variations(chain, 0, 1) == polys._variations(chain, 1, 1):
+            continue
         squarefree, multiple = polys.squarefree_split(d, chain)
         tangential = polys.degree(multiple) >= 1
 
@@ -203,9 +231,10 @@ def detect_events(path: PLPath) -> list[SingularEvent]:
     rows = [_segment_rows(start, end) for start, end in zip(frames, frames[1:])]
     pencils = [subset_minors(starts, ends) for starts, ends in rows]
     # keyframe values: t = 0 of each segment, then t = 1 of the last one
-    frame_values = [[(subset, d[:1]) for subset, d in found] for found in pencils] + [pencils[-1]]
-    for idx, (config, values) in enumerate(zip(frames, frame_values)):
-        _check_keyframe(config, [subset for subset, d in values if not sum(d)], f"keyframe {idx}: ")
+    singular = [[subset for subset, d in found if not (d and d[0])] for found in pencils]
+    singular.append([subset for subset, d in pencils[-1] if not sum(d)])
+    for idx, (config, subsets) in enumerate(zip(frames, singular)):
+        _check_keyframe(config, subsets, f"keyframe {idx}: ")
     events: list[SingularEvent] = []
     for segment, (found, (starts, ends)) in enumerate(zip(pencils, rows)):
         _check_representatives(segment, starts, ends)

@@ -466,6 +466,20 @@ def _drawn_pencil(rng: random.Random, kind: str, k: int, moves: int):
     return starts, ends
 
 
+@pytest.fixture
+def bareiss_calls(monkeypatch) -> list:
+    """The argument tuples of every ``projective._bareiss`` call the test makes."""
+    calls = []
+    original = projective._bareiss
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(projective, "_bareiss", counted)
+    return calls
+
+
 class TestPencilMinorsReference:
     """``pencil_minors`` against the dense reference that evaluates [M(t) | I]
     at every t and interpolates each minor on its own."""
@@ -482,30 +496,35 @@ class TestPencilMinorsReference:
         if kind == "fixed-rank-below-k":
             assert zero >= 30
 
-    def test_fixed_rows_of_rank_k_take_one_elimination(self, monkeypatch):
-        """The fixed rows are eliminated once and, at rank k, the minors are
-        read off without evaluating at any t; otherwise the elimination goes
-        on once per t = 0..D."""
-        calls = []
-        original = projective._bareiss
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(projective, "_bareiss", counted)
+    def test_fixed_rows_of_rank_k_take_one_elimination(self, bareiss_calls):
+        """The fixed rows, if any, are eliminated once and, at rank k, the
+        minors are read off without evaluating at any t; otherwise the
+        elimination goes on once per t = 0..min(D, k), D the number of
+        moving rows, since no k x k minor has a degree above k."""
         read_off = resumed = 0
         for kind, k, moves, starts, ends in drawn_pencils(42, per_cell=1):
             fixed = [a for a, b in zip(starts, ends) if a == b]
-            calls.clear()
+            bareiss_calls.clear()
             assert pencil_minors(starts, ends) == reference_pencil_minors(starts, ends)
             if fixed and reference_bareiss([row[:] for row in fixed], k)[0] == k:
-                assert len(calls) == 1
+                assert len(bareiss_calls) == 1
                 read_off += 1
             else:
-                assert len(calls) == 2 + moves
+                assert len(bareiss_calls) == bool(fixed) + min(moves, k) + 1
                 resumed += 1
         assert read_off >= 20 and resumed >= 100
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_all_moving_rows_take_k_plus_one_evaluations(self, k, bareiss_calls):
+        """With all k + 1 rows moving there is no fixed elimination, and the
+        minors, of degree at most k, come from the evaluations at t = 0..k."""
+        rng = random.Random(45 + k)
+        starts = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k + 1)]
+        ends = [[x + rng.randint(1, 9) for x in row] for row in starts]
+        expected = reference_pencil_minors(starts, ends)
+        assert pencil_minors(starts, ends) == expected
+        assert len(bareiss_calls) == k + 1
+        assert max(map(polys.degree, expected)) == k
 
     def test_inexact_interpolation_is_refused(self):
         with pytest.raises(AssertionError, match="inexact division"):

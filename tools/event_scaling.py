@@ -22,14 +22,18 @@ counted by a wrapper this tool installs around ``projective._bareiss``,
 which passes on every argument, keywords included.  Every caller looks
 ``_bareiss`` up in the module at call time, so the count covers every
 elimination: ``general_position_violation``, ``det``, and those of
-``pencil_minors`` (which ``singular_subsets`` calls once), one of the
-fixed rows of each block of k + 1 points and, unless they have rank k, one
-more per evaluation point t.  ``polys.gcd``, ``polys.sturm_chain`` and
+``pencil_minors`` (which ``singular_subsets`` calls once): one of the
+fixed rows of each block of k + 1 points, if any, and, unless they have
+rank k, one more per evaluation point t = 0..min(D, k), D the number of
+moving points.  ``polys.gcd``, ``polys.sturm_chain`` and
 ``polys.refine_once`` are counted the same way (``gcd_calls``,
 ``sturm_chain_calls``, ``refine_once_calls``): the polynomial gcds, the
-Sturm chains (one per segment minor, and one more for each minor that
-loses a rational root or a repeated factor and still has roots to
-isolate) and the interval halvings of event ordering.
+Sturm chains and the interval halvings of event ordering.  A segment minor
+of degree 2 or more takes one Sturm chain, and one more if it holds a root
+in (0, 1), loses a rational root or a repeated factor, and still has roots
+to isolate; a linear minor takes none unless its root lies in (0, 1) with
+a coefficient past the divisor search.  Realized paths have only linear
+minors, so their rows count no Sturm chain.
 
 The same counts, with ``detect_ms`` and ``decode_ms``, are reported under
 ``files`` for ``FILES`` seeded random path documents per k = 3 and 4, each
